@@ -11,6 +11,7 @@
 // header to get the google-benchmark capture reporter.
 #pragma once
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -19,12 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "avf_git_rev.hpp"  // generated at build time: AVF_GIT_REV
 #include "util/table.hpp"
 #include "viz/world.hpp"
-
-#ifndef AVF_GIT_REV
-#define AVF_GIT_REV "unknown"
-#endif
 
 namespace avf::bench {
 
@@ -46,8 +44,8 @@ inline void figure_header(const std::string& id, const std::string& caption) {
 
 inline void note(const std::string& text) { std::cout << text << "\n"; }
 
-/// The performance database used by fig5/6/7 (built on first use, cached in
-/// ./.avf_viz_perfdb.csv across bench binaries).
+/// The performance database used by fig5/6/7 (profiled on first use in
+/// each process).
 inline const perfdb::PerfDatabase& figure_database() {
   return viz::standard_viz_database();
 }
@@ -93,6 +91,16 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// A JSON number, or null for NaN and infinities (JSON has no literal for
+/// them).
+inline std::string json_number(double value) {
+  if (!std::isfinite(value)) return "null";
+  std::ostringstream out;
+  out.precision(17);
+  out << value;
+  return out.str();
+}
+
 /// Write bench_results/BENCH_<name>.json.  Returns false (after a warning)
 /// if the directory or file cannot be created; benchmarks still succeed.
 inline bool write_bench_json(const std::string& name,
@@ -108,17 +116,16 @@ inline bool write_bench_json(const std::string& name,
   // is either complete or absent, never a torn prefix from a crash or an
   // interleaved writer.
   std::ostringstream doc;
-  doc.precision(17);
   doc << "{\n  \"name\": \"" << json_escape(name) << "\",\n"
       << "  \"git_rev\": \"" << json_escape(AVF_GIT_REV) << "\",\n"
       << "  \"cases\": [";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const JsonBenchCase& c = cases[i];
     doc << (i ? ",\n" : "\n") << "    {\"label\": \"" << json_escape(c.label)
-        << "\", \"wall_ns\": " << c.wall_ns
+        << "\", \"wall_ns\": " << json_number(c.wall_ns)
         << ", \"threads\": " << c.threads;
     for (const auto& [key, value] : c.extra) {
-      doc << ", \"" << json_escape(key) << "\": " << value;
+      doc << ", \"" << json_escape(key) << "\": " << json_number(value);
     }
     doc << "}";
   }

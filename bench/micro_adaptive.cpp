@@ -26,6 +26,7 @@
 
 #include "bench/common.hpp"
 #include "perfdb/driver.hpp"
+#include "util/hash.hpp"
 #include "viz/world.hpp"
 
 namespace {
@@ -45,19 +46,13 @@ viz::WorldSetup small_world() {
   return setup;
 }
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::uint64_t fingerprint(const PerfDatabase& db) {
   std::ostringstream out;
   db.save(out);
-  return fnv1a(out.str());
+  const std::string bytes = out.str();
+  // FNV-1a from this bench's historic basis (not util::kFnv1aOffset), so
+  // printed fingerprints stay comparable across revisions.
+  return util::fnv1a64(bytes.data(), bytes.size(), 1469598103934665603ull);
 }
 
 double env_or(const char* name, double fallback) {

@@ -9,7 +9,7 @@
 //   cached   : one shared adapt::DecisionCache across all sessions plus
 //              change-driven ticks.
 //
-// Both lanes run with exact predictions, so their decision traces are
+// Predictions are exact in both lanes, so their decision traces are
 // provably byte-identical; the benchmark *checks* that (decision
 // fingerprints must match between lanes and across a repeated cached run)
 // and then gates on the speedup: at the largest scale the cached lane must

@@ -2,12 +2,11 @@
 // database — the per-tick cost of the run-time adaptation loop (paper §6.2).
 //
 // Three regimes:
-//   Select/ColdCache   — every decision at a fresh resource point (the
-//                        prediction cache never hits; measures the indexed
-//                        fast path end to end, incl. candidate pruning).
+//   Select/MovingRes   — every decision at a fresh resource point: the
+//                        indexed prediction path end to end, incl.
+//                        candidate pruning.
 //   Select/StableRes   — repeated decisions at the same point, the common
-//                        steady-state case; served from the prediction
-//                        cache shared by select and select_with_incumbent.
+//                        steady-state case.
 //   SelectWithIncumbent — hysteresis-biased re-decision, which shares the
 //                        candidate vector with the fresh selection instead
 //                        of re-querying the database for the incumbent.
@@ -36,7 +35,7 @@ tunable::MetricSchema schema() {
 }
 
 PerfDatabase build_db(int configs, int grid) {
-  PerfDatabase db({"cpu_share", "net_bps"}, schema());
+  std::vector<perfdb::PerfRecord> records;
   for (int c = 0; c < configs; ++c) {
     ConfigPoint config;
     config.set("mode", c);
@@ -48,10 +47,12 @@ PerfDatabase build_db(int configs, int grid) {
         q.set("transmit_time", 10.0 / cpu + 1e6 / bw + 0.01 * c);
         q.set("response_time", 1.0 / cpu);
         q.set("resolution", 4.0 - c % 3);
-        db.insert(config, {cpu, bw}, q);
+        records.push_back(perfdb::PerfRecord{config, {cpu, bw}, q});
       }
     }
   }
+  PerfDatabase db({"cpu_share", "net_bps"}, schema());
+  db.insert_batch(records);
   return db;
 }
 
@@ -65,20 +66,19 @@ adapt::PreferenceList preferences() {
 constexpr int kConfigs = 64;
 constexpr int kGrid = 16;
 
-void BM_SelectColdCache(benchmark::State& state) {
+void BM_SelectMovingResources(benchmark::State& state) {
   PerfDatabase db = build_db(kConfigs, kGrid);
   ResourceScheduler scheduler(db, preferences());
   double x = 0.0;
   for (auto _ : state) {
-    // Shift the point by more than a quantization bucket each iteration so
-    // every decision re-runs the indexed prediction for all 64 configs.
+    // Shift the point each iteration, sweeping the grid cells.
     auto decision = scheduler.select({0.30 + x, 275e3 * (1.0 + x)});
     x = x > 0.2 ? 0.0 : x + 1e-4;
     benchmark::DoNotOptimize(decision->predicted);
   }
   state.SetItemsProcessed(state.iterations() * kConfigs);
 }
-BENCHMARK(BM_SelectColdCache);
+BENCHMARK(BM_SelectMovingResources);
 
 void BM_SelectStableResources(benchmark::State& state) {
   PerfDatabase db = build_db(kConfigs, kGrid);
@@ -88,13 +88,6 @@ void BM_SelectStableResources(benchmark::State& state) {
     benchmark::DoNotOptimize(decision->predicted);
   }
   state.SetItemsProcessed(state.iterations() * kConfigs);
-  auto stats = db.prediction_stats();
-  state.counters["hit_rate"] =
-      static_cast<double>(stats.cache_hits) /
-      static_cast<double>(
-          stats.cache_hits + stats.cache_misses > 0
-              ? stats.cache_hits + stats.cache_misses
-              : 1);
 }
 BENCHMARK(BM_SelectStableResources);
 

@@ -1,37 +1,43 @@
 #include "adapt/decision_cache.hpp"
 
 #include <bit>
+#include <cmath>
 
-#include "perfdb/prediction_cache.hpp"
+#include "util/hash.hpp"
 
 namespace avf::adapt {
 
 namespace {
 
-std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data,
-                          std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+using util::fnv1a64;
+
+constexpr int kQuantBits = 20;  // ~1e-6 relative buckets
+
+/// Bucket of one coordinate at ~2^-20 relative precision.
+std::uint64_t quantize(double x) {
+  if (!std::isfinite(x)) return std::bit_cast<std::uint64_t>(x);
+  if (x == 0.0) return 0;
+  int exp = 0;
+  double mantissa = std::frexp(x, &exp);  // |mantissa| in [0.5, 1)
+  auto q = static_cast<std::int64_t>(
+      std::llround(mantissa * static_cast<double>(1 << kQuantBits)));
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(exp)) << 32) |
+         static_cast<std::uint64_t>(static_cast<std::uint32_t>(q));
 }
 
 }  // namespace
 
 std::uint64_t DecisionCache::hash_query(const Query& q) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv1a_bytes(h, &q.db_uid, sizeof(q.db_uid));
-  h = fnv1a_bytes(h, &q.selector_fingerprint, sizeof(q.selector_fingerprint));
+  std::uint64_t h = fnv1a64(&q.db_uid, sizeof(q.db_uid));
+  h = fnv1a64(&q.selector_fingerprint, sizeof(q.selector_fingerprint), h);
   unsigned char inc = q.has_incumbent ? 1 : 0;
-  h = fnv1a_bytes(h, &inc, sizeof(inc));
-  h = fnv1a_bytes(h, q.incumbent_key.data(), q.incumbent_key.size());
+  h = fnv1a64(&inc, sizeof(inc), h);
+  h = fnv1a64(q.incumbent_key.data(), q.incumbent_key.size(), h);
   // Quantized coordinates bucket the hash; exactness comes from the raw-bit
   // verification in keys_match.
   for (double x : *q.resources) {
-    std::uint64_t qx = perfdb::PredictionCache::quantize(x);
-    h = fnv1a_bytes(h, &qx, sizeof(qx));
+    std::uint64_t qx = quantize(x);
+    h = fnv1a64(&qx, sizeof(qx), h);
   }
   return h;
 }

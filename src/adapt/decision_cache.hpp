@@ -9,8 +9,8 @@
 // the candidate set, every other session reuses the Decision.
 //
 // Correctness model — a hit is *exact*, never approximate:
-//   - Entries are bucketed by the quantized resource point (the same
-//     ~2^-20-relative quantization the PredictionCache uses) purely as a
+//   - Entries are bucketed by the quantized resource point (each
+//     coordinate rounded to ~2^-20 relative precision) purely as a
 //     hash key; on hit the entry verifies the raw IEEE-754 bit patterns of
 //     the query point, so a decision computed at a different raw point in
 //     the same bucket is a miss, not a stale answer.
@@ -19,11 +19,11 @@
 //     schedulers with different specs or hysteresis never share entries.
 //   - Entries record the database mutation epoch at store time; a lookup
 //     under a newer epoch counts as an invalidation and misses.
-//   - Schedulers with a cache attached force exact (uncached) predictions,
-//     making the memoized function pure in (db contents, selector, inputs).
+//   - PerfDatabase::predict is exact and a pure read, so the memoized
+//     function is pure in (db contents, selector, inputs).
 //
-// The table is bounded; when full it is wiped (the PredictionCache's cheap,
-// rare, self-correcting eviction policy).  All state is guarded by a
+// The table is bounded; when full it is wiped (a cheap, rare,
+// self-correcting eviction policy: hot queries repopulate it at once).  All state is guarded by a
 // util::Mutex so controller fleets on worker threads can share one cache.
 #pragma once
 

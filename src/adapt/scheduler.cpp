@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/hash.hpp"
+
 namespace avf::adapt {
 
 using tunable::ConfigPoint;
@@ -11,26 +13,18 @@ using tunable::QosVector;
 
 namespace {
 
-std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data,
-                          std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using util::fnv1a64;
 
 std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  h = fnv1a_bytes(h, s.data(), s.size());
+  h = fnv1a64(s.data(), s.size(), h);
   // Length separator: distinguishes {"ab","c"} from {"a","bc"}.
   std::uint64_t n = s.size();
-  return fnv1a_bytes(h, &n, sizeof(n));
+  return fnv1a64(&n, sizeof(n), h);
 }
 
 std::uint64_t fnv1a_f64(std::uint64_t h, double x) {
   std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
-  return fnv1a_bytes(h, &bits, sizeof(bits));
+  return fnv1a64(&bits, sizeof(bits), h);
 }
 
 // Everything that shapes the decision function besides the database and the
@@ -38,13 +32,12 @@ std::uint64_t fnv1a_f64(std::uint64_t h, double x) {
 // directions — declaration sites excluded) and the scheduler options.
 std::uint64_t fingerprint_selector(const PreferenceList& prefs,
                                    const ResourceScheduler::Options& opts) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
   std::uint64_t count = prefs.size();
-  h = fnv1a_bytes(h, &count, sizeof(count));
+  std::uint64_t h = fnv1a64(&count, sizeof(count));
   for (const UserPreference& p : prefs) {
     h = fnv1a_str(h, p.name);
     std::uint64_t nc = p.constraints.size();
-    h = fnv1a_bytes(h, &nc, sizeof(nc));
+    h = fnv1a64(&nc, sizeof(nc), h);
     for (const MetricRange& r : p.constraints) {
       h = fnv1a_str(h, r.metric);
       h = fnv1a_f64(h, r.min);
@@ -52,13 +45,11 @@ std::uint64_t fingerprint_selector(const PreferenceList& prefs,
     }
     h = fnv1a_str(h, p.objective_metric);
     unsigned char maximize = p.maximize ? 1 : 0;
-    h = fnv1a_bytes(h, &maximize, sizeof(maximize));
+    h = fnv1a64(&maximize, sizeof(maximize), h);
   }
   int lookup = static_cast<int>(opts.lookup);
-  h = fnv1a_bytes(h, &lookup, sizeof(lookup));
+  h = fnv1a64(&lookup, sizeof(lookup), h);
   h = fnv1a_f64(h, opts.switch_hysteresis);
-  unsigned char exact = opts.exact_predictions ? 1 : 0;
-  h = fnv1a_bytes(h, &exact, sizeof(exact));
   return h;
 }
 
@@ -83,31 +74,18 @@ ResourceScheduler::ResourceScheduler(const perfdb::PerfDatabase& db,
                                   p.objective_metric);
     }
   }
-  // A memoized decision must be a pure function of (db contents, selector,
-  // inputs); PerfDatabase::predict shares results within a quantization
-  // bucket, so cached schedulers bypass it.
-  if (options_.decision_cache) options_.exact_predictions = true;
   selector_fingerprint_ = fingerprint_selector(preferences_, options_);
 }
 
 const std::vector<ResourceScheduler::Candidate>& ResourceScheduler::evaluate(
     const perfdb::ResourcePoint& resources) const {
   scratch_.clear();
-  if (options_.exact_predictions) {
-    db_.for_each_config([&](const ConfigPoint& config) {
-      auto predicted = db_.predict_uncached(config, resources, options_.lookup);
-      if (predicted) {
-        scratch_.push_back(Candidate{&config, std::move(*predicted)});
-      }
-    });
-  } else {
-    db_.for_each_config([&](const ConfigPoint& config) {
-      auto predicted = db_.predict(config, resources, options_.lookup);
-      if (predicted) {
-        scratch_.push_back(Candidate{&config, std::move(*predicted)});
-      }
-    });
-  }
+  db_.for_each_config([&](const ConfigPoint& config) {
+    auto predicted = db_.predict(config, resources, options_.lookup);
+    if (predicted) {
+      scratch_.push_back(Candidate{&config, std::move(*predicted)});
+    }
+  });
   return scratch_;
 }
 

@@ -4,20 +4,18 @@
 // (with interpolation), then pick the one that best satisfies the objective
 // of the most preferred satisfiable constraint.
 //
-// Predictions go through PerfDatabase::predict, which memoizes per
-// (config, quantized resource point) — so repeated decisions under stable
-// resources are served from the prediction cache.  The candidate vector is
-// reused across calls (capacity kept), and select_with_incumbent evaluates
-// the candidate set once, sharing it between the fresh selection and the
+// Predictions go through PerfDatabase::predict, which is exact and a pure
+// read of the database, so a decision is a pure function of (database
+// contents, preferences, options, inputs).  The candidate vector is reused
+// across calls (capacity kept), and select_with_incumbent evaluates the
+// candidate set once, sharing it between the fresh selection and the
 // hysteresis check instead of re-querying the database for the incumbent.
 //
 // At fleet scale whole *decisions* repeat across sessions sharing one
 // spec/prefs/database: attach a shared adapt::DecisionCache through
 // Options::decision_cache and select/select_with_incumbent are memoized
-// across every scheduler on the cache.  Attaching a cache forces
-// exact (uncached) predictions so the memoized decision is a pure function
-// of (database contents, selector fingerprint, inputs) — hits are
-// byte-identical to what an uncached evaluation would return.
+// across every scheduler on the cache.  Hits are byte-identical to what an
+// uncached evaluation would return.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +40,6 @@ class ResourceScheduler {
     /// the scheduler recommends switching (paper §7.5: small resource
     /// variations should not cause performance-degrading re-adaptations).
     double switch_hysteresis = 0.0;
-    /// Evaluate candidates through PerfDatabase::predict_uncached: bit-exact
-    /// for every query point (no prediction-cache bucket sharing).  Forced
-    /// on when `decision_cache` is set.
-    bool exact_predictions = false;
     /// Shared decision memo (see adapt/decision_cache.hpp); null = off.
     std::shared_ptr<DecisionCache> decision_cache;
   };

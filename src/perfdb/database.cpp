@@ -1,6 +1,7 @@
 #include "perfdb/database.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -36,13 +37,12 @@ PerfDatabase::PerfDatabase(const PerfDatabase& other)
       by_config_(other.by_config_),
       total_records_(other.total_records_),
       predicted_records_(other.predicted_records_),
-      cache_(other.cache_),
-      index_rebuilds_(other.index_rebuilds_.load()) {
-  // The copied indexes hold pointers into `other`'s sample nodes; drop
-  // them so the copy rebuilds against its own nodes on first query.
-  // `uid_` deliberately stays the fresh default-initialized one: the copy
-  // is a distinct object whose contents may diverge from the source.
-  for (auto& [key, data] : by_config_) data.index.invalidate();
+      index_rebuilds_(other.index_rebuilds_) {
+  // The copied indexes hold pointers into `other`'s sample nodes; rebuild
+  // them against this copy's own nodes.  `uid_` deliberately stays the
+  // fresh default-initialized one: the copy is a distinct object whose
+  // contents may diverge from the source.
+  for (auto& [key, data] : by_config_) rebuild_index(data);
 }
 
 PerfDatabase& PerfDatabase::operator=(const PerfDatabase& other) {
@@ -53,36 +53,8 @@ PerfDatabase& PerfDatabase::operator=(const PerfDatabase& other) {
   return *this;
 }
 
-PerfDatabase::PerfDatabase(PerfDatabase&& other) noexcept
-    : axes_(std::move(other.axes_)),
-      schema_(std::move(other.schema_)),
-      by_config_(std::move(other.by_config_)),
-      uid_(other.uid_),
-      mutation_epoch_(other.mutation_epoch_),
-      total_records_(other.total_records_),
-      predicted_records_(other.predicted_records_),
-      cache_(std::move(other.cache_)),
-      index_rebuilds_(other.index_rebuilds_.load()) {}
-
-PerfDatabase& PerfDatabase::operator=(PerfDatabase&& other) noexcept {
-  if (this != &other) {
-    axes_ = std::move(other.axes_);
-    schema_ = std::move(other.schema_);
-    by_config_ = std::move(other.by_config_);
-    uid_ = other.uid_;
-    mutation_epoch_ = other.mutation_epoch_;
-    total_records_ = other.total_records_;
-    predicted_records_ = other.predicted_records_;
-    cache_ = std::move(other.cache_);
-    index_rebuilds_.store(other.index_rebuilds_.load());
-  }
-  return *this;
-}
-
-PerfDatabase::ConfigData& PerfDatabase::insert_raw(const ConfigPoint& config,
-                                                   const ResourcePoint& at,
-                                                   const QosVector& quality,
-                                                   Provenance provenance) {
+void PerfDatabase::validate(const ResourcePoint& at,
+                            const QosVector& quality) const {
   if (at.size() != axes_.size()) {
     throw std::invalid_argument(
         util::format("resource point has {} axes, database has {}", at.size(),
@@ -94,39 +66,39 @@ PerfDatabase::ConfigData& PerfDatabase::insert_raw(const ConfigPoint& config,
           util::format("sample missing metric: {}", m.name));
     }
   }
-  ConfigData& data = by_config_[config.key()];
-  data.config = config;
-  auto [it, inserted] = data.samples.insert_or_assign(at, quality);
-  (void)it;
-  if (inserted) ++total_records_;
-  if (provenance == Provenance::kPredicted) {
-    if (data.predicted.insert(at).second) ++predicted_records_;
-  } else if (data.predicted.erase(at) > 0) {
-    --predicted_records_;
-  }
-  data.index.note_insert(inserted);
-  return data;
+}
+
+void PerfDatabase::rebuild_index(ConfigData& data) {
+  data.index.build(data.samples, axes_.size());
+  ++index_rebuilds_;
 }
 
 void PerfDatabase::insert(const ConfigPoint& config, const ResourcePoint& at,
                           const QosVector& quality, Provenance provenance) {
-  ConfigData& data = insert_raw(config, at, quality, provenance);
-  cache_.invalidate_config(data.config.key());
-  ++mutation_epoch_;
+  insert_batch({PerfRecord{config, at, quality, provenance}});
 }
 
 void PerfDatabase::insert_batch(const std::vector<PerfRecord>& records) {
-  // One cache epoch bump per touched configuration, not per sample; the
-  // grid index likewise notes staleness per insert but is only rebuilt on
-  // the first query after the batch.
-  std::set<std::string> touched;
+  for (const PerfRecord& r : records) validate(r.resources, r.quality);
+  // Touched configurations, by key; true when one gained a new point (an
+  // overwrite updates the indexed value in place, so needs no rebuild).
+  std::map<std::string, bool> touched;
   for (const PerfRecord& r : records) {
-    ConfigData& data =
-        insert_raw(r.config, r.resources, r.quality, r.provenance);
-    touched.insert(data.config.key());
+    std::string key = r.config.key();
+    ConfigData& data = by_config_[key];
+    data.config = r.config;
+    const bool inserted =
+        data.samples.insert_or_assign(r.resources, r.quality).second;
+    if (inserted) ++total_records_;
+    if (r.provenance == Provenance::kPredicted) {
+      if (data.predicted.insert(r.resources).second) ++predicted_records_;
+    } else if (data.predicted.erase(r.resources) > 0) {
+      --predicted_records_;
+    }
+    touched[std::move(key)] |= inserted;
   }
-  for (const std::string& key : touched) {
-    cache_.invalidate_config(key);
+  for (const auto& [key, grew] : touched) {
+    if (grew) rebuild_index(by_config_.at(key));
     ++mutation_epoch_;
   }
 }
@@ -182,8 +154,8 @@ std::vector<double> PerfDatabase::grid_values(const ConfigPoint& config,
   }
   std::size_t ai = static_cast<std::size_t>(it - axes_.begin());
   const ConfigData* data = find(config);
-  if (data == nullptr || data->samples.empty()) return {};
-  return indexed(*data).axis_values(ai);
+  if (data == nullptr) return {};
+  return data->index.axis_values(ai);
 }
 
 const PerfDatabase::ConfigData* PerfDatabase::find(
@@ -192,20 +164,11 @@ const PerfDatabase::ConfigData* PerfDatabase::find(
   return it == by_config_.end() ? nullptr : &it->second;
 }
 
-const GridIndex& PerfDatabase::indexed(const ConfigData& data) const {
-  if (!data.index.valid()) {
-    data.index.build(data.samples, axes_.size());
-    ++index_rebuilds_;
-  }
-  return data.index;
-}
-
 void PerfDatabase::erase_config(const ConfigPoint& config) {
   auto it = by_config_.find(config.key());
   if (it != by_config_.end()) {
     total_records_ -= it->second.samples.size();
     predicted_records_ -= it->second.predicted.size();
-    cache_.invalidate_config(it->first);
     by_config_.erase(it);
     ++mutation_epoch_;
   }
@@ -219,7 +182,7 @@ tunable::QosVector PerfDatabase::nearest(const ConfigData& data,
   // Normalize each axis by its sampled span so axes with different units
   // (shares vs bytes/s) weigh equally.  Spans and iteration order come from
   // the index; the arithmetic matches nearest_reference exactly.
-  const GridIndex& index = indexed(data);
+  const GridIndex& index = data.index;
   const QosVector* best = nullptr;
   double best_dist = std::numeric_limits<double>::infinity();
   for (const GridIndex::FlatSample& sample : index.flat()) {
@@ -242,7 +205,7 @@ std::optional<QosVector> PerfDatabase::interpolate(
   // Per-axis bracketing over the sampled grid; clamp outside the hull
   // (constant extrapolation).  O(axes * log n) bracketing + O(1) dense
   // corner lookup, replacing the reference per-call std::set rebuild.
-  const GridIndex& index = indexed(data);
+  const GridIndex& index = data.index;
   std::size_t d = axes_.size();
   std::vector<GridIndex::AxisBracket> brackets(d);
   for (std::size_t i = 0; i < d; ++i) brackets[i] = index.bracket(i, at[i]);
@@ -347,40 +310,18 @@ std::optional<QosVector> PerfDatabase::interpolate_reference(
 // ---------------------------------------------------------------------------
 // Prediction entry points.
 
-std::optional<QosVector> PerfDatabase::predict_impl(const ConfigData& data,
-                                                    const ResourcePoint& at,
-                                                    Lookup mode) const {
-  if (mode == Lookup::kInterpolate) {
-    if (auto result = interpolate(data, at)) return result;
-  }
-  return nearest(data, at);
-}
-
 std::optional<QosVector> PerfDatabase::predict(const ConfigPoint& config,
                                                const ResourcePoint& at,
                                                Lookup mode) const {
   if (at.size() != axes_.size()) {
     throw std::invalid_argument("resource point dimension mismatch");
   }
-  std::string key = config.key();
-  if (const auto* cached = cache_.lookup(key, at, mode)) return *cached;
-  auto it = by_config_.find(key);
-  std::optional<QosVector> result;
-  if (it != by_config_.end() && !it->second.samples.empty()) {
-    result = predict_impl(it->second, at, mode);
-  }
-  cache_.store(key, at, mode, result);
-  return result;
-}
-
-std::optional<QosVector> PerfDatabase::predict_uncached(
-    const ConfigPoint& config, const ResourcePoint& at, Lookup mode) const {
-  if (at.size() != axes_.size()) {
-    throw std::invalid_argument("resource point dimension mismatch");
-  }
   const ConfigData* data = find(config);
-  if (data == nullptr || data->samples.empty()) return std::nullopt;
-  return predict_impl(*data, at, mode);
+  if (data == nullptr) return std::nullopt;
+  if (mode == Lookup::kInterpolate) {
+    if (auto result = interpolate(*data, at)) return result;
+  }
+  return nearest(*data, at);
 }
 
 std::optional<QosVector> PerfDatabase::predict_reference(
@@ -389,7 +330,7 @@ std::optional<QosVector> PerfDatabase::predict_reference(
     throw std::invalid_argument("resource point dimension mismatch");
   }
   const ConfigData* data = find(config);
-  if (data == nullptr || data->samples.empty()) return std::nullopt;
+  if (data == nullptr) return std::nullopt;
   if (mode == Lookup::kInterpolate) {
     if (auto result = interpolate_reference(*data, at)) return result;
   }
@@ -397,15 +338,10 @@ std::optional<QosVector> PerfDatabase::predict_reference(
 }
 
 PerfDatabase::PredictionStats PerfDatabase::prediction_stats() const {
-  const PredictionCache::Stats c = cache_.stats();
-  return PredictionStats{c.hits, c.misses, c.evictions, c.invalidations,
-                         index_rebuilds_};
+  return PredictionStats{0, 0, index_rebuilds_};
 }
 
-void PerfDatabase::reset_prediction_stats() {
-  cache_.reset_stats();
-  index_rebuilds_ = 0;
-}
+void PerfDatabase::reset_prediction_stats() { index_rebuilds_ = 0; }
 
 // ---------------------------------------------------------------------------
 // Persistence.
@@ -500,6 +436,8 @@ PerfDatabase PerfDatabase::load(std::istream& in) {
   }
   std::size_t config_col = doc.column("config");
   PerfDatabase db(std::move(axes), std::move(schema));
+  std::vector<PerfRecord> records;
+  records.reserve(doc.rows.size());
   for (std::size_t r = 0; r < doc.rows.size(); ++r) {
     const auto& row = doc.rows[r];
     ConfigPoint config = ConfigPoint::parse(row[config_col]);
@@ -525,8 +463,10 @@ PerfDatabase PerfDatabase::load(std::istream& in) {
             r + 1));
       }
     }
-    db.insert(config, point, quality, provenance);
+    records.push_back(PerfRecord{std::move(config), std::move(point),
+                                 std::move(quality), provenance});
   }
+  db.insert_batch(records);
   return db;
 }
 

@@ -10,17 +10,17 @@
 //                  nearest-neighbor fallback for incomplete cells.
 //
 // Prediction is a hot path: the resource scheduler queries every stored
-// configuration on every adaptation decision (§6.2).  Three tiers serve it:
-//   predict           — memoizing PredictionCache over the indexed path;
-//                       repeated decisions under stable resources are O(1).
-//   predict_uncached  — GridIndex fast path (per-axis binary search +
-//                       dense-cell corner lookup), bit-for-bit identical to
-//                       the reference implementation.
+// configuration on every adaptation decision (§6.2).  Two paths serve it:
+//   predict           — GridIndex fast path (per-axis binary search +
+//                       dense-cell corner lookup), exact for every query
+//                       point and bit-for-bit identical to the reference;
 //   predict_reference — the original per-call std::set rebuild, kept as the
 //                       consistency oracle for tests and benchmarks.
+// Every mutation (insert, insert_batch, erase_config, copy, load) leaves
+// the touched configurations' indexes built, so every const member is a
+// pure read: one database can be shared by schedulers on many threads.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -31,11 +31,14 @@
 #include <vector>
 
 #include "perfdb/grid_index.hpp"
-#include "perfdb/prediction_cache.hpp"
 #include "tunable/config.hpp"
 #include "tunable/qos.hpp"
 
 namespace avf::perfdb {
+
+/// How a prediction reads the grid: the discrete lookup of the paper's
+/// prototype, or multilinear interpolation (see the header comment).
+enum class Lookup { kNearest, kInterpolate };
 
 /// Where a stored sample came from.  Exhaustive profiling produces only
 /// kMeasured cells; adaptive profiling (ProfilingDriver::profile_adaptive)
@@ -59,15 +62,13 @@ class PerfDatabase {
   PerfDatabase(std::vector<std::string> resource_axes,
                tunable::MetricSchema schema);
 
-  // Value-semantic, with explicit special members: the rebuild counter is
-  // atomic (not copyable), and a copied GridIndex would point into the
-  // *source's* sample nodes — copies therefore invalidate their indexes
-  // (they rebuild lazily on first query).  Moves keep indexes: std::map
-  // moves preserve node addresses.
+  // Value-semantic.  A copied GridIndex would point into the *source's*
+  // sample nodes, so copies rebuild every index against their own nodes.
+  // Moves keep indexes: std::map moves preserve node addresses.
   PerfDatabase(const PerfDatabase& other);
   PerfDatabase& operator=(const PerfDatabase& other);
-  PerfDatabase(PerfDatabase&& other) noexcept;
-  PerfDatabase& operator=(PerfDatabase&& other) noexcept;
+  PerfDatabase(PerfDatabase&& other) noexcept = default;
+  PerfDatabase& operator=(PerfDatabase&& other) noexcept = default;
 
   const std::vector<std::string>& axes() const { return axes_; }
   const tunable::MetricSchema& schema() const { return schema_; }
@@ -84,15 +85,18 @@ class PerfDatabase {
   std::uint64_t mutation_epoch() const { return mutation_epoch_; }
 
   /// Insert one sample; re-inserting the same (config, point) overwrites
-  /// (value and provenance both).
+  /// (value and provenance both).  A new point rebuilds the config's grid
+  /// index; an overwrite updates it in place.
   void insert(const tunable::ConfigPoint& config, const ResourcePoint& at,
               const tunable::QosVector& quality,
               Provenance provenance = Provenance::kMeasured);
 
   /// Insert a batch of samples in order.  Equivalent to calling insert()
-  /// per record, but each touched configuration is invalidated (prediction
-  /// cache epoch + grid index) once per batch instead of once per sample —
-  /// the profiling driver commits whole sweeps through this path.
+  /// per record, but each touched configuration bumps the mutation epoch
+  /// and rebuilds its grid index once per batch instead of once per sample
+  /// — the profiling driver and load() commit whole sweeps through this
+  /// path.  Every record is validated before any is inserted, so a bad
+  /// record throws std::invalid_argument and leaves the database unchanged.
   void insert_batch(const std::vector<PerfRecord>& records);
 
   std::size_t size() const { return total_records_; }
@@ -117,17 +121,17 @@ class PerfDatabase {
                                   const std::string& axis) const;
 
   /// Predicted quality for `config` at `at`; nullopt when the config has no
-  /// records at all.  Served through the prediction cache (see header
-  /// comment); results for points within the same quantization bucket may
-  /// be shared.
+  /// records at all.  Exact for every query point, and a pure read.
   std::optional<tunable::QosVector> predict(
       const tunable::ConfigPoint& config, const ResourcePoint& at,
       Lookup mode = Lookup::kInterpolate) const;
 
-  /// Indexed fast path without the cache: exact for every query point.
+  /// Alias kept only for avf_bench; remove with the next benchmark PR.
   std::optional<tunable::QosVector> predict_uncached(
       const tunable::ConfigPoint& config, const ResourcePoint& at,
-      Lookup mode = Lookup::kInterpolate) const;
+      Lookup mode = Lookup::kInterpolate) const {
+    return predict(config, at, mode);
+  }
 
   /// Reference (seed) implementation: per-call grid rebuild.  Slow; used by
   /// tests and benchmarks as the consistency oracle.
@@ -140,11 +144,11 @@ class PerfDatabase {
 
   // -- fast-path observability (bench/test layer) -----------------------
   struct PredictionStats {
+    // 0; kept only for avf_bench; remove with the next benchmark PR.
     std::size_t cache_hits = 0;
+    // 0; kept only for avf_bench; remove with the next benchmark PR.
     std::size_t cache_misses = 0;
-    std::size_t cache_evictions = 0;
-    std::size_t cache_invalidations = 0;
-    std::size_t index_rebuilds = 0;
+    std::size_t index_rebuilds = 0;  ///< GridIndex builds by mutations
   };
   PredictionStats prediction_stats() const;
   void reset_prediction_stats();
@@ -167,15 +171,13 @@ class PerfDatabase {
     std::map<ResourcePoint, tunable::QosVector> samples;
     // Points whose sample is a tree prediction (absent = measured).
     std::set<ResourcePoint> predicted;
-    // Lazily (re)built prediction index over `samples`.
-    mutable GridIndex index;
+    // Prediction index over `samples`, rebuilt by every mutation that
+    // adds a point.
+    GridIndex index;
   };
 
   const ConfigData* find(const tunable::ConfigPoint& config) const;
-  const GridIndex& indexed(const ConfigData& data) const;
-  std::optional<tunable::QosVector> predict_impl(const ConfigData& data,
-                                                 const ResourcePoint& at,
-                                                 Lookup mode) const;
+  void rebuild_index(ConfigData& data);
   tunable::QosVector nearest(const ConfigData& data,
                              const ResourcePoint& at) const;
   std::optional<tunable::QosVector> interpolate(const ConfigData& data,
@@ -187,12 +189,10 @@ class PerfDatabase {
 
   std::vector<std::string> axes_;
   tunable::MetricSchema schema_;
-  /// Shared insert step: returns the touched ConfigData, leaves cache/index
-  /// invalidation to the caller (per-sample vs per-batch).
-  ConfigData& insert_raw(const tunable::ConfigPoint& config,
-                         const ResourcePoint& at,
-                         const tunable::QosVector& quality,
-                         Provenance provenance);
+  /// Throws std::invalid_argument unless `at` and `quality` fit the
+  /// database's axes and schema.
+  void validate(const ResourcePoint& at,
+                const tunable::QosVector& quality) const;
 
   static std::uint64_t next_uid();
 
@@ -201,11 +201,7 @@ class PerfDatabase {
   std::uint64_t mutation_epoch_ = 0;
   std::size_t total_records_ = 0;
   std::size_t predicted_records_ = 0;
-  mutable PredictionCache cache_;
-  // Atomic: the parallel post-passes (prune/sensitivity) trigger lazy index
-  // builds for *distinct* configurations from different workers; the
-  // shared counter must not race.
-  mutable std::atomic<std::size_t> index_rebuilds_{0};
+  std::size_t index_rebuilds_ = 0;
 };
 
 }  // namespace avf::perfdb

@@ -87,12 +87,14 @@ PerfDatabase ProfilingDriver::profile_serial(
   PerfDatabase db(spec.resource_axes(), spec.metrics());
   std::vector<ConfigPoint> configs = enumerate_configs(spec);
   RunFn run = make_run_();
+  std::vector<PerfRecord> batch;
   for (const ResourcePoint& point : enumerate_points(grid)) {
     for (const ConfigPoint& config : configs) {
       if (options_.on_run) options_.on_run(config, point);
-      db.insert(config, point, run(config, point));
+      batch.push_back(PerfRecord{config, point, run(config, point)});
     }
   }
+  db.insert_batch(batch);
   for (int round = 0; round < options_.refinement_rounds; ++round) {
     if (refine(db) == 0) break;
   }
@@ -182,10 +184,13 @@ std::size_t ProfilingDriver::refine(PerfDatabase& db) const {
 
   if (threads <= 1) {
     RunFn run = make_run_();
+    std::vector<PerfRecord> batch;
     for (const RefinementSuggestion* s : picked) {
       if (options_.on_run) options_.on_run(s->config, s->point);
-      db.insert(s->config, s->point, run(s->config, s->point));
+      batch.push_back(
+          PerfRecord{s->config, s->point, run(s->config, s->point)});
     }
+    db.insert_batch(batch);
     return picked.size();
   }
 

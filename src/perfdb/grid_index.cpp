@@ -52,8 +52,6 @@ void GridIndex::build(const SampleMap& samples, std::size_t axis_count) {
       cells_[flat_index] = &quality;
     }
   }
-  valid_ = true;
-  ++rebuilds_;
 }
 
 GridIndex::AxisBracket GridIndex::bracket(std::size_t axis, double x) const {

@@ -7,8 +7,9 @@
 // queries every stored configuration per adaptation decision, so that cost
 // is on the run-time loop's critical path (paper §6.2).
 //
-// GridIndex is built once per configuration (lazily, on the first query
-// after a mutation) and holds:
+// GridIndex is built once per configuration by the mutation that changes
+// its sample set (PerfDatabase never builds one inside a const query) and
+// holds:
 //   - sorted, deduplicated grid values per resource axis (bracketing a
 //     query point is then O(log n) per axis instead of a set rebuild);
 //   - a dense cell table mapping grid coordinates to sample values for
@@ -16,12 +17,11 @@
 //     axis-value cross product is much larger than the sample count);
 //   - flattened samples and per-axis spans for the nearest-neighbor scan.
 //
-// Mutations invalidate incrementally: overwriting an existing sample keeps
-// the index (the mapped value object is updated in place), while inserting
-// a new point or erasing a configuration marks the index stale so the next
-// query rebuilds it.  All bracketing/corner arithmetic mirrors the
-// reference implementation exactly, so indexed predictions are bit-for-bit
-// identical to the slow path (asserted by tests/perfdb/test_grid_index.cpp).
+// Overwriting an existing sample keeps the index (the mapped value object is
+// updated in place); inserting a new point rebuilds it.  All
+// bracketing/corner arithmetic mirrors the reference implementation
+// exactly, so indexed predictions are bit-for-bit identical to the slow
+// path (asserted by tests/perfdb/test_grid_index.cpp).
 #pragma once
 
 #include <cstddef>
@@ -50,22 +50,10 @@ class GridIndex {
     double t = 0.0;  ///< 0 when the axis is clamped or hits a grid value
   };
 
-  bool valid() const { return valid_; }
-  void invalidate() { valid_ = false; }
-
-  /// Account for an insert into `samples` without rebuilding.  Overwrites
-  /// of an existing point keep the index intact (the mapped value is
-  /// updated in place and the index stores stable node pointers); a
-  /// genuinely new point invalidates it.
-  void note_insert(bool was_new_point) {
-    if (was_new_point) valid_ = false;
-  }
-
   /// Rebuild from scratch.  `samples` must outlive the index (the index
-  /// stores pointers into its nodes, which std::map keeps stable).
+  /// stores pointers into its nodes, which std::map keeps stable, so
+  /// overwriting a mapped value needs no rebuild).
   void build(const SampleMap& samples, std::size_t axis_count);
-
-  std::size_t rebuilds() const { return rebuilds_; }
 
   /// Sorted unique sampled values along one axis.
   const std::vector<double>& axis_values(std::size_t axis) const {
@@ -100,9 +88,7 @@ class GridIndex {
   bool dense() const { return dense_; }
 
  private:
-  bool valid_ = false;
   bool dense_ = false;
-  std::size_t rebuilds_ = 0;
   const SampleMap* samples_ = nullptr;
   std::vector<std::vector<double>> axis_values_;
   std::vector<std::size_t> strides_;

@@ -148,12 +148,14 @@ PruneResult analyze_prune(const PerfDatabase& db, double equivalence_epsilon,
 }
 
 PerfDatabase apply_prune(const PerfDatabase& db, const PruneResult& result) {
-  PerfDatabase out(db.axes(), db.schema());
+  std::vector<PerfRecord> kept;
   for (const ConfigPoint& c : result.kept) {
     for (const PerfRecord& r : db.records(c)) {
-      out.insert(r.config, r.resources, r.quality);
+      kept.push_back(PerfRecord{r.config, r.resources, r.quality});
     }
   }
+  PerfDatabase out(db.axes(), db.schema());
+  out.insert_batch(kept);
   return out;
 }
 

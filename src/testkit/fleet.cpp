@@ -14,23 +14,15 @@
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "tunable/config.hpp"
+#include "util/hash.hpp"
 
 namespace avf::testkit {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv1a_bytes(std::uint64_t& h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
+void fnv1a_u64(std::uint64_t& h, std::uint64_t v) {
+  h = util::fnv1a64(&v, sizeof(v), h);
 }
-
-void fnv1a_u64(std::uint64_t& h, std::uint64_t v) { fnv1a_bytes(h, &v, 8); }
 
 void fnv1a_f64(std::uint64_t& h, double v) {
   fnv1a_u64(h, std::bit_cast<std::uint64_t>(v));
@@ -38,7 +30,7 @@ void fnv1a_f64(std::uint64_t& h, double v) {
 
 void fnv1a_str(std::uint64_t& h, const std::string& s) {
   fnv1a_u64(h, s.size());
-  fnv1a_bytes(h, s.data(), s.size());
+  h = util::fnv1a64(s.data(), s.size(), h);
 }
 
 /// One session's complete adaptation stack.  Everything is built at the
@@ -111,7 +103,6 @@ void start_session(FleetState& st, std::size_t idx) {
   adapt::ResourceScheduler::Options sched_options;
   sched_options.lookup = perfdb::Lookup::kInterpolate;
   sched_options.switch_hysteresis = st.opt.switch_hysteresis;
-  sched_options.exact_predictions = st.opt.exact_predictions;
   sched_options.decision_cache = st.opt.decision_cache;
   s.scheduler = std::make_unique<adapt::ResourceScheduler>(
       st.db, st.prefs, std::move(sched_options));
@@ -206,19 +197,21 @@ double FleetModel::quality(const tunable::ConfigPoint& config) const {
 
 perfdb::PerfDatabase build_fleet_database(const FleetModel& model) {
   const tunable::AppSpec& spec = fleet_app_spec();
-  perfdb::PerfDatabase db(spec.resource_axes(), spec.metrics());
   const std::vector<double> cpu_grid{0.1, 0.2, 0.4, 0.7, 1.0};
   const std::vector<double> bw_grid{50e3, 100e3, 250e3, 500e3, 1e6};
+  std::vector<perfdb::PerfRecord> records;
   for (const tunable::ConfigPoint& config : spec.space().enumerate()) {
     for (double s : cpu_grid) {
       for (double w : bw_grid) {
         tunable::QosVector q;
         q.set("response", model.response(config, s, w));
         q.set("quality", model.quality(config));
-        db.insert(config, {s, w}, q);
+        records.push_back(perfdb::PerfRecord{config, {s, w}, q});
       }
     }
   }
+  perfdb::PerfDatabase db(spec.resource_axes(), spec.metrics());
+  db.insert_batch(records);
   return db;
 }
 
@@ -276,7 +269,7 @@ FleetResult run_fleet(const FleetOptions& options) {
 
   FleetResult result;
   result.sessions = n;
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = util::kFnv1aOffset;
   for (const Session& s : st.sessions) {
     result.tasks += s.tasks;
     result.checks += s.controller->checks();

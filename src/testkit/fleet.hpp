@@ -92,11 +92,6 @@ struct FleetOptions {
   /// Shared decision memo for every session's scheduler; null = each
   /// session evaluates the candidate set itself (the per-session baseline).
   std::shared_ptr<adapt::DecisionCache> decision_cache;
-  /// Bit-exact candidate predictions (PerfDatabase::predict_uncached) even
-  /// without a decision cache.  Both benchmark lanes keep this on so the
-  /// cached-vs-uncached comparison is provably byte-identical; a cache
-  /// forces it regardless.
-  bool exact_predictions = true;
 };
 
 struct FleetResult {

@@ -265,19 +265,21 @@ double AppModel::response(const tunable::ConfigPoint& config, double cpu_share,
 
 perfdb::PerfDatabase build_testkit_database(const AppModel& model) {
   const tunable::AppSpec& spec = testkit_app_spec();
-  perfdb::PerfDatabase db(spec.resource_axes(), spec.metrics());
   const std::vector<double> cpu_grid{0.1, 0.2, 0.4, 0.7, 1.0};
   const std::vector<double> bw_grid{50e3, 100e3, 250e3, 500e3, 1e6};
+  std::vector<perfdb::PerfRecord> records;
   for (const tunable::ConfigPoint& config : spec.space().enumerate()) {
     for (double s : cpu_grid) {
       for (double w : bw_grid) {
         tunable::QosVector q;
         q.set("response", model.response(config, s, w));
         q.set("quality", static_cast<double>(config.get("q")));
-        db.insert(config, {s, w}, q);
+        records.push_back(perfdb::PerfRecord{config, {s, w}, q});
       }
     }
   }
+  perfdb::PerfDatabase db(spec.resource_axes(), spec.metrics());
+  db.insert_batch(records);
   return db;
 }
 

@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "util/fmt.hpp"
+#include "util/hash.hpp"
 
 namespace avf::testkit {
 
@@ -17,14 +18,10 @@ void TraceRecorder::record(sim::SimTime time, const std::string& kind,
 }
 
 std::uint64_t TraceRecorder::fingerprint() const {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  auto mix = [&h](char c) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  };
+  std::uint64_t h = util::kFnv1aOffset;
   for (const std::string& line : lines_) {
-    for (char c : line) mix(c);
-    mix('\n');
+    h = util::fnv1a64(line.data(), line.size(), h);
+    h = util::fnv1a64("\n", 1, h);
   }
   return h;
 }

@@ -1,5 +1,6 @@
 // Seeded, deterministic 128-bit content hashing for the content-addressed
-// stores (viz::TileStore keys, pyramid content fingerprints).
+// stores (viz::TileStore keys, pyramid content fingerprints), plus the
+// plain 64-bit FNV-1a used by fingerprints and cache keys.
 //
 // Two independent FNV-1a-style 64-bit lanes run over the same byte stream
 // with different offsets and odd multipliers, then each lane is finalized
@@ -27,6 +28,24 @@
 #include <cstdint>
 
 namespace avf::util {
+
+/// 64-bit FNV-1a offset basis and prime.
+inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ULL;
+
+/// 64-bit FNV-1a over `n` bytes at `data`, continuing from state `h` (the
+/// offset basis starts a fresh hash).  The single FNV-1a loop of the tree:
+/// fingerprints and cache keys chain calls field by field; multi-byte
+/// values passed by address fold in host byte order.
+inline std::uint64_t fnv1a64(const void* data, std::size_t n,
+                             std::uint64_t h = kFnv1aOffset) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= kFnv1aPrime;
+  }
+  return h;
+}
 
 /// 128-bit digest.  Ordered so it can key ordered containers in tests;
 /// unordered containers should hash with `lo` (already avalanche-mixed).
@@ -73,9 +92,9 @@ class Hasher128 {
   }
 
  private:
-  static constexpr std::uint64_t kOffsetLo = 0xcbf29ce484222325ULL;
+  static constexpr std::uint64_t kOffsetLo = kFnv1aOffset;
   static constexpr std::uint64_t kOffsetHi = 0x84222325cbf29ce4ULL;
-  static constexpr std::uint64_t kPrimeLo = 0x100000001b3ULL;  // FNV-1a
+  static constexpr std::uint64_t kPrimeLo = kFnv1aPrime;
   static constexpr std::uint64_t kPrimeHi = 0x9e3779b97f4a7c15ULL | 1ULL;
   static constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "util/fmt.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
 
@@ -14,12 +15,8 @@ namespace {
 /// Accumulating FNV-1a (seeded with the offset basis on first use).
 std::uint64_t fnv1a_accumulate(std::uint64_t h,
                                const std::vector<std::uint8_t>& bytes) {
-  if (h == 0) h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  if (h == 0) h = util::kFnv1aOffset;
+  return util::fnv1a64(bytes.data(), bytes.size(), h);
 }
 
 /// Throw a descriptive error when the server answered with kError; other

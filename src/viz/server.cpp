@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "util/fmt.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace avf::viz {
@@ -30,14 +31,8 @@ CompressedSizeCache::CompressedSizeCache(std::size_t max_entries)
       shard_max_(max_entries / shard_count_) {}
 
 std::uint64_t CompressedSizeCache::fingerprint(codec::BytesView payload) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t b : payload) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
   // Mix in the length to disambiguate prefix collisions.
-  h ^= payload.size();
-  return h;
+  return util::fnv1a64(payload.data(), payload.size()) ^ payload.size();
 }
 
 CompressedSizeCache::Shard& CompressedSizeCache::shard_for(

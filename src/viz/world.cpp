@@ -1,12 +1,12 @@
 #include "viz/world.hpp"
 
 #include <bit>
-#include <fstream>
 #include <map>
 #include <stdexcept>
 
 #include "util/annotations.hpp"
 #include "util/fmt.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/mutex.hpp"
 
@@ -339,12 +339,9 @@ SessionResult run_adaptive_session(const WorldSetup& setup,
 
 
 std::uint64_t result_fingerprint(const MultiSessionResult& result) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = util::kFnv1aOffset;
   auto mix_u64 = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<std::uint8_t>(v >> (8 * i));
-      h *= 0x100000001b3ULL;
-    }
+    h = util::fnv1a64(&v, sizeof(v), h);
   };
   auto mix_double = [&mix_u64](double v) {
     mix_u64(std::bit_cast<std::uint64_t>(v));
@@ -369,13 +366,9 @@ std::uint64_t result_fingerprint(const MultiSessionResult& result) {
 }
 
 std::uint64_t adaptation_fingerprint(const MultiSessionResult& result) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = util::kFnv1aOffset;
   auto mix_bytes = [&h](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h ^= bytes[i];
-      h *= 0x100000001b3ULL;
-    }
+    h = util::fnv1a64(data, size, h);
   };
   auto mix_u64 = [&mix_bytes](std::uint64_t v) { mix_bytes(&v, sizeof(v)); };
   auto mix_double = [&mix_u64](double v) {
@@ -459,9 +452,9 @@ MultiSessionResult run_multi_adaptive_session(
     std::unique_ptr<adapt::SteeringAgent> steering;
     std::unique_ptr<adapt::AdaptationController> controller;
   };
-  // With a decision cache attached, every stack's scheduler shares the memo
-  // (and computes exact predictions); the first session to see a given
-  // estimate point evaluates the candidate set for the whole fleet.
+  // With a decision cache attached, every stack's scheduler shares the memo;
+  // the first session to see a given estimate point evaluates the candidate
+  // set for the whole fleet.
   adapt::ResourceScheduler::Options scheduler_options = options.scheduler;
   scheduler_options.decision_cache = options.decision_cache;
   std::vector<Stack> stacks;
@@ -564,34 +557,17 @@ perfdb::PerfDatabase build_viz_database_adaptive(
                                  adaptive, model_out);
 }
 
-const perfdb::PerfDatabase& standard_viz_database(
-    const std::string& cache_path) {
-  static std::map<std::string, perfdb::PerfDatabase> memo;
-  auto it = memo.find(cache_path);
-  if (it != memo.end()) return it->second;
-
-  if (!cache_path.empty()) {
-    std::ifstream in(cache_path);
-    if (in) {
-      util::log_info("viz.perfdb", 0.0, "loading cached database from {}",
-                     cache_path);
-      auto loaded = perfdb::PerfDatabase::load(in);
-      return memo.emplace(cache_path, std::move(loaded)).first->second;
-    }
-  }
-
-  util::log_info("viz.perfdb", 0.0,
-                 "profiling the configuration space (first run; cached "
-                 "afterwards)");
-  WorldSetup base;
-  std::vector<double> cpu_grid{0.1, 0.2, 0.4, 0.6, 0.9, 1.0};
-  std::vector<double> bw_grid{25e3, 50e3, 100e3, 250e3, 500e3, 1000e3};
-  perfdb::PerfDatabase db = build_viz_database(base, cpu_grid, bw_grid);
-  if (!cache_path.empty()) {
-    std::ofstream out(cache_path);
-    if (out) db.save(out);
-  }
-  return memo.emplace(cache_path, std::move(db)).first->second;
+const perfdb::PerfDatabase& standard_viz_database() {
+  static const perfdb::PerfDatabase db = [] {
+    util::log_info("viz.perfdb", 0.0, "profiling the configuration space");
+    const std::vector<double> cpu_grid{0.1, 0.2, 0.4, 0.6, 0.9, 1.0};
+    const std::vector<double> bw_grid{25e3,  50e3,  100e3,
+                                      250e3, 500e3, 1000e3};
+    // The database is byte-identical at any thread count.
+    return build_viz_database(WorldSetup{}, cpu_grid, bw_grid,
+                              /*refinement_rounds=*/0, /*threads=*/4);
+  }();
+  return db;
 }
 
 }  // namespace avf::viz

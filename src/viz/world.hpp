@@ -205,8 +205,8 @@ struct AdaptiveOptions {
   adapt::AdaptationController::Options controller{};
   /// Shared decision memo attached to every per-client scheduler in the
   /// run (null = each scheduler evaluates the candidate set itself).
-  /// Attaching a cache forces exact predictions — decisions, and therefore
-  /// whole sessions, are byte-identical to an uncached exact run.
+  /// Decisions, and therefore whole sessions, are byte-identical to a run
+  /// without the cache.
   std::shared_ptr<adapt::DecisionCache> decision_cache;
 };
 
@@ -252,10 +252,9 @@ perfdb::PerfDatabase build_viz_database_adaptive(
     std::uint64_t seed = 1, std::size_t threads = 1,
     perfdb::AdaptiveModel* model_out = nullptr);
 
-/// The database used by the figure benchmarks: built once per process on
-/// the standard grid, cached as CSV at `cache_path` across processes
-/// (pass "" to disable the file cache).
-const perfdb::PerfDatabase& standard_viz_database(
-    const std::string& cache_path = ".avf_viz_perfdb.csv");
+/// The database used by the figure benchmarks: profiled once per process
+/// on the standard grid, never read from disk (a file cache would go stale
+/// silently whenever the cost model changes).
+const perfdb::PerfDatabase& standard_viz_database();
 
 }  // namespace avf::viz

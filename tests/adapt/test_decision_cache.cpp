@@ -59,7 +59,7 @@ PreferenceList prefs() {
   return {fast, fallback};
 }
 
-ResourceScheduler::Options cached_options(
+ResourceScheduler::Options scheduler_options(
     const std::shared_ptr<DecisionCache>& cache) {
   ResourceScheduler::Options o;
   o.switch_hysteresis = 0.05;
@@ -67,24 +67,17 @@ ResourceScheduler::Options cached_options(
   return o;
 }
 
-ResourceScheduler::Options oracle_options() {
-  ResourceScheduler::Options o;
-  o.switch_hysteresis = 0.05;
-  o.exact_predictions = true;  // the function the cache claims to memoize
-  return o;
-}
-
 // Every cached decision — select and select_with_incumbent, hits and
 // misses alike, across schedulers sharing the cache — must be identical to
-// an uncached exact-prediction oracle, bit for bit (Decision's defaulted
-// operator== compares the predicted QosVector doubles exactly).
+// an oracle with the same options and no cache, bit for bit (Decision's
+// defaulted operator== compares the predicted QosVector doubles exactly).
 TEST(DecisionCache, BitExactAgainstUncachedOracle) {
   for (std::uint64_t seed : {1ull, 7ull, 42ull}) {
     PerfDatabase db = random_db(seed);
     auto cache = std::make_shared<DecisionCache>();
-    ResourceScheduler cached_a(db, prefs(), cached_options(cache));
-    ResourceScheduler cached_b(db, prefs(), cached_options(cache));
-    ResourceScheduler oracle(db, prefs(), oracle_options());
+    ResourceScheduler cached_a(db, prefs(), scheduler_options(cache));
+    ResourceScheduler cached_b(db, prefs(), scheduler_options(cache));
+    ResourceScheduler oracle(db, prefs(), scheduler_options(nullptr));
 
     const std::vector<ConfigPoint> incumbents{cfg(1, 0), cfg(3, 2), cfg(4, 1)};
     SplitMix64 rng(seed ^ 0x9e3779b97f4a7c15ULL);
@@ -117,8 +110,8 @@ TEST(DecisionCache, BitExactAgainstUncachedOracle) {
 TEST(DecisionCache, SharedAcrossSchedulersWithEqualFingerprints) {
   PerfDatabase db = random_db(7);
   auto cache = std::make_shared<DecisionCache>();
-  ResourceScheduler first(db, prefs(), cached_options(cache));
-  ResourceScheduler second(db, prefs(), cached_options(cache));
+  ResourceScheduler first(db, prefs(), scheduler_options(cache));
+  ResourceScheduler second(db, prefs(), scheduler_options(cache));
   ASSERT_EQ(first.selector_fingerprint(), second.selector_fingerprint());
 
   auto a = first.select({0.5, 400e3});
@@ -134,8 +127,8 @@ TEST(DecisionCache, SharedAcrossSchedulersWithEqualFingerprints) {
 TEST(DecisionCache, DifferentOptionsNeverShareEntries) {
   PerfDatabase db = random_db(7);
   auto cache = std::make_shared<DecisionCache>();
-  ResourceScheduler plain(db, prefs(), cached_options(cache));
-  auto hyst = cached_options(cache);
+  ResourceScheduler plain(db, prefs(), scheduler_options(cache));
+  auto hyst = scheduler_options(cache);
   hyst.switch_hysteresis = 0.25;
   ResourceScheduler tighter(db, prefs(), hyst);
   EXPECT_NE(plain.selector_fingerprint(), tighter.selector_fingerprint());
@@ -152,8 +145,8 @@ TEST(DecisionCache, DifferentOptionsNeverShareEntries) {
 TEST(DecisionCache, EpochInvalidationOnDatabaseInsert) {
   PerfDatabase db = random_db(42);
   auto cache = std::make_shared<DecisionCache>();
-  ResourceScheduler cached(db, prefs(), cached_options(cache));
-  ResourceScheduler oracle(db, prefs(), oracle_options());
+  ResourceScheduler cached(db, prefs(), scheduler_options(cache));
+  ResourceScheduler oracle(db, prefs(), scheduler_options(nullptr));
 
   const perfdb::ResourcePoint point{0.5, 400e3};
   auto before = cached.select(point);
@@ -179,8 +172,8 @@ TEST(DecisionCache, EpochInvalidationOnDatabaseInsert) {
 TEST(DecisionCache, BoundedSizeWipesWhenFull) {
   PerfDatabase db = random_db(1);
   auto cache = std::make_shared<DecisionCache>(/*max_entries=*/8);
-  ResourceScheduler cached(db, prefs(), cached_options(cache));
-  ResourceScheduler oracle(db, prefs(), oracle_options());
+  ResourceScheduler cached(db, prefs(), scheduler_options(cache));
+  ResourceScheduler oracle(db, prefs(), scheduler_options(nullptr));
 
   for (int i = 0; i < 64; ++i) {
     const perfdb::ResourcePoint point{0.1 + 0.01 * i, 200e3 + 1e3 * i};
@@ -199,22 +192,31 @@ TEST(DecisionCache, BoundedSizeWipesWhenFull) {
   EXPECT_EQ(*again, *want);
 }
 
+// A cached decision carries exact predictions: a point in the same hash
+// bucket as an earlier query (a ~1e-9 relative nudge) is a miss, and its
+// decision predicts exactly what the database predicts at that raw point.
+TEST(DecisionCache, AttachingCacheForcesExactPredictions) {
+  PerfDatabase db = random_db(1);
+  auto cache = std::make_shared<DecisionCache>();
+  ResourceScheduler cached(db, prefs(), scheduler_options(cache));
+  const perfdb::ResourcePoint near{0.37, 275e3};
+  const perfdb::ResourcePoint nudged{0.37 * (1.0 + 1e-9), 275e3};
+  ASSERT_TRUE(cached.select(near));
+  auto decision = cached.select(nudged);
+  ASSERT_TRUE(decision);
+  EXPECT_EQ(cache->stats().misses, 2u);
+  EXPECT_EQ(decision->predicted, *db.predict(decision->config, nudged));
+}
+
 TEST(DecisionCache, MemoizesEmptyDecisions) {
   PerfDatabase db({"cpu", "bw"}, schema());  // no records
   auto cache = std::make_shared<DecisionCache>();
-  ResourceScheduler cached(db, prefs(), cached_options(cache));
+  ResourceScheduler cached(db, prefs(), scheduler_options(cache));
   EXPECT_FALSE(cached.select({0.5, 400e3}).has_value());
   EXPECT_FALSE(cached.select({0.5, 400e3}).has_value());
   auto stats = cache->stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);  // the nullopt itself was memoized
-}
-
-TEST(DecisionCache, AttachingCacheForcesExactPredictions) {
-  PerfDatabase db = random_db(1);
-  auto cache = std::make_shared<DecisionCache>();
-  ResourceScheduler cached(db, prefs(), cached_options(cache));
-  EXPECT_TRUE(cached.options().exact_predictions);
 }
 
 // Fresh copies of a database get fresh uids: a cache shared across copies
@@ -225,8 +227,8 @@ TEST(DecisionCache, DatabaseCopiesDoNotShareEntries) {
   EXPECT_NE(db.uid(), copy.uid());
 
   auto cache = std::make_shared<DecisionCache>();
-  ResourceScheduler on_db(db, prefs(), cached_options(cache));
-  ResourceScheduler on_copy(copy, prefs(), cached_options(cache));
+  ResourceScheduler on_db(db, prefs(), scheduler_options(cache));
+  ResourceScheduler on_copy(copy, prefs(), scheduler_options(cache));
   (void)on_db.select({0.5, 400e3});
   (void)on_copy.select({0.5, 400e3});
   auto stats = cache->stats();

@@ -204,22 +204,26 @@ TEST(Scheduler, IncumbentUnknownToDatabaseYieldsFreshSelection) {
 }
 
 TEST(Scheduler, RepeatedDecisionsAreStableAndCached) {
-  // The scheduler shares the database's prediction cache across select and
-  // select_with_incumbent; repeated decisions under stable resources must
-  // produce identical results and be served from the cache.
+  // The scheduler reuses its candidate vector and incumbent slot table
+  // across select and select_with_incumbent; repeated decisions under
+  // stable resources must be identical to each other and to a fresh
+  // scheduler's, and read the database without mutating it.
   PerfDatabase db = crossover_db();
   ResourceScheduler scheduler(db, {minimize("transmit_time")});
   auto first = scheduler.select({275e3});
+  const std::uint64_t epoch = db.mutation_epoch();
   db.reset_prediction_stats();
   auto second = scheduler.select({275e3});
   auto third = scheduler.select_with_incumbent({275e3}, first->config);
-  ASSERT_TRUE(first && second && third);
-  EXPECT_EQ(first->config, second->config);
-  EXPECT_EQ(first->predicted, second->predicted);
+  auto fresh = ResourceScheduler(db, {minimize("transmit_time")})
+                   .select({275e3});
+  ASSERT_TRUE(first && second && third && fresh);
+  EXPECT_EQ(*first, *second);
   EXPECT_EQ(first->config, third->config);
-  auto stats = db.prediction_stats();
-  EXPECT_EQ(stats.cache_misses, 0u);
-  EXPECT_GT(stats.cache_hits, 0u);
+  EXPECT_EQ(first->predicted, third->predicted);
+  EXPECT_EQ(*first, *fresh);
+  EXPECT_EQ(db.mutation_epoch(), epoch);
+  EXPECT_EQ(db.prediction_stats().index_rebuilds, 0u);
 }
 
 TEST(Scheduler, RejectsBadConstruction) {

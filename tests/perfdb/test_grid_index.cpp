@@ -1,12 +1,12 @@
 // Tests for the prediction fast path: GridIndex bracketing/corner lookup
-// must be bit-for-bit identical to the reference implementation, and the
-// PredictionCache must memoize, invalidate on mutation, and stay bounded.
+// must be bit-for-bit identical to the reference implementation, and every
+// mutation (insert, erase, copy, move, load) must leave the indexes built
+// over exactly the current samples.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "perfdb/database.hpp"
-#include "perfdb/prediction_cache.hpp"
 #include "util/rng.hpp"
 
 namespace avf::perfdb {
@@ -70,7 +70,7 @@ TEST(GridIndex, FastPathMatchesReferenceBitForBit) {
       double bw = rng.uniform(-50e3, 800e3);
       ResourcePoint at{cpu, bw};
       for (Lookup mode : {Lookup::kInterpolate, Lookup::kNearest}) {
-        auto fast = db.predict_uncached(cfg(c), at, mode);
+        auto fast = db.predict(cfg(c), at, mode);
         auto slow = db.predict_reference(cfg(c), at, mode);
         ASSERT_EQ(fast.has_value(), slow.has_value());
         if (fast) {
@@ -81,7 +81,7 @@ TEST(GridIndex, FastPathMatchesReferenceBitForBit) {
     // Exact grid points too.
     for (int i = 0; i < 6; ++i) {
       ResourcePoint at{(i + 1.0) / 6, (i + 1.0) * 100e3};
-      EXPECT_EQ(*db.predict_uncached(cfg(c), at), *db.predict_reference(cfg(c), at));
+      EXPECT_EQ(*db.predict(cfg(c), at), *db.predict_reference(cfg(c), at));
     }
   }
 }
@@ -99,7 +99,7 @@ TEST(GridIndex, IncompleteGridMatchesReference) {
   }
   for (int trial = 0; trial < 300; ++trial) {
     ResourcePoint at{rng.uniform(-0.1, 1.2), rng.uniform(-10e3, 250e3)};
-    auto fast = db.predict_uncached(cfg(0), at);
+    auto fast = db.predict(cfg(0), at);
     auto slow = db.predict_reference(cfg(0), at);
     ASSERT_TRUE(fast && slow);
     EXPECT_EQ(*fast, *slow);
@@ -120,7 +120,7 @@ TEST(GridIndex, SparseScatterMatchesReference) {
     ResourcePoint at{rng.next_double(), rng.uniform(1e3, 1e6),
                      rng.uniform(0, 512)};
     for (Lookup mode : {Lookup::kInterpolate, Lookup::kNearest}) {
-      auto fast = db.predict_uncached(cfg(0), at, mode);
+      auto fast = db.predict(cfg(0), at, mode);
       auto slow = db.predict_reference(cfg(0), at, mode);
       ASSERT_TRUE(fast && slow);
       EXPECT_EQ(*fast, *slow);
@@ -133,95 +133,55 @@ TEST(GridIndex, IndexBuiltOncePerConfigUntilMutation) {
   db.reset_prediction_stats();
   for (int trial = 0; trial < 50; ++trial) {
     for (int c = 0; c < 4; ++c) {
-      (void)db.predict_uncached(cfg(c), {0.4, 150e3});
+      (void)db.predict(cfg(c), {0.4, 150e3});
     }
   }
-  EXPECT_EQ(db.prediction_stats().index_rebuilds, 4u);  // one per config
+  EXPECT_EQ(db.prediction_stats().index_rebuilds, 0u);  // queries only read
 
-  // A brand-new sample point invalidates only that config's index.
+  // A brand-new sample point rebuilds only that config's index, at once.
   db.insert(cfg(1), {0.99, 999e3}, q3(1, 1, 4));
-  for (int c = 0; c < 4; ++c) (void)db.predict_uncached(cfg(c), {0.4, 150e3});
-  EXPECT_EQ(db.prediction_stats().index_rebuilds, 5u);
+  EXPECT_EQ(db.prediction_stats().index_rebuilds, 1u);
+  for (int c = 0; c < 4; ++c) (void)db.predict(cfg(c), {0.4, 150e3});
+  EXPECT_EQ(db.prediction_stats().index_rebuilds, 1u);
 
   // Overwriting an existing point keeps the index but the new value is
   // served (stable node pointers updated in place).
   db.insert(cfg(1), {0.99, 999e3}, q3(77, 1, 4));
-  auto p = db.predict_uncached(cfg(1), {0.99, 999e3});
+  auto p = db.predict(cfg(1), {0.99, 999e3});
   EXPECT_DOUBLE_EQ(p->get("transmit_time"), 77.0);
-  EXPECT_EQ(db.prediction_stats().index_rebuilds, 5u);
+  EXPECT_EQ(db.prediction_stats().index_rebuilds, 1u);
+
+  // A batch rebuilds each touched config once, however many points it adds.
+  std::vector<PerfRecord> batch;
+  for (int k = 0; k < 5; ++k) {
+    batch.push_back(PerfRecord{cfg(2), {1.5 + k, 50e3}, q3(k, 1, 4)});
+    batch.push_back(PerfRecord{cfg(3), {1.5 + k, 50e3}, q3(k, 1, 4)});
+  }
+  db.insert_batch(batch);
+  EXPECT_EQ(db.prediction_stats().index_rebuilds, 3u);
 }
 
-TEST(PredictionCacheTest, RepeatedQueriesHit) {
-  PerfDatabase db = build_db(4, 4);
-  db.reset_prediction_stats();
-  ResourcePoint at{0.4, 150e3};
-  auto first = db.predict(cfg(0), at);
-  auto second = db.predict(cfg(0), at);
-  EXPECT_EQ(*first, *second);
-  auto stats = db.prediction_stats();
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
-  // Cached result is bit-for-bit the uncached/reference result for the
-  // repeated point.
-  EXPECT_EQ(*second, *db.predict_reference(cfg(0), at));
-}
-
-TEST(PredictionCacheTest, InsertInvalidatesOnlyThatConfig) {
+TEST(GridIndex, InsertChangesOnlyThatConfig) {
   PerfDatabase db = build_db(2, 4);
   ResourcePoint at{0.4, 150e3};
-  (void)db.predict(cfg(0), at);
-  (void)db.predict(cfg(1), at);
+  const auto before1 = db.predict(cfg(1), at);
   db.insert(cfg(0), {0.4, 150e3}, q3(1234.0, 1.0, 4.0));
-  // Config 0 must be recomputed (fresh value), config 1 still hits.
-  db.reset_prediction_stats();
   auto p0 = db.predict(cfg(0), at);
   EXPECT_DOUBLE_EQ(p0->get("transmit_time"), 1234.0);
-  auto s1 = db.prediction_stats();
-  EXPECT_EQ(s1.cache_hits, 0u);
-  (void)db.predict(cfg(1), at);
-  EXPECT_EQ(db.prediction_stats().cache_hits, 1u);
+  EXPECT_EQ(db.predict(cfg(1), at), before1);
 }
 
-TEST(PredictionCacheTest, EraseConfigInvalidates) {
+TEST(GridIndex, EraseConfigRemovesItsPredictions) {
   PerfDatabase db = build_db(2, 4);
   ResourcePoint at{0.4, 150e3};
   ASSERT_TRUE(db.predict(cfg(0), at).has_value());
   db.erase_config(cfg(0));
   EXPECT_FALSE(db.predict(cfg(0), at).has_value());
+  EXPECT_TRUE(db.grid_values(cfg(0), "cpu_share").empty());
+  EXPECT_TRUE(db.predict(cfg(1), at).has_value());
 }
 
-TEST(PredictionCacheTest, ModeIsPartOfTheKey) {
-  PerfDatabase db = build_db(1, 4);
-  ResourcePoint at{0.37, 170e3};
-  auto inter = db.predict(cfg(0), at, Lookup::kInterpolate);
-  auto near = db.predict(cfg(0), at, Lookup::kNearest);
-  EXPECT_EQ(*inter, *db.predict_reference(cfg(0), at, Lookup::kInterpolate));
-  EXPECT_EQ(*near, *db.predict_reference(cfg(0), at, Lookup::kNearest));
-}
-
-TEST(PredictionCacheTest, BoundedSizeEvicts) {
-  PredictionCache cache(8);
-  QosVector v;
-  v.set("m", 1.0);
-  for (int i = 0; i < 100; ++i) {
-    cache.store("cfg", {static_cast<double>(i)}, Lookup::kInterpolate, v);
-    EXPECT_LE(cache.size(), 8u);
-  }
-  EXPECT_GT(cache.stats().evictions, 0u);
-}
-
-TEST(PredictionCacheTest, QuantizationBucketsNearbyPoints) {
-  // Points within ~2^-20 relative distance share a bucket; clearly distinct
-  // points do not.
-  EXPECT_EQ(PredictionCache::quantize(0.37),
-            PredictionCache::quantize(0.37 * (1.0 + 1e-9)));
-  EXPECT_NE(PredictionCache::quantize(0.37), PredictionCache::quantize(0.38));
-  EXPECT_NE(PredictionCache::quantize(0.37), PredictionCache::quantize(-0.37));
-  EXPECT_NE(PredictionCache::quantize(0.37), PredictionCache::quantize(0.74));
-  EXPECT_EQ(PredictionCache::quantize(0.0), PredictionCache::quantize(0.0));
-}
-
-TEST(PredictionCacheTest, LoadedDatabasePredictsThroughIndex) {
+TEST(GridIndex, LoadedDatabasePredictsThroughIndex) {
   // Round-trip through save/load, then verify the rebuilt database's fast
   // path still matches its own reference path.
   PerfDatabase db = build_db(3, 5);
@@ -232,7 +192,7 @@ TEST(PredictionCacheTest, LoadedDatabasePredictsThroughIndex) {
   for (int trial = 0; trial < 100; ++trial) {
     ResourcePoint at{rng.next_double(), rng.uniform(50e3, 700e3)};
     for (int c = 0; c < 3; ++c) {
-      auto fast = loaded.predict_uncached(cfg(c), at);
+      auto fast = loaded.predict(cfg(c), at);
       auto slow = loaded.predict_reference(cfg(c), at);
       ASSERT_TRUE(fast && slow);
       EXPECT_EQ(*fast, *slow);
@@ -240,11 +200,12 @@ TEST(PredictionCacheTest, LoadedDatabasePredictsThroughIndex) {
   }
 }
 
-TEST(PredictionCacheTest, NeverServesStaleValuesAcrossRandomMutation) {
-  // Property: under any interleaving of inserts and predictions, the cached
-  // path must agree with an uncached prediction made at the same moment —
-  // i.e. epoch invalidation never lets a pre-insert value survive a
-  // mutation of the config it belongs to.
+TEST(GridIndex, RandomMutationMatchesReference) {
+  // Property: under any interleaving of inserts (new points and
+  // overwrites), erases, copies, moves and save/load round trips, predict
+  // agrees bit for bit with the reference path at that moment — no index
+  // ever serves a value from before the mutation, or points into another
+  // database's samples.
   PerfDatabase db = build_db(/*configs=*/3, /*grid=*/4);
   util::SplitMix64 rng(7);
   auto random_point = [&] {
@@ -252,28 +213,51 @@ TEST(PredictionCacheTest, NeverServesStaleValuesAcrossRandomMutation) {
   };
   for (int step = 0; step < 500; ++step) {
     const ConfigPoint config = cfg(static_cast<int>(rng.next_below(3)));
-    if (rng.next_below(4) == 0) {
-      // Overwrite a grid sample with a fresh value; any cached prediction
-      // bracketing it is now stale.
-      const double cpu = (static_cast<double>(rng.next_below(4)) + 1.0) / 4.0;
-      const double bw = (static_cast<double>(rng.next_below(4)) + 1.0) * 100e3;
-      db.insert(config, {cpu, bw},
-                q3(rng.next_double() * 20.0, rng.next_double(), 4.0));
+    switch (rng.next_below(8)) {
+      case 0: {  // overwrite a grid sample
+        const double cpu = (static_cast<double>(rng.next_below(4)) + 1.0) / 4;
+        const double bw =
+            (static_cast<double>(rng.next_below(4)) + 1.0) * 100e3;
+        db.insert(config, {cpu, bw},
+                  q3(rng.next_double() * 20.0, rng.next_double(), 4.0));
+        break;
+      }
+      case 1:  // a new, off-grid point
+        db.insert(config, random_point(),
+                  q3(rng.next_double() * 20.0, rng.next_double(), 4.0));
+        break;
+      case 2:
+        if (rng.next_below(8) == 0) db.erase_config(config);
+        break;
+      case 3: {  // the source dies, the copy serves
+        PerfDatabase copy = db;
+        db = PerfDatabase(copy.axes(), copy.schema());
+        db = copy;
+        break;
+      }
+      case 4: {
+        PerfDatabase moved = std::move(db);
+        db = std::move(moved);
+        break;
+      }
+      case 5: {
+        std::stringstream buffer;
+        db.save(buffer);
+        db = PerfDatabase::load(buffer);
+        break;
+      }
+      default:
+        break;
     }
     const ResourcePoint at = random_point();
-    const auto cached = db.predict(config, at);
-    const auto fresh = db.predict_uncached(config, at);
-    ASSERT_EQ(cached.has_value(), fresh.has_value()) << "step " << step;
-    if (cached) {
-      for (const char* metric :
-           {"transmit_time", "response_time", "resolution"}) {
-        ASSERT_EQ(cached->get(metric), fresh->get(metric))
-            << "stale cache value for " << metric << " at step " << step;
+    for (Lookup mode : {Lookup::kInterpolate, Lookup::kNearest}) {
+      const auto fast = db.predict(config, at, mode);
+      const auto slow = db.predict_reference(config, at, mode);
+      ASSERT_EQ(fast.has_value(), slow.has_value()) << "step " << step;
+      if (fast) {
+        ASSERT_EQ(*fast, *slow) << "step " << step;
       }
     }
-    // Re-query the same point to force the memoized entry into play too.
-    const auto memoized = db.predict(config, at);
-    ASSERT_TRUE(memoized.has_value() == cached.has_value());
   }
 }
 
