@@ -15,9 +15,9 @@
 //     flows whose rate did not change — counter-asserted, not assumed.
 //  4. Sublinear reallocation at scale: wall-clock per client at 1k/10k stays
 //     within AVF_VIZ_MAX_WALL_RATIO (default 4x; 0 disables) of the
-//     128-client cost, full water-filling passes stay (sub)linear in N
-//     (they were ~N^2/2 before the sparse engine), and the sparse
-//     incremental engine is counter-proven to have engaged.
+//     128-client cost, full fluid rebuilds stay flat in N (a water-filling
+//     pass per arrival/departure was ~N^2/2), and the incremental engine is
+//     counter-proven to have absorbed the arrivals and departures.
 //  5. Churn soak: staggered session waves arriving/departing under a
 //     testkit link-flap fault schedule replay bit-identically.
 //
@@ -63,9 +63,9 @@ WorldSetup scale_setup(int clients) {
   setup.image_count = 2;
   // Cap every endpoint well below the link so the aggregate stays
   // under-subscribed at 128 clients (128 * cap = 0.5 * capacity per
-  // direction): the regime where the incremental fluid fast path engages.
-  // Beyond 256 clients the link over-subscribes and the sparse incremental
-  // engine takes over from the dense fast path.
+  // direction): every flow runs at its cap, so arrivals and departures
+  // leave everyone else alone (fast_reallocs).  Beyond 256 clients the
+  // link over-subscribes and flows share the fair level instead.
   setup.client_net_bps = setup.link_bandwidth_bps / 256.0;
   setup.server_net_bps = setup.link_bandwidth_bps / 256.0;
   return setup;
@@ -77,7 +77,6 @@ struct FluidCounters {
   std::uint64_t rate_rescales = 0;
   std::uint64_t rate_keeps = 0;
   std::uint64_t flows_skipped = 0;
-  std::uint64_t sparse_activations = 0;
   std::uint64_t sparse_events = 0;
   std::uint64_t boundary_crossings = 0;
   std::uint64_t level_updates = 0;
@@ -89,7 +88,6 @@ struct FluidCounters {
     rate_rescales += r.rate_rescales();
     rate_keeps += r.rate_keeps();
     flows_skipped += r.flows_skipped();
-    sparse_activations += r.sparse_activations();
     sparse_events += r.sparse_events();
     boundary_crossings += r.boundary_crossings();
     level_updates += r.level_updates();
@@ -235,8 +233,6 @@ bench::JsonBenchCase make_case(const std::string& label, int clients,
   c.extra["fluid_rate_keeps"] = static_cast<double>(run.fluid.rate_keeps);
   c.extra["fluid_flows_skipped"] =
       static_cast<double>(run.fluid.flows_skipped);
-  c.extra["fluid_sparse_activations"] =
-      static_cast<double>(run.fluid.sparse_activations);
   c.extra["fluid_sparse_events"] =
       static_cast<double>(run.fluid.sparse_events);
   c.extra["fluid_boundary_crossings"] =
@@ -246,8 +242,6 @@ bench::JsonBenchCase make_case(const std::string& label, int clients,
   c.extra["fluid_noop_slot_reallocs"] =
       static_cast<double>(run.fluid.noop_slot_reallocs);
   c.extra["cpu_full_reallocs"] = static_cast<double>(run.cpu.full_reallocs);
-  c.extra["cpu_sparse_activations"] =
-      static_cast<double>(run.cpu.sparse_activations);
   c.extra["cpu_sparse_events"] = static_cast<double>(run.cpu.sparse_events);
   return c;
 }
@@ -423,10 +417,10 @@ int main() {
                    n, per_client, ratio, max_wall_ratio);
       ok = false;
     }
-    // Sublinear reallocation: full water-filling passes only happen in the
-    // dense regime (population <= sparse threshold), so their count is flat
-    // in N — a constant ceiling, not merely linear.  Before this engine the
-    // count was ~N^2/2-ish (8384 at just 128 clients).
+    // Sublinear reallocation: full rebuilds come only from capacity
+    // changes and slot mutations, never from arrivals or departures, so
+    // their count is flat in N — a constant ceiling, not merely linear.  A
+    // water-filling pass per event was ~N^2/2-ish (8384 at 128 clients).
     constexpr std::uint64_t kMaxFullReallocs = 4096;
     if (run.fluid.full_reallocs > kMaxFullReallocs) {
       std::fprintf(stderr,
@@ -435,11 +429,10 @@ int main() {
                    run.fluid.full_reallocs, n, kMaxFullReallocs);
       ok = false;
     }
-    // The sparse incremental engine must actually carry the load at scale.
+    // The incremental engine must actually carry the load at scale.
     if (run.cpu.sparse_events + run.fluid.sparse_events == 0) {
       std::fprintf(stderr,
-                   "FAIL: sparse fluid engine never engaged at %d clients\n",
-                   n);
+                   "FAIL: no incremental fluid event at %d clients\n", n);
       ok = false;
     }
   }

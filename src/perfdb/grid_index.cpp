@@ -9,8 +9,8 @@ namespace {
 // grid has exactly one cell per sample, so anything much larger means the
 // samples are scattered (not gridded) and a dense table would waste memory
 // on holes.  Sparse configs fall back to ordered-map corner lookup.
-constexpr std::size_t kDenseSlackFactor = 8;
-constexpr std::size_t kDenseMinCells = 4096;
+constexpr std::size_t kCellTableSlackFactor = 8;
+constexpr std::size_t kCellTableMinCells = 4096;
 }  // namespace
 
 void GridIndex::build(const SampleMap& samples, std::size_t axis_count) {
@@ -32,7 +32,7 @@ void GridIndex::build(const SampleMap& samples, std::size_t axis_count) {
   }
 
   std::size_t dense_limit =
-      std::max(kDenseMinCells, samples.size() * kDenseSlackFactor);
+      std::max(kCellTableMinCells, samples.size() * kCellTableSlackFactor);
   dense_ = cell_count > 0 && cell_count <= dense_limit;
   cells_.clear();
   strides_.assign(axis_count, 1);

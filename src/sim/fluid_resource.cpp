@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include "util/fmt.hpp"
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -11,10 +10,6 @@ namespace avf::sim {
 namespace {
 // Work amounts are ops (>= 1e3 scale) or bytes; anything below this is done.
 constexpr double kRemainingEpsilon = 1e-7;
-
-double cap_rate_of(const ShareSlot& slot, double capacity) {
-  return std::clamp(slot.cap, 0.0, 1.0) * capacity;
-}
 }  // namespace
 
 FluidResource::FluidResource(Simulator& sim, std::string name, double capacity)
@@ -32,26 +27,52 @@ void FluidResource::set_capacity(double capacity) {
         avf::util::format("resource {}: capacity must be > 0, got {}", name_,
                     capacity));
   }
-  if (mode_ == Mode::kSparse) {
-    sparse_set_capacity(capacity);
-    return;
-  }
+  ++full_reallocs_;
+  SimTime now = sim_.now();
+  advance_virtual(now);
   capacity_ = capacity;
-  full_reallocate();
-}
-
-void FluidResource::reallocate() {
-  if (mode_ == Mode::kSparse) {
-    sparse_rebuild();
+  // The level and the capped/fair boundary are normalized (capacity
+  // cancels out of both), so only capped flows — whose absolute rates
+  // scale with the capacity — need touching.  Fair flows keep their fixed
+  // virtual finish; the virtual clock simply runs at the new speed.
+  std::vector<std::uint64_t> done;
+  for (const FlowKey& key : capped_by_ratio_) {
+    Request& r = *by_id_.at(key.second);
+    credit(r, now);
+    if (finished(r, now)) {
+      done.push_back(key.second);
+      continue;
+    }
+    double rate = r.ncap * capacity_;
+    if (rate == r.rate && (rate <= 0.0 || r.completion.pending())) {
+      if (rate > 0.0) ++rate_keeps_;
+      continue;
+    }
+    r.rate = rate;
+    ++rate_rescales_;
+    if (rate > 0.0) {
+      schedule_completion(by_id_.at(key.second));
+    } else {
+      r.completion.cancel();
+    }
+  }
+  for (std::uint64_t id : done) {
+    RequestIt it = by_id_.at(id);
+    leave_capped(*it);
+    retire(it);
+  }
+  if (requests_.empty()) {
+    reset_drained();
     return;
   }
-  full_reallocate();
+  rebalance();
+  finalize();
 }
 
 void FluidResource::slot_changed(const ShareSlotPtr& slot) {
   if (slot_uses_.find(slot.get()) == slot_uses_.end()) {
-    // No in-flight request holds this slot: nothing the water-filling pass
-    // could change.  (Future requests pick up the new cap on arrival.)
+    // No in-flight request holds this slot: nothing a rebuild could
+    // change.  (Future requests pick up the new cap on arrival.)
     ++noop_slot_reallocs_;
     return;
   }
@@ -69,35 +90,17 @@ void FluidResource::add_request(double amount, ShareSlotPtr slot,
         avf::util::format("resource {}: non-positive weight {}", name_,
                     slot->weight));
   }
-  if (mode_ == Mode::kDense && requests_.size() >= sparse_threshold_) {
-    migrate_to_sparse();
-  }
-  if (mode_ == Mode::kSparse) {
-    sparse_add(amount, std::move(slot), owner, h);
-    return;
-  }
   SimTime now = sim_.now();
-  requests_.push_back(Request{amount, 0.0, now, 0.0, std::move(slot), owner,
-                              h, EventHandle{}});
+  advance_virtual(now);
+  EventMark mark{boundary_crossings_, level_updates_};
+  requests_.push_back(Request{amount, 0.0, now, std::move(slot), owner, h,
+                              EventHandle{}});
   RequestIt it = std::prev(requests_.end());
   register_request(it);
-  double cr = cap_rate_of(*it->slot, capacity_);
-  if (all_at_cap_ && cap_rate_sum_ + cr <= capacity_) {
-    // Under-loaded arrival: the newcomer runs at exactly its cap and no
-    // other flow's allocation moves (the §5.1 guarantee held before and
-    // still holds) — O(1), nobody else is touched.
-    it->cap_rate = cr;
-    it->rate = cr;
-    cap_rate_sum_ += cr;
-    if (cr > 0.0) {
-      ++rate_rescales_;
-      schedule_completion(it);
-    }
-    ++fast_reallocs_;
-    flows_skipped_ += requests_.size() - 1;
-    return;
-  }
-  full_reallocate();
+  enter_fair(*it);
+  it->fair = true;
+  rebalance();
+  finish_incremental(mark, &*it);
 }
 
 void FluidResource::register_request(RequestIt it) {
@@ -118,6 +121,12 @@ FluidResource::RequestIt FluidResource::erase_request(RequestIt it) {
     if (--su->second == 0) slot_uses_.erase(su);
   }
   return requests_.erase(it);
+}
+
+FluidResource::RequestIt FluidResource::retire(RequestIt it) {
+  it->completion.cancel();
+  sim_.resume_soon(it->waiter);
+  return erase_request(it);
 }
 
 void FluidResource::credit(Request& r, SimTime now) {
@@ -142,6 +151,27 @@ bool FluidResource::finished(const Request& r, SimTime now) const {
   return r.rate > 0.0 && now + r.remaining / r.rate <= now;
 }
 
+bool FluidResource::fair_finished(const Request& r, SimTime now) const {
+  if (vtime_ >= r.vfinish) return true;
+  // finalize() schedules the head at now + (vfinish - vtime_) / speed; if
+  // that sum cannot move the clock, waiting would refire at this timestamp
+  // forever.  `remaining` is not consulted: at a large vtime_ it disagrees
+  // with the virtual distance by a few ulps.
+  double speed = mu_ * capacity_;
+  return speed > 0.0 && now + (r.vfinish - vtime_) / speed <= now;
+}
+
+FluidResource::RequestIt FluidResource::complete_fair(RequestIt it) {
+  Request& r = *it;
+  credit_fair(r);
+  // Whatever rounding left over is exactly the work still owed.
+  if (r.remaining > 0.0) {
+    add_served(r.owner, r.remaining);
+    r.remaining = 0.0;
+  }
+  return retire(it);
+}
+
 void FluidResource::schedule_completion(RequestIt it) {
   it->completion.cancel();
   it->completion = sim_.schedule(it->remaining / it->rate,
@@ -150,129 +180,19 @@ void FluidResource::schedule_completion(RequestIt it) {
 
 void FluidResource::on_completion(RequestIt it) {
   SimTime now = sim_.now();
-  if (mode_ == Mode::kSparse) {
-    advance_virtual(now);
-    credit(*it, now);
-    if (!finished(*it, now)) {
-      schedule_completion(it);
-      return;
-    }
-    sparse_remove_capped(it);
-    return;
-  }
+  advance_virtual(now);
   credit(*it, now);
   if (!finished(*it, now)) {
     // Floating-point leftover big enough to matter: keep serving it.
     schedule_completion(it);
     return;
   }
-  remove_request(it);
+  EventMark mark{boundary_crossings_, level_updates_};
+  leave_capped(*it);
+  retire(it);
+  rebalance();
+  finish_incremental(mark, nullptr);
 }
-
-void FluidResource::remove_request(RequestIt it) {
-  it->completion.cancel();
-  sim_.resume_soon(it->waiter);
-  cap_rate_sum_ -= it->cap_rate;
-  erase_request(it);
-  if (requests_.empty()) cap_rate_sum_ = 0.0;  // kill accumulated drift
-  if (all_at_cap_) {
-    // Every surviving flow already runs at its cap; freeing capacity cannot
-    // raise anyone above it, so allocations are unchanged — O(1).
-    ++fast_reallocs_;
-    flows_skipped_ += requests_.size();
-    return;
-  }
-  full_reallocate();
-}
-
-void FluidResource::full_reallocate() {
-  ++full_reallocs_;
-  SimTime now = sim_.now();
-
-  // 1. Credit progress and complete any finished requests.
-  for (Request& r : requests_) credit(r, now);
-  for (auto it = requests_.begin(); it != requests_.end();) {
-    if (finished(*it, now)) {
-      it->completion.cancel();
-      sim_.resume_soon(it->waiter);
-      it = erase_request(it);
-    } else {
-      ++it;
-    }
-  }
-
-  // 2. Water-filling: weighted max-min allocation under per-request caps.
-  // Rates land in `target` (parallel to iteration order) so the current
-  // rates survive for the changed-vs-kept comparison below.
-  std::vector<Request*> all;
-  std::vector<double> target;
-  all.reserve(requests_.size());
-  for (Request& r : requests_) {
-    r.cap_rate = cap_rate_of(*r.slot, capacity_);
-    all.push_back(&r);
-  }
-  target.assign(all.size(), 0.0);
-  std::vector<std::size_t> unfixed(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) unfixed[i] = i;
-  double budget = capacity_;
-  while (!unfixed.empty() && budget > 0.0) {
-    double weight_sum = 0.0;
-    // avf-srclint: allow(src.float-accum unfixed is index-ordered, so the summation order is pinned and byte-identical across runs)
-    for (std::size_t i : unfixed) weight_sum += all[i]->slot->weight;
-    bool fixed_any = false;
-    for (auto it = unfixed.begin(); it != unfixed.end();) {
-      Request* r = all[*it];
-      double cap_rate = r->cap_rate;
-      double fair = budget * r->slot->weight / weight_sum;
-      if (fair >= cap_rate) {
-        target[*it] = cap_rate;
-        // avf-srclint: allow(src.float-accum water-filling visits flows in arrival order; the subtraction order is pinned)
-        budget -= cap_rate;
-        it = unfixed.erase(it);
-        fixed_any = true;
-      } else {
-        ++it;
-      }
-    }
-    if (!fixed_any) {
-      // Nobody hits a cap: split the remaining budget by weight.
-      for (std::size_t i : unfixed) {
-        target[i] = budget * all[i]->slot->weight / weight_sum;
-      }
-      break;
-    }
-    budget = std::max(budget, 0.0);
-  }
-
-  // 3. Apply: only flows whose rate actually changed get their completion
-  // event rescheduled; bit-identical rates keep their pending event (its
-  // absolute fire time is already right, and not touching it is what makes
-  // capped multi-flow workloads cheap).
-  cap_rate_sum_ = 0.0;
-  all_at_cap_ = true;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    Request& r = *all[i];
-    // avf-srclint: allow(src.float-accum all is arrival-ordered, so the cap-rate sum order is pinned)
-    cap_rate_sum_ += r.cap_rate;
-    if (target[i] != r.cap_rate) all_at_cap_ = false;
-    if (target[i] == r.rate && (r.rate <= 0.0 || r.completion.pending())) {
-      if (r.rate > 0.0) ++rate_keeps_;
-      continue;
-    }
-    r.rate = target[i];
-    ++rate_rescales_;
-    if (r.rate > 0.0) {
-      schedule_completion(std::next(requests_.begin(),
-                                    static_cast<std::ptrdiff_t>(i)));
-    } else {
-      r.completion.cancel();
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sparse engine.
-// ---------------------------------------------------------------------------
 
 void FluidResource::advance_virtual(SimTime now) {
   double dt = now - v_updated_at_;
@@ -295,13 +215,35 @@ void FluidResource::credit_fair(Request& r) {
   add_served(r.owner, delta);
 }
 
-void FluidResource::demote_to_capped(RequestIt it) {
-  Request& r = *it;
-  credit_fair(r);  // no-op when the flow was (re)inserted at vtime_
+void FluidResource::enter_fair(Request& r) {
+  r.ncap = std::clamp(r.slot->cap, 0.0, 1.0);
+  r.weight = r.slot->weight;
+  r.ratio = r.ncap / r.weight;
+  r.vcredit = vtime_;
+  r.vfinish = vtime_ + r.remaining / r.weight;
+  fair_by_ratio_.insert({r.ratio, r.id});
+  fair_by_finish_.insert({r.vfinish, r.id});
+  w_fair_.add(r.weight);
+  ++fair_count_;
+}
+
+void FluidResource::leave_fair(const Request& r) {
   fair_by_ratio_.erase({r.ratio, r.id});
   fair_by_finish_.erase({r.vfinish, r.id});
   w_fair_.sub(r.weight);
   if (--fair_count_ == 0) w_fair_.reset();
+}
+
+void FluidResource::leave_capped(const Request& r) {
+  capped_by_ratio_.erase({r.ratio, r.id});
+  s_ncap_.sub(r.ncap);
+  if (--capped_count_ == 0) s_ncap_.reset();
+}
+
+void FluidResource::demote_to_capped(RequestIt it) {
+  Request& r = *it;
+  credit_fair(r);  // no-op when the flow was (re)inserted at vtime_
+  leave_fair(r);
   capped_by_ratio_.insert({r.ratio, r.id});
   s_ncap_.add(r.ncap);
   ++capped_count_;
@@ -330,9 +272,7 @@ void FluidResource::promote_to_fair(RequestIt it) {
   Request& r = *it;
   credit(r, sim_.now());
   r.completion.cancel();
-  capped_by_ratio_.erase({r.ratio, r.id});
-  s_ncap_.sub(r.ncap);
-  if (--capped_count_ == 0) s_ncap_.reset();
+  leave_capped(r);
   r.fair = true;
   r.rate = 0.0;
   r.vcredit = vtime_;
@@ -344,7 +284,7 @@ void FluidResource::promote_to_fair(RequestIt it) {
   ++boundary_crossings_;
 }
 
-void FluidResource::sparse_rebalance() {
+void FluidResource::rebalance() {
   // Every move strictly raises the level: demoting a fair flow with
   // ratio <= mu removes weight faster than spare capacity, promoting a
   // capped flow with ratio > mu' frees more cap than the weight it adds.
@@ -378,7 +318,7 @@ void FluidResource::sparse_rebalance() {
   }
 }
 
-void FluidResource::sparse_finalize() {
+void FluidResource::finalize() {
   double mu = level();
   if (mu != mu_) {
     mu_ = mu;
@@ -393,136 +333,53 @@ void FluidResource::sparse_finalize() {
   fair_head_ = sim_.schedule(delay, [this] { on_fair_head(); });
 }
 
+void FluidResource::finish_incremental(EventMark mark,
+                                       const Request* arrival) {
+  if (requests_.empty()) {
+    reset_drained();
+  } else {
+    finalize();
+  }
+  ++sparse_events_;
+  // A newcomer that settled capped got there by its own single demotion:
+  // that is its placement, not another flow crossing the boundary.
+  bool own_fair = arrival != nullptr && arrival->fair;
+  std::uint64_t own_crossings = arrival != nullptr && !own_fair ? 1 : 0;
+  std::uint64_t crossed = boundary_crossings_ - mark.crossings - own_crossings;
+  std::size_t others = requests_.size() - (arrival != nullptr ? 1 : 0);
+  flows_skipped_ += others - std::min<std::uint64_t>(others, crossed);
+  bool level_moved = level_updates_ != mark.level_updates &&
+                     fair_count_ > (own_fair ? 1u : 0u);
+  if (crossed == 0 && !level_moved) ++fast_reallocs_;
+}
+
 void FluidResource::on_fair_head() {
   SimTime now = sim_.now();
   advance_virtual(now);
+  EventMark mark{boundary_crossings_, level_updates_};
   bool removed = false;
   while (fair_count_ > 0) {
-    FlowKey head = *fair_by_finish_.begin();
-    RequestIt it = by_id_.at(head.second);
-    Request& r = *it;
-    credit_fair(r);
-    bool done = r.remaining <= kRemainingEpsilon;
-    if (!done) {
-      // Mirror finished(): a residual whose completion delay cannot
-      // advance the clock would respin this event forever.
-      double frate = mu_ * capacity_ * r.weight;
-      done = frate > 0.0 && now + r.remaining / frate <= now;
-    }
-    if (!done) break;
-    fair_by_ratio_.erase({r.ratio, r.id});
-    fair_by_finish_.erase({r.vfinish, r.id});
-    w_fair_.sub(r.weight);
-    if (--fair_count_ == 0) w_fair_.reset();
-    sim_.resume_soon(r.waiter);
-    erase_request(it);
+    RequestIt it = by_id_.at(fair_by_finish_.begin()->second);
+    if (!fair_finished(*it, now)) break;
+    leave_fair(*it);
+    complete_fair(it);
     removed = true;
   }
-  if (requests_.empty()) {
-    reset_sparse_to_dense();
+  if (!removed) {
+    // The clock stopped short of the head's finish by rounding; the same
+    // quantity now yields a delay that does advance it.
+    finalize();
     return;
   }
-  if (removed) {
-    ++sparse_events_;
-    sparse_rebalance();
-  }
-  sparse_finalize();
+  rebalance();
+  finish_incremental(mark, nullptr);
 }
 
-void FluidResource::sparse_add(double amount, ShareSlotPtr slot,
-                               OwnerId owner, std::coroutine_handle<> h) {
-  SimTime now = sim_.now();
-  advance_virtual(now);
-  requests_.push_back(Request{amount, 0.0, now, 0.0, std::move(slot), owner,
-                              h, EventHandle{}});
-  RequestIt it = std::prev(requests_.end());
-  register_request(it);
-  Request& r = *it;
-  r.ncap = std::clamp(r.slot->cap, 0.0, 1.0);
-  r.weight = r.slot->weight;
-  r.ratio = r.ncap / r.weight;
-  r.cap_rate = r.ncap * capacity_;
-  r.fair = true;
-  r.vcredit = vtime_;
-  r.vfinish = vtime_ + r.remaining / r.weight;
-  fair_by_ratio_.insert({r.ratio, r.id});
-  fair_by_finish_.insert({r.vfinish, r.id});
-  w_fair_.add(r.weight);
-  ++fair_count_;
-  ++sparse_events_;
-  sparse_rebalance();
-  sparse_finalize();
-}
-
-void FluidResource::sparse_remove_capped(RequestIt it) {
-  Request& r = *it;
-  r.completion.cancel();
-  capped_by_ratio_.erase({r.ratio, r.id});
-  s_ncap_.sub(r.ncap);
-  if (--capped_count_ == 0) s_ncap_.reset();
-  sim_.resume_soon(r.waiter);
-  erase_request(it);
-  ++sparse_events_;
-  if (requests_.empty()) {
-    reset_sparse_to_dense();
-    return;
-  }
-  sparse_rebalance();
-  sparse_finalize();
-}
-
-void FluidResource::sparse_set_capacity(double capacity) {
+void FluidResource::reallocate() {
   ++full_reallocs_;
   SimTime now = sim_.now();
   advance_virtual(now);
-  capacity_ = capacity;
-  // The level and the capped/fair boundary are normalized (capacity
-  // cancels out of both), so only capped flows — whose absolute rates
-  // scale with the capacity — need touching.  Fair flows keep their fixed
-  // virtual finish; the virtual clock simply runs at the new speed.
-  std::vector<std::uint64_t> done;
-  for (const FlowKey& key : capped_by_ratio_) {
-    Request& r = *by_id_.at(key.second);
-    credit(r, now);
-    double rate = r.ncap * capacity_;
-    r.cap_rate = rate;
-    if (finished(r, now)) {
-      done.push_back(key.second);
-      continue;
-    }
-    if (rate == r.rate && (rate <= 0.0 || r.completion.pending())) {
-      if (rate > 0.0) ++rate_keeps_;
-      continue;
-    }
-    r.rate = rate;
-    ++rate_rescales_;
-    if (rate > 0.0) {
-      schedule_completion(by_id_.at(key.second));
-    } else {
-      r.completion.cancel();
-    }
-  }
-  for (std::uint64_t id : done) {
-    RequestIt it = by_id_.at(id);
-    it->completion.cancel();
-    capped_by_ratio_.erase({it->ratio, it->id});
-    s_ncap_.sub(it->ncap);
-    if (--capped_count_ == 0) s_ncap_.reset();
-    sim_.resume_soon(it->waiter);
-    erase_request(it);
-  }
-  if (requests_.empty()) {
-    reset_sparse_to_dense();
-    return;
-  }
-  sparse_rebalance();
-  sparse_finalize();
-}
-
-void FluidResource::sparse_rebuild() {
-  ++full_reallocs_;
-  SimTime now = sim_.now();
-  advance_virtual(now);
+  double old_mu = mu_;
   // Set membership is re-derived below; clear first so the sweep can erase
   // requests without set bookkeeping.
   capped_by_ratio_.clear();
@@ -536,83 +393,43 @@ void FluidResource::sparse_rebuild() {
     Request& r = *it;
     if (r.fair) {
       credit_fair(r);
+      if (fair_finished(r, now)) {
+        it = complete_fair(it);
+        continue;
+      }
     } else {
       credit(r, now);
+      if (finished(r, now)) {
+        it = retire(it);
+        continue;
+      }
     }
-    bool done = r.fair ? r.remaining <= kRemainingEpsilon : finished(r, now);
-    if (done) {
-      r.completion.cancel();
-      sim_.resume_soon(r.waiter);
-      it = erase_request(it);
-    } else {
-      ++it;
-    }
+    ++it;
   }
   if (requests_.empty()) {
-    reset_sparse_to_dense();
+    reset_drained();
     return;
   }
-  rebuild_sparse_partition();
-}
-
-void FluidResource::rebuild_sparse_partition() {
-  for (auto it = requests_.begin(); it != requests_.end(); ++it) {
-    Request& r = *it;
-    r.ncap = std::clamp(r.slot->cap, 0.0, 1.0);
-    r.weight = r.slot->weight;
-    r.ratio = r.ncap / r.weight;
-    r.cap_rate = r.ncap * capacity_;
-    r.vcredit = vtime_;
-    r.vfinish = vtime_ + r.remaining / r.weight;
-    // r.fair keeps naming the *previous* side until the partition settles;
-    // demote_to_capped() uses it to keep still-valid completion events.
-    fair_by_ratio_.insert({r.ratio, r.id});
-    fair_by_finish_.insert({r.vfinish, r.id});
-    w_fair_.add(r.weight);
-    ++fair_count_;
-  }
-  sparse_rebalance();
-  // Flows that settled on the fair side: drop any per-flow completion
-  // event left over from their capped/dense past.
+  // r.fair keeps naming the *previous* side until the partition settles;
+  // demote_to_capped() uses it to keep still-valid completion events.
+  for (Request& r : requests_) enter_fair(r);
+  rebalance();
+  double mu = level();
   for (const FlowKey& key : fair_by_finish_) {
     Request& r = *by_id_.at(key.second);
     if (!r.fair) {
+      // Settled fair after a capped past: drop its per-flow event.
       r.completion.cancel();
       r.rate = 0.0;
       r.fair = true;
+    } else if (mu == old_mu) {
+      ++rate_keeps_;
     }
   }
-  sparse_finalize();
+  finalize();
 }
 
-void FluidResource::migrate_to_sparse() {
-  ++full_reallocs_;
-  ++sparse_activations_;
-  SimTime now = sim_.now();
-  // Dense-style credit + sweep, exactly like full_reallocate() step 1.
-  for (Request& r : requests_) credit(r, now);
-  for (auto it = requests_.begin(); it != requests_.end();) {
-    if (finished(*it, now)) {
-      it->completion.cancel();
-      sim_.resume_soon(it->waiter);
-      it = erase_request(it);
-    } else {
-      ++it;
-    }
-  }
-  mode_ = Mode::kSparse;
-  vtime_ = 0.0;
-  v_updated_at_ = now;
-  mu_ = 0.0;
-  if (requests_.empty()) {
-    reset_sparse_to_dense();
-    return;
-  }
-  rebuild_sparse_partition();
-}
-
-void FluidResource::reset_sparse_to_dense() {
-  mode_ = Mode::kDense;
+void FluidResource::reset_drained() {
   capped_by_ratio_.clear();
   fair_by_ratio_.clear();
   fair_by_finish_.clear();
@@ -623,8 +440,6 @@ void FluidResource::reset_sparse_to_dense() {
   fair_head_.cancel();
   vtime_ = 0.0;
   mu_ = 0.0;
-  cap_rate_sum_ = 0.0;
-  all_at_cap_ = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -632,7 +447,7 @@ void FluidResource::reset_sparse_to_dense() {
 // ---------------------------------------------------------------------------
 
 double FluidResource::inflight_progress(const Request& r, SimTime now) const {
-  if (mode_ == Mode::kSparse && r.fair) {
+  if (r.fair) {
     double vnow = vtime_ + mu_ * capacity_ * std::max(0.0, now - v_updated_at_);
     double delta = r.weight * (vnow - r.vcredit);
     if (delta <= 0.0) return 0.0;
@@ -674,13 +489,8 @@ bool FluidResource::has_request(OwnerId owner) const {
 double FluidResource::allocated_rate() const {
   double sum = 0.0;
   for (const Request& r : requests_) {
-    if (mode_ == Mode::kSparse && r.fair) {
-      // avf-srclint: allow(src.float-accum requests_ is arrival-ordered, so the summation order is pinned)
-      sum += mu_ * capacity_ * r.weight;
-    } else {
-      // avf-srclint: allow(src.float-accum requests_ is arrival-ordered, so the summation order is pinned)
-      sum += r.rate;
-    }
+    // avf-srclint: allow(src.float-accum requests_ is arrival-ordered, so the summation order is pinned)
+    sum += r.fair ? mu_ * capacity_ * r.weight : r.rate;
   }
   return sum;
 }

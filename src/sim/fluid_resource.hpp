@@ -9,32 +9,23 @@
 // guarantee, §5.1); when over-subscribed, capacity is split proportionally to
 // weights below the caps.
 //
-// Requests progress as fluid flows and the engine is *hybrid*:
-//
-//  - Below `sparse_threshold()` concurrent flows it runs the dense engine:
-//    incremental O(1) fast paths for the under-loaded capped regime and an
-//    explicit water-filling pass otherwise, bit-for-bit identical to the
-//    original implementation (existing traces at <= 128 clients are
-//    preserved byte-for-byte).
-//
-//  - At or above the threshold it migrates to the sparse engine, which keeps
-//    the water-filling solution *incrementally*.  Flows are bucketed by
-//    which constraint binds them: cap-limited flows sit in an ordered set
-//    keyed by ratio = ncap/weight (ncap = clamp(cap,0,1)); fair-share
-//    flows progress in GPS virtual time V with dV/dt = level * capacity, so
-//    a fair flow's finish point F = V_entry + remaining/weight is fixed on
-//    entry and only the *earliest* F needs a real simulator event.  The
-//    normalized water level mu = (1 - sum ncap_capped) / sum w_fair is
-//    maintained across arrivals, departures and capacity changes by moving
-//    only the flows that cross the capped/fair boundary (each move strictly
-//    raises mu, so rebalancing terminates); everything else is untouched.
-//    An arrival or departure is O(log N + crossings) instead of O(N), and
-//    a capacity change is O(capped flows) with no boundary motion at all
-//    (the level is capacity-invariant by construction).  Sparse-mode rate
-//    assignments are the same max-min solution, equal to the dense pass up
-//    to floating-point association; the engine never switches modes
-//    mid-population (sparse resets to dense only when the last flow
-//    leaves), so every run remains exactly deterministic.
+// Requests progress as fluid flows under one incremental allocator, for
+// every population from a single flow up.  Flows are bucketed by which
+// constraint binds them: cap-limited flows sit in an ordered set keyed by
+// ratio = ncap/weight (ncap = clamp(cap,0,1)); fair-share flows progress in
+// GPS virtual time V with dV/dt = level * capacity, so a fair flow's finish
+// point F = V_entry + remaining/weight is fixed on entry and only the
+// *earliest* F needs a real simulator event.  The normalized water level
+// mu = (1 - sum ncap_capped) / sum w_fair is maintained across arrivals,
+// departures and capacity changes by moving only the flows that cross the
+// capped/fair boundary (each move strictly raises mu, so rebalancing
+// terminates); everything else is untouched.  An arrival or departure is
+// O(log N + crossings), and a capacity change is O(capped flows) with no
+// boundary motion at all (the level is capacity-invariant by
+// construction).  The rates are the weighted max-min (water-filling)
+// solution up to floating-point association; the explicit water-filling
+// pass survives only as the test oracle in tests/sim/.  The virtual clock
+// restarts at zero whenever the population drains.
 //
 // Served-unit accounting uses Neumaier-compensated accumulation so the
 // per-reschedule credit deltas of long churny runs (10k+ flows) do not
@@ -59,10 +50,6 @@ namespace avf::sim {
 
 class FluidResource {
  public:
-  /// Flow count at which the engine migrates dense -> sparse.  High enough
-  /// that every existing workload (and trace) below it is untouched.
-  static constexpr std::size_t kDefaultSparseThreshold = 384;
-
   /// `capacity` in units/second (> 0).
   FluidResource(Simulator& sim, std::string name, double capacity);
 
@@ -77,12 +64,13 @@ class FluidResource {
 
   /// Must be called after mutating any ShareSlot used by an in-flight
   /// request (the resource cannot observe the change on its own).  Always a
-  /// full water-filling pass — slot mutations can change any flow's rate.
+  /// full rebuild of the partition — slot mutations can change any flow's
+  /// rate.
   void reallocate();
 
   /// Narrow variant of reallocate() for when exactly one slot was mutated:
   /// if no in-flight request uses `slot` this is an O(1) no-op (counted in
-  /// noop_slot_reallocs()), otherwise it falls back to a full pass.  The
+  /// noop_slot_reallocs()), otherwise it falls back to a full rebuild.  The
   /// sandbox cap plumbing calls this per endpoint, which turns the
   /// attach-time cap storm from O(endpoints^2) passes into O(endpoints).
   void slot_changed(const ShareSlotPtr& slot);
@@ -122,38 +110,30 @@ class FluidResource {
   /// Current aggregate allocated rate (units/s); <= capacity.
   double allocated_rate() const;
 
-  /// Whether the sparse incremental engine is currently driving allocation.
-  bool sparse_active() const { return mode_ == Mode::kSparse; }
-  std::size_t sparse_threshold() const { return sparse_threshold_; }
-  /// Tests only: takes effect on the next arrival (an active sparse engine
-  /// stays sparse until its population drains).
-  void set_sparse_threshold(std::size_t n) { sparse_threshold_ = n; }
-
   // -- reallocation statistics (micro_viz_scale gates on these) -----------
-  /// Full water-filling passes / rebuilds (arrival/departure outside every
-  /// incremental path, capacity changes, explicit reallocate() calls).
+  /// Full rebuilds: capacity changes and explicit reallocate() calls.
   std::uint64_t full_reallocs() const { return full_reallocs_; }
-  /// O(1) arrivals/departures that provably left every other flow's rate
-  /// unchanged (the under-loaded capped regime, dense engine).
+  /// Arrivals/departures that provably left every other flow's rate
+  /// unchanged: no other flow crossed the capped/fair boundary and the
+  /// level did not move under any other fair flow.
   std::uint64_t fast_reallocs() const { return fast_reallocs_; }
   /// Per-flow rate assignments where the rate actually changed (each one
   /// reschedules that flow's completion event).
   std::uint64_t rate_rescales() const { return rate_rescales_; }
-  /// Flows inspected by a full pass whose rate was bit-identical — their
-  /// completion events were left untouched.  The previous implementation
-  /// rescheduled these too.
+  /// Flows inspected by a full rebuild whose rate was bit-identical —
+  /// their completion events were left untouched.
   std::uint64_t rate_keeps() const { return rate_keeps_; }
-  /// Other in-flight flows present during fast-path events — flows the
-  /// previous O(N)-per-event implementation would have re-credited and
-  /// rescheduled.
+  /// Other in-flight flows an incremental event did not touch — flows an
+  /// O(N)-per-event allocator would have re-credited and rescheduled.
   std::uint64_t flows_skipped() const { return flows_skipped_; }
-  /// Dense -> sparse engine migrations.
-  std::uint64_t sparse_activations() const { return sparse_activations_; }
-  /// Arrivals/departures the sparse engine absorbed incrementally (no full
-  /// pass over the population).
+  /// Always 0: there is no engine migration any more.  Kept only because
+  /// avf_bench/src/trace.cpp still reads it.
+  std::uint64_t sparse_activations() const { return 0; }
+  /// Arrivals/departures absorbed incrementally (no pass over the
+  /// population).
   std::uint64_t sparse_events() const { return sparse_events_; }
-  /// Flows moved across the capped/fair boundary by sparse rebalancing —
-  /// the only flows an incremental event touches.
+  /// Flows moved across the capped/fair boundary by rebalancing — the only
+  /// flows an incremental event touches.
   std::uint64_t boundary_crossings() const { return boundary_crossings_; }
   /// Water-level (mu) recomputations that produced a new level.
   std::uint64_t level_updates() const { return level_updates_; }
@@ -183,60 +163,63 @@ class FluidResource {
     }
   };
 
-  enum class Mode { kDense, kSparse };
-
   struct Request {
     double remaining;
     double rate = 0.0;        // current allocation, units/s (0 while fair)
-    SimTime credited_at;      // progress has been credited up to here
-    double cap_rate = 0.0;    // clamp(slot->cap, 0, 1) * capacity at last alloc
+    SimTime credited_at;      // capped progress has been credited up to here
     ShareSlotPtr slot;
     OwnerId owner;
     std::coroutine_handle<> waiter;
-    EventHandle completion;
-    // -- sparse-engine state --------------------------------------------
+    EventHandle completion;   // capped flows only
     std::uint64_t id = 0;    // arrival order; deterministic set tie-break
     double ncap = 0.0;       // clamp(slot->cap, 0, 1) snapshot
     double weight = 0.0;     // slot->weight snapshot (sum consistency)
     double ratio = 0.0;      // ncap / weight
     double vfinish = 0.0;    // virtual time at which a fair flow completes
     double vcredit = 0.0;    // virtual time progress was credited up to
-    bool fair = false;       // fair-share-limited (else cap-limited/dense)
+    bool fair = false;       // fair-share-limited (else cap-limited)
   };
   using RequestIt = std::list<Request>::iterator;
   /// (ratio|vfinish, id) — id breaks ties deterministically.
   using FlowKey = std::pair<double, std::uint64_t>;
+  /// Counter snapshot taken before an incremental event mutates anything.
+  struct EventMark {
+    std::uint64_t crossings;
+    std::uint64_t level_updates;
+  };
 
   void add_request(double amount, ShareSlotPtr slot, OwnerId owner,
                    std::coroutine_handle<> h);
   /// Assign id and register in the lookup indexes.
   void register_request(RequestIt it);
   /// Remove from the lookup indexes and the request list (not from the
-  /// sparse boundary sets — callers own those).
+  /// boundary sets — callers own those).
   RequestIt erase_request(RequestIt it);
-  /// Credit progress since `credited_at` at the request's current rate.
+  /// Resume the waiter and drop the request.
+  RequestIt retire(RequestIt it);
+  /// Credit capped progress since `credited_at` at the current rate.
   void credit(Request& r, SimTime now);
   /// Per-owner + total served accumulation (Neumaier-compensated).
   void add_served(OwnerId owner, double delta);
   /// In-flight progress since the request's credit point, non-mutating.
   double inflight_progress(const Request& r, SimTime now) const;
-  /// Completion criterion shared by the event path and full passes: either
-  /// the residual is below epsilon or so small that the completion delay
-  /// would not advance the clock (then the event would respin forever).
+  /// Capped completion criterion: either the residual is below epsilon or
+  /// so small that the completion delay would not advance the clock (then
+  /// the event would respin forever).
   bool finished(const Request& r, SimTime now) const;
+  /// Fair completion criterion, phrased in the quantity the fair-head
+  /// event is scheduled with: the virtual clock reached the finish point,
+  /// or the delay to it cannot advance the real clock.
+  bool fair_finished(const Request& r, SimTime now) const;
+  /// Credit a finished fair flow's rounding residual so served() stays
+  /// exact, then retire it.
+  RequestIt complete_fair(RequestIt it);
   /// (Re)schedule the request's own completion event from its current
   /// remaining/rate; cancels any previous event.
   void schedule_completion(RequestIt it);
-  /// A request's own completion event fired (capped flows, both modes).
+  /// A capped request's own completion event fired.
   void on_completion(RequestIt it);
-  /// Resume the waiter and drop the request; O(1) when every remaining flow
-  /// is at its cap (nobody's rate can rise above it), full pass otherwise.
-  void remove_request(RequestIt it);
-  /// Dense engine: credit everyone, sweep finished requests, rerun
-  /// water-filling, and reschedule exactly the flows whose rate changed.
-  void full_reallocate();
 
-  // -- sparse engine ------------------------------------------------------
   /// Advance GPS virtual time to `now` at the current level.  Must run
   /// before any event mutates the level, the capacity, or the population.
   void advance_virtual(SimTime now);
@@ -244,47 +227,34 @@ class FluidResource {
   double level() const;
   /// Credit a fair flow up to the (already advanced) virtual time.
   void credit_fair(Request& r);
+  /// Snapshot the slot and insert the flow on the fair side at vtime_.
+  void enter_fair(Request& r);
+  /// Drop a flow from the fair (resp. capped) side's sets and sums.
+  void leave_fair(const Request& r);
+  void leave_capped(const Request& r);
   void demote_to_capped(RequestIt it);
   void promote_to_fair(RequestIt it);
   /// Move flows across the capped/fair boundary until the partition is
   /// consistent with its own level.  Each move strictly raises mu, so this
   /// terminates; the iteration guard is pure paranoia.
-  void sparse_rebalance();
+  void rebalance();
   /// Recompute mu and (re)schedule the single fair-head completion event.
-  void sparse_finalize();
+  void finalize();
+  /// Finalize and count one arrival (`arrival` names the newcomer, already
+  /// rebalanced into place) or one departure event (`arrival` null, the
+  /// departed flows already erased and the partition rebalanced).
+  void finish_incremental(EventMark mark, const Request* arrival);
   /// The fair-head event fired: complete every fair flow whose virtual
   /// finish has been reached.
   void on_fair_head();
-  void sparse_add(double amount, ShareSlotPtr slot, OwnerId owner,
-                  std::coroutine_handle<> h);
-  /// A capped flow's own completion event fired in sparse mode.
-  void sparse_remove_capped(RequestIt it);
-  void sparse_set_capacity(double capacity);
-  /// Credit + sweep + re-derive the whole partition (slot mutations).
-  void sparse_rebuild();
-  /// Re-snapshot every flow, place all fair, rebalance, finalize.  Callers
-  /// have already credited and swept.
-  void rebuild_sparse_partition();
-  /// Dense-engine full pass, then adopt the sparse representation.
-  void migrate_to_sparse();
-  /// Population drained: drop sparse state, next wave starts dense.
-  void reset_sparse_to_dense();
+  /// Population drained: drop the partition and restart the virtual clock.
+  void reset_drained();
 
   Simulator& sim_;
   std::string name_;
   double capacity_;
   std::list<Request> requests_;
-  Mode mode_ = Mode::kDense;
-  std::size_t sparse_threshold_ = kDefaultSparseThreshold;
 
-  // -- dense-engine state ---------------------------------------------------
-  /// Sum of the active requests' cap_rate values, maintained incrementally.
-  double cap_rate_sum_ = 0.0;
-  /// True iff every active flow's rate equals its cap rate (the under-loaded
-  /// guarantee regime): arrivals and departures cannot change anyone else.
-  bool all_at_cap_ = true;
-
-  // -- sparse-engine state --------------------------------------------------
   double vtime_ = 0.0;          // GPS virtual time, dV/dt = mu * capacity
   SimTime v_updated_at_ = 0.0;  // real time vtime_ was advanced to
   double mu_ = 0.0;             // current normalized water level
@@ -297,11 +267,10 @@ class FluidResource {
   std::set<FlowKey> fair_by_finish_;
   EventHandle fair_head_;
 
-  // -- lookup indexes (both modes) -------------------------------------------
   std::uint64_t next_request_id_ = 0;
   std::unordered_map<std::uint64_t, RequestIt> by_id_;
   /// Per-owner requests in arrival order — served(owner) accumulates
-  /// in-flight progress in exactly the order the old full-list scan did.
+  /// in-flight progress in exactly the order a full-list scan would.
   std::unordered_map<OwnerId, std::vector<const Request*>> owner_index_;
   std::unordered_map<const ShareSlot*, std::size_t> slot_uses_;
 
@@ -313,7 +282,6 @@ class FluidResource {
   std::uint64_t rate_rescales_ = 0;
   std::uint64_t rate_keeps_ = 0;
   std::uint64_t flows_skipped_ = 0;
-  std::uint64_t sparse_activations_ = 0;
   std::uint64_t sparse_events_ = 0;
   std::uint64_t boundary_crossings_ = 0;
   std::uint64_t level_updates_ = 0;

@@ -114,8 +114,9 @@ void ThreadPool::worker_loop(std::stop_token token, std::size_t self) {
     // Plain wait loop (no predicate lambda) so the guarded `unclaimed_`
     // reads stay visible to thread-safety analysis: the capability is held
     // across wait() by construction of MutexLock.  A stop cannot be missed:
-    // request_stop() flips stopping_ under wake_mutex_ and requests every
-    // token *before* its notify_all, so a woken waiter always observes it.
+    // request_stop() flips stopping_ and every token under wake_mutex_,
+    // then notifies, so a waiter either sees the stop before it sleeps or
+    // is woken after it.
     while (unclaimed_ == 0 && !token.stop_requested()) wake_.wait(lock);
     if (token.stop_requested() && unclaimed_ == 0) break;
   }
@@ -131,8 +132,12 @@ void ThreadPool::request_stop() {
   {
     MutexLock lock(wake_mutex_);
     stopping_ = true;
+    // The tokens flip under wake_mutex_ too: worker_loop reads them in its
+    // wait predicate under this lock, so a worker that just found its
+    // token clear is already inside wait() when notify_all fires.  Outside
+    // the lock that wake-up can be lost, and the destructor's join hangs.
+    for (std::jthread& t : threads_) t.request_stop();
   }
-  for (std::jthread& t : threads_) t.request_stop();
   wake_.notify_all();
 }
 

@@ -309,7 +309,7 @@ TEST(FluidResource, FullPassKeepsBitIdenticalRates) {
   EXPECT_GE(res.rate_keeps(), 2u);
 }
 
-TEST(FluidResource, OversubscribedFlowsTakeFullPass) {
+TEST(FluidResource, OversubscribedArrivalIsNotFast) {
   Simulator sim;
   FluidResource res(sim, "cpu", 100.0);
   std::vector<double> done(2, -1.0);
@@ -320,11 +320,14 @@ TEST(FluidResource, OversubscribedFlowsTakeFullPass) {
   sim.spawn(proc(0));
   sim.spawn(proc(1));
   sim.run();
-  // Cap rates sum to 1.6x capacity: the second arrival cannot take the
-  // fast path, and the shared 50/50 regime is not "all at cap".
+  // Cap rates sum to 1.6x capacity: the second arrival moves the first
+  // flow from its cap into the shared 50/50 regime, so it is not fast.
+  // The first arrival and the joint departure touch nobody else.
   EXPECT_DOUBLE_EQ(done[0], 2.0);
   EXPECT_DOUBLE_EQ(done[1], 2.0);
-  EXPECT_GE(res.full_reallocs(), 1u);
+  EXPECT_EQ(res.full_reallocs(), 0u);
+  EXPECT_EQ(res.sparse_events(), 3u);
+  EXPECT_EQ(res.fast_reallocs(), 2u);
 }
 
 }  // namespace

@@ -150,6 +150,18 @@ TEST(ThreadPool, SubmitFireAndForget) {
   EXPECT_EQ(ran.load(), 50);
 }
 
+TEST(ThreadPool, RepeatedTeardownNeverLosesTheStopWakeup) {
+  // Destruction right after a sweep races request_stop() against workers
+  // that are about to sleep.  A stop request the sleeper misses hangs the
+  // destructor's join, so this loop only finishes if every wake-up lands.
+  std::atomic<std::size_t> ran{0};
+  for (int iter = 0; iter < 2000; ++iter) {
+    ThreadPool pool(4);
+    pool.parallel_for(8, [&](std::size_t) { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 2000u * 8u);
+}
+
 TEST(ThreadPool, ZeroCountIsNoop) {
   ThreadPool pool(2);
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
