@@ -4,6 +4,7 @@
 
 #define AVF_BENCH_HAS_GBENCH
 #include "bench/common.hpp"
+#include "codec/bwt.hpp"
 #include "codec/codec.hpp"
 #include "viz/world.hpp"
 #include "wavelet/progressive.hpp"
@@ -50,6 +51,20 @@ void BM_Decompress(benchmark::State& state) {
                           payload().size());
 }
 BENCHMARK(BM_Decompress)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+
+/// The BWT's dominant kernel on its own: the suffix array of one 64 KiB
+/// block, the codec's default block size.
+void BM_SuffixArray(benchmark::State& state) {
+  constexpr std::size_t kBlock = 64 * 1024;
+  codec::BytesView block = codec::BytesView(payload()).first(kBlock);
+  for (auto _ : state) {
+    std::vector<std::uint32_t> sa = codec::bwtdetail::suffix_array(block);
+    benchmark::DoNotOptimize(sa);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBlock));
+}
+BENCHMARK(BM_SuffixArray)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -11,29 +11,39 @@ namespace avf::codec {
 
 class BitWriter {
  public:
-  /// Append the low `nbits` bits of `value` (nbits in [1, 32]).
+  /// Append the low `nbits` bits of `value` (nbits in [0, 32]).  Bits
+  /// collect in a 64-bit accumulator and leave it 32 at a time.
   void write(std::uint32_t value, int nbits) {
-    for (int i = 0; i < nbits; ++i) {
-      if (bit_ == 0) bytes_.push_back(0);
-      if ((value >> i) & 1u) {
-        bytes_.back() |= static_cast<std::uint8_t>(1u << bit_);
-      }
-      bit_ = (bit_ + 1) & 7;
+    acc_ |= (value & ((std::uint64_t{1} << nbits) - 1)) << fill_;
+    fill_ += nbits;
+    if (fill_ >= 32) {
+      flush_bytes(4);
+      fill_ -= 32;
     }
   }
 
   std::vector<std::uint8_t> take() {
-    bit_ = 0;
+    flush_bytes((fill_ + 7) / 8);
+    fill_ = 0;
     return std::move(bytes_);
   }
 
   std::size_t bit_count() const {
-    return bytes_.empty() ? 0 : (bytes_.size() - 1) * 8 + (bit_ == 0 ? 8 : bit_);
+    return bytes_.size() * 8 + static_cast<std::size_t>(fill_);
   }
 
  private:
+  /// Move the accumulator's low `n` bytes to the buffer, LSB first.
+  void flush_bytes(int n) {
+    for (int i = 0; i < n; ++i) {
+      bytes_.push_back(static_cast<std::uint8_t>(acc_));
+      acc_ >>= 8;
+    }
+  }
+
   std::vector<std::uint8_t> bytes_;
-  int bit_ = 0;
+  std::uint64_t acc_ = 0;  // pending bits, the oldest in bit 0
+  int fill_ = 0;           // pending bit count, < 32 between writes
 };
 
 class BitReader {

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstring>
-#include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <string>
 
 #include "codec/bitstream.hpp"
 
@@ -13,31 +14,161 @@ namespace avf::codec {
 
 namespace bwtdetail {
 
-std::vector<std::uint32_t> suffix_array(BytesView data) {
-  // Suffixes of data + implicit sentinel (smaller than every byte).
-  // Prefix doubling with rank pairs; ranks use -1 for "past the end".
-  std::size_t n = data.size() + 1;
-  std::vector<std::uint32_t> sa(n);
-  std::vector<std::int32_t> rank(n), tmp(n);
-  std::iota(sa.begin(), sa.end(), 0u);
-  for (std::size_t i = 0; i + 1 < n; ++i) rank[i] = data[i];
-  rank[n - 1] = -1;  // sentinel suffix
+namespace {
 
-  for (std::size_t k = 1;; k *= 2) {
-    auto key = [&](std::uint32_t i) {
-      std::int32_t second = (i + k < n) ? rank[i + k] : -2;
-      return std::pair<std::int32_t, std::int32_t>(rank[i], second);
-    };
-    std::sort(sa.begin(), sa.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return key(a) < key(b);
-    });
-    tmp[sa[0]] = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      tmp[sa[i]] = tmp[sa[i - 1]] + (key(sa[i - 1]) < key(sa[i]) ? 1 : 0);
-    }
-    rank = tmp;
-    if (rank[sa[n - 1]] == static_cast<std::int32_t>(n) - 1) break;
+// SA-IS: suffix array by induced sorting (Nong, Zhang & Chan, "Two
+// efficient algorithms for linear time suffix array construction", 2009).
+// `text` has `n` symbols in [0, alphabet) and ends with a unique smallest
+// sentinel; `sa` receives its n entries.  The reduced problem of one
+// recursion level lives inside `sa` itself (names in the upper half, the
+// reduced suffix array in the lower half), so the only other work memory
+// is a type byte per symbol and a bucket counter per alphabet symbol at
+// each level, allocated per call.  A reduced string is at most half its
+// parent, so that adds at most 6 bytes per input byte to the 4-byte array.
+
+/// The top level: a byte block plus its implicit sentinel, with each byte
+/// shifted up by one so the sentinel is symbol 0.
+struct ShiftedBytes {
+  const std::uint8_t* data;
+  std::int32_t size;  // bytes, excluding the sentinel
+  std::int32_t operator[](std::int32_t i) const {
+    return i < size ? std::int32_t{data[i]} + 1 : 0;
   }
+};
+
+constexpr std::int32_t kEmpty = -1;
+
+template <typename Text>
+void bucket_bounds(const Text& text, std::int32_t n, std::int32_t alphabet,
+                   bool ends, std::vector<std::int32_t>& bucket) {
+  std::fill(bucket.begin(), bucket.end(), 0);
+  for (std::int32_t i = 0; i < n; ++i) ++bucket[text[i]];
+  std::int32_t sum = 0;
+  for (std::int32_t c = 0; c < alphabet; ++c) {
+    sum += bucket[c];
+    bucket[c] = ends ? sum : sum - bucket[c];
+  }
+}
+
+/// Induce L-type suffixes left to right from the seeded entries, then
+/// S-type suffixes right to left.
+template <typename Text>
+void induce(const Text& text, std::int32_t n, std::int32_t alphabet,
+            const std::vector<std::uint8_t>& is_s,
+            std::vector<std::int32_t>& bucket, std::int32_t* sa) {
+  bucket_bounds(text, n, alphabet, false, bucket);
+  for (std::int32_t i = 0; i < n; ++i) {
+    std::int32_t j = sa[i] - 1;
+    if (j >= 0 && !is_s[j]) sa[bucket[text[j]]++] = j;
+  }
+  bucket_bounds(text, n, alphabet, true, bucket);
+  for (std::int32_t i = n; i-- > 0;) {
+    std::int32_t j = sa[i] - 1;
+    if (j >= 0 && is_s[j]) sa[--bucket[text[j]]] = j;
+  }
+}
+
+template <typename Text>
+void sais(const Text& text, std::int32_t n, std::int32_t alphabet,
+          std::int32_t* sa) {
+  if (n == 1) {
+    sa[0] = 0;
+    return;
+  }
+  // is_s[i]: suffix i is smaller than suffix i+1.  The sentinel is S, the
+  // symbol before it L.
+  std::vector<std::uint8_t> is_s(static_cast<std::size_t>(n));
+  is_s[n - 1] = true;
+  for (std::int32_t i = n - 2; i-- > 0;) {
+    is_s[i] = text[i] < text[i + 1] ||
+              (text[i] == text[i + 1] && is_s[i + 1]);
+  }
+  auto is_lms = [&](std::int32_t i) {
+    return i > 0 && is_s[i] && !is_s[i - 1];
+  };
+  std::vector<std::int32_t> bucket(static_cast<std::size_t>(alphabet));
+
+  // Stage 1: sort the LMS substrings by seeding LMS positions at their
+  // bucket ends and inducing.
+  std::fill(sa, sa + n, kEmpty);
+  bucket_bounds(text, n, alphabet, true, bucket);
+  for (std::int32_t i = 1; i < n; ++i) {
+    if (is_lms(i)) sa[--bucket[text[i]]] = i;
+  }
+  induce(text, n, alphabet, is_s, bucket, sa);
+
+  // Compact the sorted LMS positions into sa[0, m) and name each LMS
+  // substring by rank; equal substrings share a name.  LMS positions are
+  // at least two apart, so position p keeps its name in its own slot,
+  // sa[m + p / 2].
+  std::int32_t m = 0;
+  for (std::int32_t i = 0; i < n; ++i) {
+    if (is_lms(sa[i])) sa[m++] = sa[i];
+  }
+  std::fill(sa + m, sa + n, kEmpty);
+  std::int32_t names = 0;
+  std::int32_t prev = kEmpty;
+  for (std::int32_t i = 0; i < m; ++i) {
+    std::int32_t pos = sa[i];
+    bool differs = prev == kEmpty;
+    for (std::int32_t d = 0; !differs; ++d) {
+      // The unique sentinel ends every comparison before pos + d or
+      // prev + d can pass n - 1.
+      if (text[pos + d] != text[prev + d] ||
+          is_s[pos + d] != is_s[prev + d]) {
+        differs = true;
+      } else if (d > 0 && (is_lms(pos + d) || is_lms(prev + d))) {
+        break;
+      }
+    }
+    if (differs) {
+      ++names;
+      prev = pos;
+    }
+    sa[m + pos / 2] = names - 1;
+  }
+  // Gather the names, in text order, into the reduced string at sa[n-m, n).
+  for (std::int32_t i = n, j = n; i-- > m;) {
+    if (sa[i] != kEmpty) sa[--j] = sa[i];
+  }
+
+  // Stage 2: suffix array of the reduced string into sa[0, m); recurse
+  // only when two LMS substrings share a name.
+  std::int32_t* reduced = sa + n - m;
+  if (names < m) {
+    sais(reduced, m, names, sa);
+  } else {
+    for (std::int32_t i = 0; i < m; ++i) sa[reduced[i]] = i;
+  }
+
+  // Stage 3: map reduced ranks back to LMS positions, seed them in sorted
+  // order at their bucket ends, and induce the full suffix array.
+  for (std::int32_t i = 1, j = 0; i < n; ++i) {
+    if (is_lms(i)) reduced[j++] = i;
+  }
+  for (std::int32_t i = 0; i < m; ++i) sa[i] = reduced[sa[i]];
+  std::fill(sa + m, sa + n, kEmpty);
+  bucket_bounds(text, n, alphabet, true, bucket);
+  for (std::int32_t i = m; i-- > 0;) {
+    std::int32_t j = sa[i];
+    sa[i] = kEmpty;
+    sa[--bucket[text[j]]] = j;
+  }
+  induce(text, n, alphabet, is_s, bucket, sa);
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> suffix_array(BytesView data) {
+  if (data.size() >= static_cast<std::size_t>(INT32_MAX)) {
+    throw std::length_error("suffix_array: input too long for int32 indices");
+  }
+  // Signed and unsigned variants of one integer type may alias, so SA-IS
+  // works in place on the returned array.
+  std::vector<std::uint32_t> sa(data.size() + 1);
+  ShiftedBytes text{data.data(), static_cast<std::int32_t>(data.size())};
+  sais(text, static_cast<std::int32_t>(sa.size()), 257,
+       reinterpret_cast<std::int32_t*>(sa.data()));
   return sa;
 }
 
@@ -228,12 +359,22 @@ void huffman_lengths(std::span<const std::uint64_t> freq,
   }
 }
 
-/// Canonical code assignment: symbols sorted by (length, value).
-void canonical_codes(std::span<const std::uint8_t> lengths,
-                     std::span<std::uint32_t> codes) {
+/// Longest code the encoders emit: one BitWriter::write per symbol.  A
+/// Huffman code longer than 32 bits needs at least F(35) = 9,227,465
+/// symbols (Fibonacci-weighted frequencies), above BwtCodec::kMaxBlockSize.
+constexpr int kMaxEmitLength = 32;
+
+/// Canonical code assignment: symbols sorted by (length, value).  Codes
+/// are read MSB-first, so each is stored bit-reversed for the LSB-first
+/// BitWriter; the stream is the same as emitting the code bit by bit.
+void canonical_codes_reversed(std::span<const std::uint8_t> lengths,
+                              std::span<std::uint32_t> reversed) {
   int alphabet = static_cast<int>(lengths.size());
   std::vector<int> symbols;
   for (int s = 0; s < alphabet; ++s) {
+    if (lengths[s] > kMaxEmitLength) {
+      throw std::length_error("huffman: code longer than 32 bits");
+    }
     if (lengths[s] > 0) symbols.push_back(s);
   }
   std::sort(symbols.begin(), symbols.end(), [&](int a, int b) {
@@ -244,8 +385,10 @@ void canonical_codes(std::span<const std::uint8_t> lengths,
   int prev_len = 0;
   for (int s : symbols) {
     code <<= (lengths[s] - prev_len);
-    codes[s] = code;
     prev_len = lengths[s];
+    std::uint32_t rev = 0;
+    for (int i = 0; i < prev_len; ++i) rev = (rev << 1) | ((code >> i) & 1u);
+    reversed[s] = rev;
     ++code;
   }
 }
@@ -302,14 +445,9 @@ Bytes huffman_encode(BytesView input, std::uint8_t (&lengths_out)[256]) {
   for (std::uint8_t b : input) ++freq[b];
   huffman_lengths(freq, lengths_out);
   std::uint32_t codes[256] = {};
-  canonical_codes(lengths_out, codes);
+  canonical_codes_reversed(lengths_out, codes);
   BitWriter bits;
-  for (std::uint8_t b : input) {
-    // Emit MSB-first so canonical decode can walk bit by bit.
-    for (int i = lengths_out[b] - 1; i >= 0; --i) {
-      bits.write((codes[b] >> i) & 1u, 1);
-    }
-  }
+  for (std::uint8_t b : input) bits.write(codes[b], lengths_out[b]);
   return bits.take();
 }
 
@@ -401,13 +539,9 @@ Bytes huffman_encode_sym(std::span<const std::uint16_t> symbols, int alphabet,
   lengths_out.assign(static_cast<std::size_t>(alphabet), 0);
   huffman_lengths(freq, lengths_out);
   std::vector<std::uint32_t> codes(static_cast<std::size_t>(alphabet), 0);
-  canonical_codes(lengths_out, codes);
+  canonical_codes_reversed(lengths_out, codes);
   BitWriter bits;
-  for (std::uint16_t s : symbols) {
-    for (int i = lengths_out[s] - 1; i >= 0; --i) {
-      bits.write((codes[s] >> i) & 1u, 1);
-    }
-  }
+  for (std::uint16_t s : symbols) bits.write(codes[s], lengths_out[s]);
   return bits.take();
 }
 
@@ -446,6 +580,13 @@ std::uint32_t read_u32(BytesView in, std::size_t& at) {
 }
 
 }  // namespace
+
+BwtCodec::BwtCodec(std::size_t block_size) : block_size_(block_size) {
+  if (block_size == 0 || block_size > kMaxBlockSize) {
+    throw std::invalid_argument("bwt: block size must be in [1, " +
+                                std::to_string(kMaxBlockSize) + "]");
+  }
+}
 
 Bytes BwtCodec::compress(BytesView input) const {
   using namespace bwtdetail;

@@ -1,14 +1,15 @@
 // Bzip2-style block compressor — the paper's "compression B".
 //
 // Pipeline per block (default 64 KiB): Burrows-Wheeler transform (suffix
-// array by prefix doubling), move-to-front, packbits-style run-length
-// coding, canonical Huffman.  Substantially better ratio than LZW on the
-// wavelet-coefficient data the visualization application ships, at a much
-// higher CPU cost — exactly the trade-off that produces the Figure 6(a)
-// crossover.
+// array by induced sorting, linear time), move-to-front, bzip2-style
+// zero-run coding, canonical Huffman.  Substantially better ratio than LZW
+// on the wavelet-coefficient data the visualization application ships, at
+// a much higher CPU cost — exactly the trade-off that produces the Figure
+// 6(a) crossover.
 //
-// Format: per block { u32 original_len | u32 primary_index | u32
-// compressed_len | huffman table (256 x 1-byte code lengths) | bitstream }.
+// Format: u32 input_len, then per block { u32 block_len | u32
+// primary_index | u32 symbol_count | u32 packed_len | huffman table (257 x
+// 1-byte code lengths) | bitstream }.
 #pragma once
 
 #include "codec/codec.hpp"
@@ -17,8 +18,14 @@ namespace avf::codec {
 
 class BwtCodec final : public Codec {
  public:
-  explicit BwtCodec(std::size_t block_size = 64 * 1024)
-      : block_size_(block_size) {}
+  /// Largest accepted block.  The suffix array's int32 indices and the u32
+  /// block header would hold up to 2^31 - 2 bytes; 32-bit Huffman codes
+  /// need fewer than F(35) = 9,227,465 symbols per block, so 8 MiB.
+  static constexpr std::size_t kMaxBlockSize = std::size_t{8} << 20;
+
+  /// Throws std::invalid_argument unless block_size is in
+  /// [1, kMaxBlockSize].
+  explicit BwtCodec(std::size_t block_size = 64 * 1024);
 
   std::string_view name() const override { return "bwt"; }
   Bytes compress(BytesView input) const override;
@@ -53,7 +60,9 @@ Bytes rle_encode(BytesView input);
 Bytes rle_decode(BytesView input);
 
 /// Canonical Huffman over bytes.  `lengths_out` receives 256 code lengths
-/// (0 = symbol absent).  Decode needs the same table.
+/// (0 = symbol absent).  Decode needs the same table.  Throws
+/// std::length_error if a code would exceed 32 bits (only possible past
+/// 9,227,464 input symbols).
 Bytes huffman_encode(BytesView input, std::uint8_t (&lengths_out)[256]);
 Bytes huffman_decode(BytesView bits, const std::uint8_t (&lengths)[256],
                      std::size_t output_size);
@@ -69,7 +78,8 @@ Bytes rle0_decode(std::span<const std::uint16_t> symbols,
                   std::size_t max_output = SIZE_MAX);
 
 /// Canonical Huffman over an arbitrary small symbol alphabet (used with the
-/// RLE0 stream).  `lengths_out` must have `alphabet` entries.
+/// RLE0 stream).  `lengths_out` receives `alphabet` code lengths.  Throws
+/// like huffman_encode.
 Bytes huffman_encode_sym(std::span<const std::uint16_t> symbols, int alphabet,
                          std::vector<std::uint8_t>& lengths_out);
 std::vector<std::uint16_t> huffman_decode_sym(
@@ -77,7 +87,9 @@ std::vector<std::uint16_t> huffman_decode_sym(
     std::size_t symbol_count);
 
 /// Suffix array of `data` (treating it as ending with a unique smallest
-/// sentinel) by prefix doubling; O(n log^2 n).
+/// sentinel): data.size() + 1 entries, the sentinel suffix first.  SA-IS
+/// induced sorting, O(n) time; throws std::length_error if data.size()
+/// does not fit int32 indices.
 std::vector<std::uint32_t> suffix_array(BytesView data);
 
 }  // namespace bwtdetail

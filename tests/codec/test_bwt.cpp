@@ -2,40 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <string>
 
 #include "codec/lzw.hpp"
+#include "test_inputs.hpp"
 #include "util/rng.hpp"
 
 namespace avf::codec {
 namespace {
 
 using namespace bwtdetail;
+using testing::random_bytes;
 
 Bytes to_bytes(const std::string& s) { return Bytes(s.begin(), s.end()); }
-
-Bytes random_bytes(std::size_t n, std::uint64_t seed, int alphabet = 256) {
-  util::SplitMix64 rng(seed);
-  Bytes out(n);
-  for (auto& b : out) {
-    b = static_cast<std::uint8_t>(rng.next_below(alphabet));
-  }
-  return out;
-}
-
-TEST(SuffixArray, Banana) {
-  Bytes s = to_bytes("banana");
-  // Suffixes of "banana$": $ a$ ana$ anana$ banana$ na$ nana$
-  std::vector<std::uint32_t> sa = suffix_array(s);
-  EXPECT_EQ(sa, (std::vector<std::uint32_t>{6, 5, 3, 1, 0, 4, 2}));
-}
-
-TEST(SuffixArray, EmptyAndSingle) {
-  EXPECT_EQ(suffix_array({}).size(), 1u);
-  Bytes one = {65};
-  EXPECT_EQ(suffix_array(one), (std::vector<std::uint32_t>{1, 0}));
-}
 
 TEST(Bwt, ForwardBanana) {
   Bytes s = to_bytes("banana");
@@ -185,6 +164,26 @@ TEST(BwtCodec, CostsMoreCpuThanLzw) {
             5.0 * lzw.cost().compress_ops_per_byte);
   EXPECT_GT(bwt.cost().decompress_ops_per_byte,
             lzw.cost().decompress_ops_per_byte);
+}
+
+TEST(BwtCodec, RejectsZeroBlockSize) {
+  // A zero block never advances through the input: compress would append
+  // empty-block headers until memory ran out.
+  EXPECT_THROW(BwtCodec(0), std::invalid_argument);
+}
+
+TEST(BwtCodec, RejectsBlockSizeAboveMaximum) {
+  EXPECT_THROW(BwtCodec(BwtCodec::kMaxBlockSize + 1), std::invalid_argument);
+  EXPECT_THROW(BwtCodec(std::size_t{1} << 32), std::invalid_argument);
+  EXPECT_THROW(BwtCodec(SIZE_MAX), std::invalid_argument);
+  EXPECT_EQ(BwtCodec(BwtCodec::kMaxBlockSize).block_size(),
+            BwtCodec::kMaxBlockSize);
+}
+
+TEST(BwtCodec, RoundTripOneByteBlocks) {
+  BwtCodec c(1);
+  Bytes in = random_bytes(300, 4, 8);
+  EXPECT_EQ(c.decompress(c.compress(in)), in);
 }
 
 TEST(BwtCodec, TruncatedStreamThrows) {

@@ -1,0 +1,51 @@
+// Deterministic inputs shared by the codec tests.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+#include "codec/codec.hpp"
+#include "util/rng.hpp"
+#include "viz/world.hpp"
+#include "wavelet/progressive.hpp"
+
+namespace avf::codec::testing {
+
+/// `n` seeded bytes, uniform over [0, alphabet).
+inline Bytes random_bytes(std::size_t n, std::uint64_t seed,
+                          int alphabet = 256) {
+  util::SplitMix64 rng(seed);
+  Bytes out(n);
+  for (auto& b : out) {
+    b = static_cast<std::uint8_t>(rng.next_below(alphabet));
+  }
+  return out;
+}
+
+/// Runs of 1-8 equal bytes drawn from 16 values: compressible, but not
+/// trivially.
+inline Bytes structured_input(std::size_t n, std::uint64_t seed) {
+  util::SplitMix64 rng(seed);
+  Bytes out;
+  out.reserve(n);
+  while (out.size() < n) {
+    std::uint8_t b = static_cast<std::uint8_t>(rng.next_below(16));
+    std::size_t run = 1 + rng.next_below(8);
+    out.insert(out.end(), run, b);
+  }
+  out.resize(n);
+  return out;
+}
+
+/// The progressive wavelet payload bench/micro_codec compresses: a 512x512
+/// image (seed 99), 4 levels, 16-pixel tiles, the full image at level 4.
+inline const Bytes& wavelet_payload() {
+  static const Bytes data = [] {
+    wavelet::Pyramid pyr(viz::cached_image(512, 99), 4);
+    wavelet::ProgressiveEncoder enc(pyr, 16);
+    return enc.encode_region({256, 256, 512}, 4);
+  }();
+  return data;
+}
+
+}  // namespace avf::codec::testing

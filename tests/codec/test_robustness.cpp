@@ -5,23 +5,13 @@
 
 #include "codec/bwt.hpp"
 #include "codec/lzw.hpp"
+#include "test_inputs.hpp"
 #include "util/rng.hpp"
 
 namespace avf::codec {
 namespace {
 
-Bytes structured_input(std::size_t n, std::uint64_t seed) {
-  util::SplitMix64 rng(seed);
-  Bytes out;
-  out.reserve(n);
-  while (out.size() < n) {
-    std::uint8_t b = static_cast<std::uint8_t>(rng.next_below(16));
-    std::size_t run = 1 + rng.next_below(8);
-    out.insert(out.end(), run, b);
-  }
-  out.resize(n);
-  return out;
-}
+using testing::structured_input;
 
 /// Every mutation either throws or yields output that is at most the
 /// original: the decoder must stay memory-safe and size-bounded.
