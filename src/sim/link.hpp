@@ -18,6 +18,7 @@
 #include "sim/mailbox.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
+#include "util/blob.hpp"
 
 namespace avf::sim {
 
@@ -26,18 +27,23 @@ constexpr std::size_t kMessageHeaderBytes = 64;
 
 struct Message {
   int kind = 0;
+  /// Inline bytes (small headers and control fields).
   std::vector<std::uint8_t> payload;
+  /// Optional bulk bytes after `payload`, shared rather than copied: a
+  /// sender hands over an immutable Blob it may also keep (e.g. a stored
+  /// tile-region payload), and the receiver reads the same instance.
+  std::shared_ptr<const util::Blob> body;
   SimTime sent_at = 0.0;       // stamped at injection start
   SimTime delivered_at = 0.0;  // stamped at mailbox deposit
   /// When non-zero, the link charges this many bytes instead of
-  /// payload+header.  Lets a sender ship convenience bytes (e.g. an
+  /// payload+body+header.  Lets a sender ship convenience bytes (e.g. an
   /// uncompressed payload whose compressed size is known from a cache)
   /// while the network behaves as if the real wire bytes crossed it.
   std::size_t wire_size_override = 0;
 
   std::size_t wire_size() const {
-    return wire_size_override != 0 ? wire_size_override
-                                   : payload.size() + kMessageHeaderBytes;
+    if (wire_size_override != 0) return wire_size_override;
+    return payload.size() + (body ? body->size() : 0) + kMessageHeaderBytes;
   }
 };
 

@@ -14,7 +14,7 @@ constexpr std::uint64_t kChunkSeed = 0x63686e6bULL;   // "chnk"
 RegionEncodeCache::RegionEncodeCache()
     : owned_store_(std::make_unique<TileStore>()), store_(owned_store_.get()) {}
 
-std::shared_ptr<const wavelet::Bytes> RegionEncodeCache::encode(
+std::shared_ptr<const util::Blob> RegionEncodeCache::encode(
     const util::Hash128& pyramid_content,
     const wavelet::ProgressiveEncoder& encoder,
     std::span<const wavelet::TileRef> tiles, std::uint64_t origin_tag) {
@@ -47,7 +47,7 @@ RegionEncodeCache& RegionEncodeCache::global() {
 CompressedChunkCache::CompressedChunkCache()
     : owned_store_(std::make_unique<TileStore>()), store_(owned_store_.get()) {}
 
-std::shared_ptr<const codec::Bytes> CompressedChunkCache::compress(
+std::shared_ptr<const util::Blob> CompressedChunkCache::compress(
     codec::CodecId id, codec::BytesView raw, std::uint64_t origin_tag) {
   // Hash the raw bytes in place: one read-only pass replaces the old
   // key-string allocation that copied the whole chunk per lookup.

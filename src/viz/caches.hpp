@@ -19,6 +19,10 @@
 //    in place), so a hit returns the byte-identical compressed output the
 //    codec would have produced.
 //
+// Both layers return the store's entry itself, a shared immutable
+// util::Blob: the viz server ships that pointer as the reply body, so a
+// hit costs neither a copy nor a rehash of the payload.
+//
 // Each layer keeps its own hit/miss/collision counters (lock-free; the
 // store's byte/dedup counters aggregate across layers sharing it).  The
 // default-constructed layer owns a private store — tests and benches that
@@ -34,6 +38,7 @@
 #include <span>
 
 #include "codec/codec.hpp"
+#include "util/blob.hpp"
 #include "util/hash.hpp"
 #include "viz/tile_store.hpp"
 #include "wavelet/progressive.hpp"
@@ -54,7 +59,7 @@ class RegionEncodeCache {
   /// pyramid `encoder` was built over (the server memoizes it per stored
   /// image); `origin_tag` labels the requester (the server passes the
   /// image id) so the store can count cross-image hits.
-  std::shared_ptr<const wavelet::Bytes> encode(
+  std::shared_ptr<const util::Blob> encode(
       const util::Hash128& pyramid_content,
       const wavelet::ProgressiveEncoder& encoder,
       std::span<const wavelet::TileRef> tiles, std::uint64_t origin_tag = 0);
@@ -93,9 +98,9 @@ class CompressedChunkCache {
 
   /// Compress `raw` with `id`, reusing a previous byte-identical
   /// compression of the same chunk when available.
-  std::shared_ptr<const codec::Bytes> compress(codec::CodecId id,
-                                               codec::BytesView raw,
-                                               std::uint64_t origin_tag = 0);
+  std::shared_ptr<const util::Blob> compress(codec::CodecId id,
+                                             codec::BytesView raw,
+                                             std::uint64_t origin_tag = 0);
 
   TileStore& store() { return *store_; }
   const TileStore& store() const { return *store_; }

@@ -12,13 +12,6 @@ namespace avf::viz {
 
 namespace {
 
-/// Accumulating FNV-1a (seeded with the offset basis on first use).
-std::uint64_t fnv1a_accumulate(std::uint64_t h,
-                               const std::vector<std::uint8_t>& bytes) {
-  if (h == 0) h = util::kFnv1aOffset;
-  return util::fnv1a64(bytes.data(), bytes.size(), h);
-}
-
 /// Throw a descriptive error when the server answered with kError; other
 /// kinds pass through for the caller's decode to check.
 void check_not_error(const sim::Message& msg) {
@@ -141,12 +134,21 @@ sim::Task<VizClient::ImageStats> VizClient::fetch_image(
     const codec::Codec& codec =
         codec::codec_for(static_cast<codec::CodecId>(reply.codec));
     co_await box_.compute(codec.decompress_ops(reply.raw_len));
-    wavelet::Bytes raw =
-        reply.premeasured
-            ? std::move(reply.payload)
-            : codec.decompress(reply.payload);
-    stats.payload_hash = fnv1a_accumulate(stats.payload_hash, raw);
-    auto applied = decoder.apply(raw);
+    // payload_hash chains FNV-1a over every round's raw bytes, restarting
+    // from the offset basis whenever the running value is 0.  A premeasured
+    // body is the server's shared Blob: hashed in O(1) from its memo and
+    // decoded in place.  Only freshly decompressed bytes are hashed in full.
+    const std::uint64_t chain =
+        stats.payload_hash == 0 ? util::kFnv1aOffset : stats.payload_hash;
+    wavelet::ProgressiveDecoder::ApplyResult applied;
+    if (reply.premeasured) {
+      stats.payload_hash = reply.body->fnv1a64(chain);
+      applied = decoder.apply(*reply.body);
+    } else {
+      wavelet::Bytes raw = codec.decompress(*reply.body);
+      stats.payload_hash = util::fnv1a64(raw.data(), raw.size(), chain);
+      applied = decoder.apply(raw);
+    }
     double scale = static_cast<double>(1 << (ack.levels - level));
     double shown_w =
         std::min<double>(2.0 * half, ack.width) / scale;

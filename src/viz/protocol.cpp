@@ -1,5 +1,8 @@
 #include "viz/protocol.hpp"
 
+#include <utility>
+#include <vector>
+
 #include "util/fmt.hpp"
 
 namespace avf::viz {
@@ -50,6 +53,11 @@ void check_kind(const sim::Message& m, int kind) {
   if (m.kind != kind) {
     throw std::runtime_error(util::format(
         "viz protocol: expected message kind {}, got {}", kind, m.kind));
+  }
+  // Only a reply carries out-of-line bytes; on any other kind a body is
+  // trailing data.
+  if (kind != kReply && m.body != nullptr) {
+    throw std::runtime_error("viz protocol: unexpected message body");
   }
 }
 
@@ -132,10 +140,11 @@ sim::Message encode(const Reply& m) {
   out.payload.push_back(m.premeasured ? 1 : 0);
   put_u32(out.payload, m.raw_len);
   put_u32(out.payload, m.wire_len);
-  out.payload.insert(out.payload.end(), m.payload.begin(), m.payload.end());
+  out.body = m.body;
   if (m.premeasured) {
     // Network charges the compressed size, not the raw convenience bytes.
-    out.wire_size_override = m.wire_len + 15 + sim::kMessageHeaderBytes;
+    out.wire_size_override =
+        m.wire_len + kReplyHeaderBytes + sim::kMessageHeaderBytes;
   }
   return out;
 }
@@ -150,8 +159,11 @@ Reply decode_reply(sim::Message m) {
   out.premeasured = r.u8() != 0;
   out.raw_len = r.u32();
   out.wire_len = r.u32();
-  out.payload.assign(m.payload.begin() + static_cast<std::ptrdiff_t>(r.at),
-                     m.payload.end());
+  r.done();
+  if (m.body == nullptr) {
+    throw std::runtime_error("viz protocol: reply without body");
+  }
+  out.body = std::move(m.body);
   return out;
 }
 

@@ -15,13 +15,20 @@
 // is not reading another session's traffic.  `kError` replaces the old
 // fatal server throw on per-session protocol violations: the offending
 // session gets an error reply and every other session keeps streaming.
+//
+// A kReply carries a fixed 15-byte inline header (session_id, three flag
+// bytes, raw_len, wire_len) in Message::payload and its tile bytes in
+// Message::body: the server's shared payload Blob travels to the client
+// as-is, and the wire size is unchanged (header + body + framing).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "sim/link.hpp"
+#include "util/blob.hpp"
 
 namespace avf::viz {
 
@@ -71,8 +78,13 @@ struct Reply {
   bool premeasured = false;    ///< payload is raw; wire size was overridden
   std::uint32_t raw_len = 0;   ///< decompressed payload length
   std::uint32_t wire_len = 0;  ///< compressed length actually charged
-  std::vector<std::uint8_t> payload;
+  /// Tile bytes (raw when premeasured, else compressed); never null on a
+  /// decoded reply.  Shared with the sender, so it is never copied.
+  std::shared_ptr<const util::Blob> body;
 };
+
+/// Inline header length of a kReply (the body follows out of line).
+inline constexpr std::size_t kReplyHeaderBytes = 15;
 
 struct SetCodec {
   std::uint32_t session_id = 0;
@@ -85,7 +97,9 @@ struct ErrorReply {
 };
 
 // -- encode/decode to sim::Message ---------------------------------------
-// Throws std::runtime_error on malformed/mismatched messages.
+// Decoders throw std::runtime_error on malformed/mismatched messages (wrong
+// kind, truncated or trailing inline bytes, a reply without its body); no
+// input makes them read out of bounds.
 
 sim::Message encode(const OpenImage& m);
 sim::Message encode(const OpenAck& m);
@@ -98,7 +112,7 @@ sim::Message encode_shutdown();
 OpenImage decode_open_image(const sim::Message& m);
 OpenAck decode_open_ack(const sim::Message& m);
 Request decode_request(const sim::Message& m);
-Reply decode_reply(sim::Message m);  // takes ownership of the payload
+Reply decode_reply(sim::Message m);  // takes over the message body
 SetCodec decode_set_codec(const sim::Message& m);
 ErrorReply decode_error(const sim::Message& m);
 

@@ -35,6 +35,10 @@ std::uint64_t CompressedSizeCache::fingerprint(codec::BytesView payload) {
   return util::fnv1a64(payload.data(), payload.size()) ^ payload.size();
 }
 
+std::uint64_t CompressedSizeCache::fingerprint(const util::Blob& payload) {
+  return payload.fnv1a64(util::kFnv1aOffset) ^ payload.size();
+}
+
 CompressedSizeCache::Shard& CompressedSizeCache::shard_for(
     std::uint64_t fp) const {
   // Shard on high bits: the map hash mixes the low bits, so reusing them
@@ -309,16 +313,14 @@ sim::Task<> VizServer::handle_request(sim::Endpoint& endpoint,
   // Serialization reuse: the tile list *is* the (region, level, sent-state)
   // key, so interleaved sessions at the same point in their progressive
   // walk share the payload.  Hits are byte-identical by construction.
-  std::shared_ptr<const wavelet::Bytes> raw_shared;
-  if (options_.region_cache != nullptr) {
-    raw_shared =
-        options_.region_cache->encode(session.content_hash, *session.encoder,
-                                      tiles, session.image_id);
-  } else {
-    raw_shared = std::make_shared<const wavelet::Bytes>(
-        session.encoder->serialize_tiles(tiles));
-  }
-  const wavelet::Bytes& raw = *raw_shared;
+  std::shared_ptr<const util::Blob> raw_shared =
+      options_.region_cache != nullptr
+          ? options_.region_cache->encode(session.content_hash,
+                                          *session.encoder, tiles,
+                                          session.image_id)
+          : std::make_shared<const util::Blob>(
+                session.encoder->serialize_tiles(tiles));
+  const util::Blob& raw = *raw_shared;
   raw_bytes_encoded_ += raw.size();
   // Region extraction cost: proportional to coefficients serialized.  The
   // simulated cost is charged whether or not the host-side cache hit —
@@ -339,14 +341,15 @@ sim::Task<> VizServer::handle_request(sim::Endpoint& endpoint,
   std::optional<std::size_t> cached;
   std::uint64_t raw_fingerprint = 0;
   if (options_.size_cache != nullptr) {
-    // Hash the payload once; the same fingerprint keys the store on miss.
+    // O(1) after the first request for this payload (the Blob memoizes its
+    // hash); the same fingerprint keys the store on miss.
     raw_fingerprint = CompressedSizeCache::fingerprint(raw);
     cached = options_.size_cache->lookup(session.codec, raw_fingerprint);
   }
   if (cached) {
     reply.premeasured = true;
     reply.wire_len = static_cast<std::uint32_t>(*cached);
-    reply.payload = raw;
+    reply.body = std::move(raw_shared);
   } else if (options_.size_cache != nullptr) {
     std::size_t compressed_size =
         options_.chunk_cache != nullptr
@@ -360,19 +363,17 @@ sim::Task<> VizServer::handle_request(sim::Endpoint& endpoint,
     // decompression too; the cache now knows the size for future runs.
     reply.premeasured = true;
     reply.wire_len = static_cast<std::uint32_t>(compressed_size);
-    reply.payload = raw;
+    reply.body = std::move(raw_shared);
   } else {
     // Fidelity mode: the reply carries genuine compressed bytes.  The
     // chunk cache still deduplicates the real compression work across
     // sessions asking for the same tiles.
-    codec::Bytes compressed =
-        options_.chunk_cache != nullptr
-            ? *options_.chunk_cache->compress(session.codec, raw,
-                                              session.image_id)
-            : codec.compress(raw);
     reply.premeasured = false;
-    reply.wire_len = static_cast<std::uint32_t>(compressed.size());
-    reply.payload = std::move(compressed);
+    reply.body = options_.chunk_cache != nullptr
+                     ? options_.chunk_cache->compress(session.codec, raw,
+                                                      session.image_id)
+                     : std::make_shared<const util::Blob>(codec.compress(raw));
+    reply.wire_len = static_cast<std::uint32_t>(reply.body->size());
   }
   wire_bytes_sent_ += reply.wire_len;
   co_await box_.send(endpoint, encode(reply));

@@ -31,6 +31,7 @@
 #include "sim/link.hpp"
 #include "sim/task.hpp"
 #include "util/annotations.hpp"
+#include "util/blob.hpp"
 #include "util/mutex.hpp"
 #include "viz/caches.hpp"
 #include "viz/protocol.hpp"
@@ -62,9 +63,13 @@ class CompressedSizeCache {
   CompressedSizeCache() : CompressedSizeCache(kDefaultMaxEntries) {}
   explicit CompressedSizeCache(std::size_t max_entries);
 
-  /// Content fingerprint used as the payload half of the key.  Exposed so
-  /// callers issuing a lookup-then-store pair can hash the payload once.
+  /// Content fingerprint used as the payload half of the key:
+  /// FNV-1a(payload) ^ size.  Exposed so callers issuing a lookup-then-store
+  /// pair can hash the payload once.
   static std::uint64_t fingerprint(codec::BytesView payload);
+  /// The same value from a Blob's memoized FNV-1a continuation: O(1) once
+  /// the Blob has been hashed from the offset basis.
+  static std::uint64_t fingerprint(const util::Blob& payload);
 
   std::optional<std::size_t> lookup(codec::CodecId id,
                                     codec::BytesView payload) const;

@@ -12,7 +12,7 @@ TileStore::TileStore(Options options)
                        : 1),
       shard_budget_(options.byte_budget / shard_count_) {}
 
-std::shared_ptr<const TileStore::Payload> TileStore::find(
+TileStore::BlobPtr TileStore::find(
     const Key& key, std::uint64_t origin_tag) {
   Shard& shard = shard_for(key);
   util::MutexLock lock(shard.mutex);
@@ -29,9 +29,9 @@ std::shared_ptr<const TileStore::Payload> TileStore::find(
   return entry.payload;
 }
 
-std::shared_ptr<const TileStore::Payload> TileStore::insert(
-    const Key& key, std::uint64_t origin_tag, Payload&& payload) {
-  auto shared = std::make_shared<const Payload>(std::move(payload));
+TileStore::BlobPtr TileStore::insert(const Key& key, std::uint64_t origin_tag,
+                                     Payload&& payload) {
+  auto shared = std::make_shared<const util::Blob>(std::move(payload));
   if (options_.byte_budget == 0) return shared;  // pass-through, store off
   Shard& shard = shard_for(key);
   util::MutexLock lock(shard.mutex);
@@ -46,9 +46,10 @@ std::shared_ptr<const TileStore::Payload> TileStore::insert(
   return shared;
 }
 
-std::shared_ptr<const TileStore::Payload> TileStore::replace_after_collision(
-    const Key& key, std::uint64_t tag, Payload&& rebuilt) {
-  auto shared = std::make_shared<const Payload>(std::move(rebuilt));
+TileStore::BlobPtr TileStore::replace_after_collision(const Key& key,
+                                                      std::uint64_t tag,
+                                                      Payload&& rebuilt) {
+  auto shared = std::make_shared<const util::Blob>(std::move(rebuilt));
   Shard& shard = shard_for(key);
   util::MutexLock lock(shard.mutex);
   ++shard.collisions;
@@ -98,8 +99,9 @@ TileStore::ShardCounters TileStore::Shard::counters() const {
   ShardCounters c;
   c.bytes = bytes;
   c.entries = entries.size();
-  // Pinned = some caller besides the store still holds the payload.  The
-  // ordered ring is scanned, not the unordered map (determinism lint).
+  // Pinned = some holder besides the store (a caller, or a reply message
+  // in flight) still holds the payload.  The ordered ring is scanned, not
+  // the unordered map (determinism lint).
   for (const Key& key : ring) {
     if (entries.find(key)->second.payload.use_count() > 1) ++c.pinned;
   }

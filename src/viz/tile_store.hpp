@@ -17,9 +17,15 @@
 //    Hits return the byte-identical payload the builder would produce (the
 //    key is derived from content the builder is a pure function of), so
 //    cached and uncached runs trace identically.
+//  - Shared immutable payloads: an entry is a util::Blob, built once and
+//    handed out as shared_ptr<const util::Blob>.  The viz server puts that
+//    very pointer into the reply message body (sim::Message::body), so the
+//    bytes travel from the store to the client's decoder without a copy,
+//    and the Blob's memoized FNV-1a continuation serves every request's
+//    size-cache key and the client's payload hash in O(1) after the first.
 //  - Pinned hits: lookups return shared_ptr pins; eviction drops the store
-//    reference but an in-flight reply's pin keeps the bytes alive (the
-//    PR 8 session-reopen lesson, applied to payloads).
+//    reference but an in-flight reply's pin keeps the bytes alive until the
+//    client has read them (the session-reopen lesson, applied to payloads).
 //  - Byte budget + second-chance eviction: resident payload bytes are
 //    bounded by Options::byte_budget; a CLOCK hand sweeps insertion order,
 //    giving recently hit entries one more revolution before evicting.
@@ -47,6 +53,7 @@
 #include <vector>
 
 #include "util/annotations.hpp"
+#include "util/blob.hpp"
 #include "util/hash.hpp"
 #include "util/mutex.hpp"
 
@@ -55,7 +62,10 @@ namespace avf::viz {
 class TileStore {
  public:
   using Key = util::Hash128;
-  using Payload = std::vector<std::uint8_t>;  // == wavelet/codec Bytes
+  /// What a builder returns (== wavelet/codec Bytes); the store wraps it
+  /// in a Blob without copying.
+  using Payload = std::vector<std::uint8_t>;
+  using BlobPtr = std::shared_ptr<const util::Blob>;
 
   static constexpr std::size_t kDefaultByteBudget = 64ull << 20;
   static constexpr std::size_t kMaxShards = 16;
@@ -73,7 +83,7 @@ class TileStore {
 
   /// Outcome of one get_or_build: the pinned payload plus what happened.
   struct Lookup {
-    std::shared_ptr<const Payload> payload;
+    BlobPtr payload;
     bool hit = false;        ///< an existing entry was reused
     bool collision = false;  ///< verify_on_hit caught a hash collision
   };
@@ -87,10 +97,10 @@ class TileStore {
   template <typename BuildFn>
   Lookup get_or_build(const Key& key, std::uint64_t origin_tag,
                       BuildFn&& build) {
-    if (std::shared_ptr<const Payload> found = find(key, origin_tag)) {
+    if (BlobPtr found = find(key, origin_tag)) {
       if (!verify_on_hit()) return {std::move(found), true, false};
       Payload rebuilt = build();
-      if (*found == rebuilt) return {std::move(found), true, false};
+      if (found->bytes() == rebuilt) return {std::move(found), true, false};
       return {replace_after_collision(key, origin_tag, std::move(rebuilt)),
               true, true};
     }
@@ -98,18 +108,19 @@ class TileStore {
   }
 
   /// Lookup half of get_or_build (counts a hit or a miss).
-  std::shared_ptr<const Payload> find(const Key& key, std::uint64_t origin_tag);
+  BlobPtr find(const Key& key, std::uint64_t origin_tag);
   /// Insert half: stores `payload` (unless an entry raced in first, which
   /// wins) and evicts down to the byte budget.  Returns the stored pin.
-  std::shared_ptr<const Payload> insert(const Key& key,
-                                        std::uint64_t origin_tag,
-                                        Payload&& payload);
+  BlobPtr insert(const Key& key, std::uint64_t origin_tag, Payload&& payload);
 
   // -- memory + dedup counters (aggregated across shards; each shard's
   //    contribution is snapshotted under its own lock) -------------------
   std::size_t bytes_resident() const;   ///< payload bytes currently stored
   std::size_t unique_entries() const;   ///< distinct content entries
-  std::size_t pinned_entries() const;   ///< entries some caller still pins
+  /// Entries some holder besides the store still pins: a caller of
+  /// find/get_or_build, or a reply in flight whose message body is the
+  /// entry's Blob (until the client has decoded it).
+  std::size_t pinned_entries() const;
   std::uint64_t hits() const;
   std::uint64_t misses() const;
   std::uint64_t evictions() const;
@@ -129,7 +140,7 @@ class TileStore {
 
  private:
   struct Entry {
-    std::shared_ptr<const Payload> payload;
+    BlobPtr payload;
     std::uint64_t origin_tag = 0;
     std::size_t ring_slot = 0;
     bool referenced = true;  // CLOCK second-chance bit, set on hit
@@ -172,9 +183,10 @@ class TileStore {
     ShardCounters counters() const AVF_EXCLUDES(mutex);
   };
 
-  std::shared_ptr<const Payload> replace_after_collision(const Key& key,
-                                                         std::uint64_t tag,
-                                                         Payload&& rebuilt);
+  /// Installs a *fresh* Blob for the rebuilt bytes, so no memoized hash
+  /// of the replaced entry carries over.
+  BlobPtr replace_after_collision(const Key& key, std::uint64_t tag,
+                                  Payload&& rebuilt);
 
   Shard& shard_for(const Key& key) const {
     // High bits pick the shard; the map hash uses the (mixed) low word, so

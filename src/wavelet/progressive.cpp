@@ -242,7 +242,10 @@ ProgressiveDecoder::ApplyResult ProgressiveDecoder::apply(
     Band& band = band_by_id(pyramid_, static_cast<int>(b));
     int x0 = static_cast<int>(tx) * tile_;
     int y0 = static_cast<int>(ty) * tile_;
-    if (x0 + static_cast<int>(w) > band.width ||
+    // x0 < width as well: an empty (w = 0) tile just past the band edge
+    // would otherwise index past the received-tile map.
+    if (x0 >= band.width || y0 >= band.height ||
+        x0 + static_cast<int>(w) > band.width ||
         y0 + static_cast<int>(h) > band.height) {
       throw std::runtime_error("progressive: tile out of bounds");
     }

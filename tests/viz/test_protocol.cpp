@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "util/blob.hpp"
+#include "util/rng.hpp"
+
 namespace avf::viz {
 namespace {
 
@@ -42,16 +50,22 @@ TEST(Protocol, ReplyRoundTrip) {
   m.premeasured = false;
   m.raw_len = 100000;
   m.wire_len = 55000;
-  m.payload = {1, 2, 3, 4, 5};
+  m.body = std::make_shared<const util::Blob>(
+      std::vector<std::uint8_t>{1, 2, 3, 4, 5});
   sim::Message wire = encode(m);
   EXPECT_EQ(wire.wire_size_override, 0u);  // real payload: no override
+  // Inline header + body + frame header, as when the bytes were inline.
+  EXPECT_EQ(wire.payload.size(), kReplyHeaderBytes);
+  EXPECT_EQ(wire.wire_size(), 15u + 5u + sim::kMessageHeaderBytes);
   Reply back = decode_reply(std::move(wire));
   EXPECT_EQ(back.session_id, 9u);
   EXPECT_TRUE(back.complete);
   EXPECT_EQ(back.codec, 1);
   EXPECT_EQ(back.raw_len, 100000u);
   EXPECT_EQ(back.wire_len, 55000u);
-  EXPECT_EQ(back.payload, (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+  ASSERT_NE(back.body, nullptr);
+  EXPECT_EQ(back.body->bytes(), (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(back.body.get(), m.body.get());  // shared, never copied
 }
 
 TEST(Protocol, PremeasuredReplyOverridesWireSize) {
@@ -59,7 +73,8 @@ TEST(Protocol, PremeasuredReplyOverridesWireSize) {
   m.premeasured = true;
   m.raw_len = 1000;
   m.wire_len = 400;
-  m.payload.assign(1000, 7);  // raw bytes shipped
+  // Raw bytes shipped.
+  m.body = std::make_shared<const util::Blob>(std::vector<std::uint8_t>(1000, 7));
   sim::Message wire = encode(m);
   // Charged as compressed size + protocol header (session_id + flags +
   // lengths = 15 bytes) + frame header.
@@ -68,7 +83,53 @@ TEST(Protocol, PremeasuredReplyOverridesWireSize) {
   EXPECT_EQ(wire.wire_size(), wire.wire_size_override);
   Reply back = decode_reply(std::move(wire));
   EXPECT_TRUE(back.premeasured);
-  EXPECT_EQ(back.payload.size(), 1000u);
+  ASSERT_NE(back.body, nullptr);
+  EXPECT_EQ(back.body->bytes(), std::vector<std::uint8_t>(1000, 7));
+}
+
+Reply sample_reply() {
+  Reply m;
+  m.session_id = 4;
+  m.codec = 2;
+  m.raw_len = 3;
+  m.wire_len = 3;
+  m.body = std::make_shared<const util::Blob>(
+      std::vector<std::uint8_t>{9, 8, 7});
+  return m;
+}
+
+TEST(Protocol, ReplyTruncatedHeaderThrows) {
+  sim::Message wire = encode(sample_reply());
+  wire.payload.pop_back();
+  EXPECT_THROW(decode_reply(std::move(wire)), std::runtime_error);
+}
+
+TEST(Protocol, ReplyTrailingInlineBytesThrow) {
+  // The tile bytes travel in the body; inline bytes past the 15-byte
+  // header are malformed, not payload.
+  sim::Message wire = encode(sample_reply());
+  wire.payload.push_back(0);
+  EXPECT_THROW(decode_reply(std::move(wire)), std::runtime_error);
+}
+
+TEST(Protocol, ReplyWithoutBodyThrows) {
+  sim::Message wire = encode(sample_reply());
+  wire.body.reset();
+  EXPECT_THROW(decode_reply(std::move(wire)), std::runtime_error);
+}
+
+TEST(Protocol, EmptyBodyIsAValidReply) {
+  Reply m = sample_reply();
+  m.body = std::make_shared<const util::Blob>(std::vector<std::uint8_t>{});
+  Reply back = decode_reply(encode(m));
+  ASSERT_NE(back.body, nullptr);
+  EXPECT_TRUE(back.body->empty());
+}
+
+TEST(Protocol, BodyOnNonReplyKindThrows) {
+  sim::Message m = encode(SetCodec{.session_id = 1, .codec = 1});
+  m.body = std::make_shared<const util::Blob>(std::vector<std::uint8_t>{0});
+  EXPECT_THROW(decode_set_codec(m), std::runtime_error);
 }
 
 TEST(Protocol, SetCodecRoundTrip) {
@@ -116,6 +177,88 @@ TEST(Protocol, ShutdownHasNoPayload) {
   sim::Message m = encode_shutdown();
   EXPECT_EQ(m.kind, kShutdown);
   EXPECT_TRUE(m.payload.empty());
+}
+
+// Seeded mutation test over every decoder: each well-formed message is
+// truncated, extended, bit-flipped, and given or stripped of a body, and
+// every mutant goes through every decode_*.  Each call must return or throw
+// std::runtime_error; under the sanitizer build any out-of-bounds read
+// fails the test.  The seed is fixed, so a failure replays exactly.
+TEST(Protocol, MutatedMessagesDecodeOrThrow) {
+  const std::vector<sim::Message> seeds = {
+      encode(OpenImage{.session_id = 7, .image_id = 3, .level = 4, .codec = 1}),
+      encode(OpenAck{.session_id = 7, .width = 1024, .height = 512, .levels = 4}),
+      encode(Request{.session_id = 7, .cx = 9, .cy = 10, .half = 64, .level = 2}),
+      encode(sample_reply()),
+      encode(SetCodec{.session_id = 7, .codec = 2}),
+      encode(ErrorReply{.session_id = 7, .code = ErrorCode::kNoSession}),
+      encode_shutdown(),
+  };
+  auto decode_all = [](const sim::Message& m) {
+    int decoded = 0;
+    auto attempt = [&](auto&& decode) {
+      try {
+        decode();
+        ++decoded;
+      } catch (const std::runtime_error&) {
+      }
+    };
+    attempt([&] { (void)decode_open_image(m); });
+    attempt([&] { (void)decode_open_ack(m); });
+    attempt([&] { (void)decode_request(m); });
+    attempt([&] { (void)decode_reply(m); });
+    attempt([&] { (void)decode_set_codec(m); });
+    attempt([&] { (void)decode_error(m); });
+    return decoded;
+  };
+
+  util::SplitMix64 rng(0x70726f74ULL);  // "prot"
+  int mutants = 0;
+  int decoded = 0;
+  for (int round = 0; round < 500; ++round) {
+    for (const sim::Message& original : seeds) {
+      sim::Message m = original;
+      switch (rng.next_below(5)) {
+        case 0:  // truncate
+          m.payload.resize(rng.next_below(m.payload.size() + 1));
+          break;
+        case 1: {  // extend with random bytes
+          std::uint64_t extra = 1 + rng.next_below(8);
+          for (std::uint64_t i = 0; i < extra; ++i) {
+            m.payload.push_back(static_cast<std::uint8_t>(rng.next()));
+          }
+          break;
+        }
+        case 2:  // flip one bit
+          if (!m.payload.empty()) {
+            m.payload[rng.next_below(m.payload.size())] ^=
+                static_cast<std::uint8_t>(1u << rng.next_below(8));
+          }
+          break;
+        case 3:  // toggle the body
+          if (m.body) {
+            m.body.reset();
+          } else {
+            m.body = std::make_shared<const util::Blob>(
+                std::vector<std::uint8_t>(rng.next_below(4), 0x5a));
+          }
+          break;
+        default:  // another kind's tag on these bytes
+          m.kind = static_cast<int>(rng.next_below(9));
+          break;
+      }
+      ++mutants;
+      decoded += decode_all(m);
+    }
+  }
+  EXPECT_EQ(mutants, 500 * static_cast<int>(seeds.size()));
+  // Some mutants (e.g. a flipped flag byte) stay well-formed: the decoders
+  // accept exactly the right shape, not nothing.
+  EXPECT_GT(decoded, 0);
+  // The unmutated messages each decode under their own kind only.
+  for (const sim::Message& original : seeds) {
+    EXPECT_EQ(decode_all(original), original.kind == kShutdown ? 0 : 1);
+  }
 }
 
 }  // namespace

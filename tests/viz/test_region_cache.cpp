@@ -46,7 +46,7 @@ TEST(RegionEncodeCache, HitIsByteIdenticalAcrossSessions) {
 
   auto miss = cache.encode(content, first, tiles);
   ASSERT_NE(miss, nullptr);
-  EXPECT_EQ(*miss, direct);
+  EXPECT_EQ(miss->bytes(), direct);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
 
@@ -54,7 +54,7 @@ TEST(RegionEncodeCache, HitIsByteIdenticalAcrossSessions) {
   std::vector<TileRef> again = second.take_region_tiles(region, 2);
   ASSERT_EQ(again, tiles);
   auto hit = cache.encode(content, second, again);
-  EXPECT_EQ(*hit, direct);
+  EXPECT_EQ(hit->bytes(), direct);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.size(), 1u);
@@ -113,7 +113,7 @@ TEST(RegionEncodeCache, ByteBudgetEvictionRespectsBound) {
   // payload still matches the pure serialization.
   std::uint64_t misses_before = cache.misses();
   auto re = cache.encode(content, enc, lists[0]);
-  EXPECT_EQ(*re, enc.serialize_tiles(lists[0]));
+  EXPECT_EQ(re->bytes(), enc.serialize_tiles(lists[0]));
   EXPECT_EQ(cache.misses(), misses_before + 1);
 }
 
@@ -130,10 +130,10 @@ TEST(RegionEncodeCache, EntryPinsPayloadPastEviction) {
   RegionEncodeCache cache(store);
 
   auto held = cache.encode(content, enc, first);
-  Bytes snapshot = *held;
+  Bytes snapshot = held->bytes();
   (void)cache.encode(content, enc, second);  // evicts `first`'s entry
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(*held, snapshot);  // shared ownership keeps the payload alive
+  EXPECT_EQ(held->bytes(), snapshot);  // shared ownership keeps the payload alive
 }
 
 // The hot-path keying change (incremental 128-bit hash instead of a
@@ -207,7 +207,7 @@ TEST(RegionEncodeCache, CrossImageDedupByteEquality) {
   EXPECT_EQ(store.unique_entries(), 1u);
   EXPECT_EQ(store.cross_origin_hits(), 1u);
   EXPECT_EQ(*first, *second);
-  EXPECT_EQ(*second, enc_b.serialize_tiles(tiles_b));
+  EXPECT_EQ(second->bytes(), enc_b.serialize_tiles(tiles_b));
 
   // Different content must NOT dedup.
   auto pyr_c = test_pyramid(100);
@@ -230,7 +230,7 @@ TEST(CompressedChunkCache, HitMatchesRealCodecOutput) {
 
   auto miss = cache.compress(codec::CodecId::kLzw, raw);
   ASSERT_NE(miss, nullptr);
-  EXPECT_EQ(*miss, codec::codec_for(codec::CodecId::kLzw).compress(raw));
+  EXPECT_EQ(miss->bytes(), codec::codec_for(codec::CodecId::kLzw).compress(raw));
   EXPECT_EQ(cache.misses(), 1u);
 
   auto hit = cache.compress(codec::CodecId::kLzw, raw);
@@ -240,7 +240,7 @@ TEST(CompressedChunkCache, HitMatchesRealCodecOutput) {
 
   // Same bytes, different codec: a distinct entry with distinct output.
   auto bwt = cache.compress(codec::CodecId::kBwt, raw);
-  EXPECT_EQ(*bwt, codec::codec_for(codec::CodecId::kBwt).compress(raw));
+  EXPECT_EQ(bwt->bytes(), codec::codec_for(codec::CodecId::kBwt).compress(raw));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.misses(), 2u);
 }
@@ -268,7 +268,8 @@ TEST(CompressedChunkCache, ByteBudgetEvictionRespectsBound) {
   EXPECT_LE(store.bytes_resident(), opts.byte_budget);
   // Evicted chunk recompresses to the same bytes (pure codec).
   auto re = cache.compress(codec::CodecId::kLzw, chunks[0]);
-  EXPECT_EQ(*re, codec::codec_for(codec::CodecId::kLzw).compress(chunks[0]));
+  EXPECT_EQ(re->bytes(),
+            codec::codec_for(codec::CodecId::kLzw).compress(chunks[0]));
   EXPECT_EQ(cache.misses(), 4u);
 }
 

@@ -1,6 +1,7 @@
 // The content-addressed TileStore: hit/miss/dedup counters, byte-budgeted
 // second-chance (CLOCK) eviction, eviction-under-pin safety, the
-// verify_on_hit collision guard, and the sharding threshold.
+// verify_on_hit collision guard, the sharding threshold, and the pins a
+// premeasured reply holds on the store's entry while it is in flight.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,7 +9,10 @@
 #include <vector>
 
 #include "util/hash.hpp"
+#include "viz/caches.hpp"
+#include "viz/protocol.hpp"
 #include "viz/tile_store.hpp"
+#include "viz/world.hpp"
 
 namespace avf::viz {
 namespace {
@@ -93,7 +97,7 @@ TEST(TileStore, EvictionUnderPinKeepsPayloadAlive) {
 
   auto pinned = store.get_or_build(key_of(1), 0,
                                    [] { return payload_of(64, 0xAA); });
-  TileStore::Payload snapshot = *pinned.payload;
+  TileStore::Payload snapshot = pinned.payload->bytes();
   EXPECT_EQ(store.pinned_entries(), 1u);
 
   // The second insert evicts the first entry even though it is pinned.
@@ -104,7 +108,7 @@ TEST(TileStore, EvictionUnderPinKeepsPayloadAlive) {
   EXPECT_EQ(store.bytes_evicted(), 64u);
 
   // The in-flight pin still sees the exact original bytes.
-  EXPECT_EQ(*pinned.payload, snapshot);
+  EXPECT_EQ(pinned.payload->bytes(), snapshot);
   // The store itself no longer has the entry: a re-request rebuilds.
   int rebuilds = 0;
   auto re = store.get_or_build(key_of(1), 0, [&] {
@@ -113,7 +117,7 @@ TEST(TileStore, EvictionUnderPinKeepsPayloadAlive) {
   });
   EXPECT_FALSE(re.hit);
   EXPECT_EQ(rebuilds, 1);
-  EXPECT_EQ(*re.payload, snapshot);
+  EXPECT_EQ(re.payload->bytes(), snapshot);
 
   // Dropping the last external pin empties the pinned count for that
   // entry's payload (the freshly returned pins still count).
@@ -151,7 +155,7 @@ TEST(TileStore, VerifyOnHitCatchesInjectedCollision) {
                               [] { return payload_of(48, 0x22); });
   EXPECT_TRUE(b.hit);
   EXPECT_TRUE(b.collision);
-  EXPECT_EQ(*b.payload, payload_of(48, 0x22));
+  EXPECT_EQ(b.payload->bytes(), payload_of(48, 0x22));
   EXPECT_EQ(store.collisions(), 1u);
   EXPECT_EQ(store.unique_entries(), 1u);
   EXPECT_EQ(store.bytes_resident(), 48u);
@@ -162,6 +166,30 @@ TEST(TileStore, VerifyOnHitCatchesInjectedCollision) {
   EXPECT_TRUE(c.hit);
   EXPECT_FALSE(c.collision);
   EXPECT_EQ(store.collisions(), 1u);
+}
+
+TEST(TileStore, CollisionReplacementIsAFreshBlob) {
+  // The replaced entry's memoized hash must not carry over: the rebuilt
+  // payload gets its own Blob, whose hash is that of the rebuilt bytes.
+  TileStore::Options opts;
+  opts.verify_on_hit = true;
+  TileStore store(opts);
+  auto a = store.get_or_build(key_of(1), 0, [] { return payload_of(48, 0x11); });
+  const std::uint64_t a_hash = a.payload->fnv1a64(util::kFnv1aOffset);
+
+  auto b = store.get_or_build(key_of(1), 0, [] { return payload_of(48, 0x22); });
+  ASSERT_TRUE(b.collision);
+  EXPECT_NE(a.payload.get(), b.payload.get());
+  const TileStore::Payload rebuilt = payload_of(48, 0x22);
+  EXPECT_EQ(b.payload->fnv1a64(util::kFnv1aOffset),
+            util::fnv1a64(rebuilt.data(), rebuilt.size()));
+  EXPECT_NE(b.payload->fnv1a64(util::kFnv1aOffset), a_hash);
+  // The old pin keeps its own bytes and hash.
+  EXPECT_EQ(a.payload->bytes(), payload_of(48, 0x11));
+  EXPECT_EQ(a.payload->fnv1a64(util::kFnv1aOffset), a_hash);
+  // Later hits return the replacement.
+  auto c = store.get_or_build(key_of(1), 0, [] { return payload_of(48, 0x22); });
+  EXPECT_EQ(c.payload.get(), b.payload.get());
 }
 
 TEST(TileStore, VerifyOnHitCleanHitsMatchStoredBytes) {
@@ -216,6 +244,109 @@ TEST(TileStore, ClearResetsEverything) {
   EXPECT_EQ(store.bytes_resident(), 0u);
   EXPECT_EQ(store.hits(), 0u);
   EXPECT_EQ(store.misses(), 0u);
+}
+
+// -- replies in flight pin the store's entry ------------------------------
+
+/// A one-client world whose region payloads live in `regions`' store; the
+/// chunk cache uses a separate store so the region entry is the only one.
+struct PinWorld {
+  explicit PinWorld(TileStore::Options region_opts)
+      : region_store(region_opts), regions(region_store) {
+    WorldSetup setup;
+    setup.image_size = 256;
+    setup.levels = 3;
+    setup.image_count = 1;
+    setup.server_options.size_cache = &sizes;
+    setup.server_options.region_cache = &regions;
+    setup.server_options.chunk_cache = &chunks;
+    world = std::make_unique<VizWorld>(setup);
+    world->spawn_server_loops();
+    entry = cached_pyramid_entry(setup.image_size, setup.image_seed,
+                                 setup.levels);
+  }
+
+  /// The request every test sends, and the payload it must produce.
+  static constexpr Request kRequest{
+      .session_id = 1, .cx = 128, .cy = 128, .half = 32, .level = 3};
+  std::vector<wavelet::TileRef> tiles(wavelet::ProgressiveEncoder& enc) const {
+    return enc.take_region_tiles({kRequest.cx, kRequest.cy, kRequest.half},
+                                 kRequest.level);
+  }
+
+  CompressedSizeCache sizes;
+  TileStore region_store;
+  RegionEncodeCache regions;
+  CompressedChunkCache chunks;
+  std::unique_ptr<VizWorld> world;
+  PyramidEntry entry;
+};
+
+/// Open image 0 and send PinWorld::kRequest from client endpoint 0; the
+/// caller's coroutine continues after the request is on the wire.
+sim::Task<> open_and_request(sim::Endpoint& ep) {
+  co_await ep.send(encode(OpenImage{
+      .session_id = 1, .image_id = 0, .level = 3, .codec = 1}));
+  sim::Message ack = co_await ep.recv();
+  EXPECT_EQ(ack.kind, kOpenAck);
+  co_await ep.send(encode(PinWorld::kRequest));
+}
+
+TEST(TileStore, PremeasuredReplyBodyIsTheStoredBlob) {
+  PinWorld w(TileStore::Options{});
+  std::shared_ptr<const util::Blob> body;
+  auto client = [&]() -> sim::Task<> {
+    sim::Endpoint& ep = w.world->client_endpoint(0);
+    co_await open_and_request(ep);
+    Reply reply = decode_reply(co_await ep.recv());
+    EXPECT_TRUE(reply.premeasured);
+    body = reply.body;
+    co_await ep.send(encode_shutdown());
+  };
+  w.world->simulator().spawn(client());
+  w.world->simulator().run();
+
+  ASSERT_NE(body, nullptr);
+  EXPECT_EQ(w.regions.misses(), 1u);
+  // Look the same content up again: a hit on the one entry, and the reply
+  // carried that very Blob, not a copy.
+  wavelet::ProgressiveEncoder enc(*w.entry.pyramid, 16);
+  std::vector<wavelet::TileRef> tiles = w.tiles(enc);
+  std::shared_ptr<const util::Blob> stored =
+      w.regions.encode(w.entry.content_hash, enc, tiles);
+  EXPECT_EQ(w.regions.hits(), 1u);
+  EXPECT_EQ(stored.get(), body.get());
+  EXPECT_EQ(body->bytes(), enc.serialize_tiles(tiles));
+}
+
+TEST(TileStore, EvictionWhileReplyInFlightKeepsBodyAlive) {
+  // A one-byte budget: any second entry evicts the region payload.
+  TileStore::Options opts;
+  opts.byte_budget = 1;
+  PinWorld w(opts);
+  bool checked = false;
+  auto client = [&]() -> sim::Task<> {
+    sim::Endpoint& ep = w.world->client_endpoint(0);
+    co_await open_and_request(ep);
+    // Let the reply arrive and sit unread in the mailbox.
+    while (ep.available() == 0) co_await w.world->simulator().delay(1e-3);
+    // In flight: the store's entry is pinned by the queued message alone.
+    EXPECT_EQ(w.region_store.unique_entries(), 1u);
+    EXPECT_EQ(w.region_store.pinned_entries(), 1u);
+    // Evict it under the pin.
+    (void)w.region_store.insert(key_of(77), 0, payload_of(1, 0));
+    EXPECT_EQ(w.region_store.evictions(), 1u);
+    EXPECT_EQ(w.region_store.pinned_entries(), 0u);
+
+    Reply reply = decode_reply(co_await ep.recv());
+    wavelet::ProgressiveEncoder enc(*w.entry.pyramid, 16);
+    EXPECT_EQ(reply.body->bytes(), enc.serialize_tiles(w.tiles(enc)));
+    checked = true;
+    co_await ep.send(encode_shutdown());
+  };
+  w.world->simulator().spawn(client());
+  w.world->simulator().run();
+  EXPECT_TRUE(checked);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace avf::wavelet {
 namespace {
 
@@ -121,6 +128,59 @@ TEST(Progressive, MalformedPayloadThrows) {
   bad_band[2] = 0xFF;  // first tile's band id
   ProgressiveDecoder fresh(128, 128, 3, 8);
   EXPECT_THROW(fresh.apply(bad_band), std::runtime_error);
+}
+
+TEST(Progressive, EmptyTilePastBandEdgeThrows) {
+  // Band 0 of a 128² 3-level pyramid is 16x16: two 8-pixel tiles across.
+  // An empty tile at tx = 2 starts exactly at the band edge; it has no
+  // slot in the received-tile map and must be rejected, not recorded.
+  for (auto [tx, ty] : {std::pair{2, 1}, std::pair{1, 2}}) {
+    Bytes payload = {1, 0,  // one tile
+                     0,     // band 0
+                     static_cast<std::uint8_t>(tx), 0,
+                     static_cast<std::uint8_t>(ty), 0,
+                     0, 0};  // w = h = 0
+    ProgressiveDecoder dec(128, 128, 3, 8);
+    EXPECT_THROW(dec.apply(payload), std::runtime_error);
+  }
+}
+
+TEST(Progressive, MutatedPayloadsApplyOrThrow) {
+  // Seeded mutations of real payloads: each must apply or throw
+  // std::runtime_error, never index out of bounds (sanitizer builds).
+  Rig rig;
+  std::vector<Bytes> seeds;
+  for (int level = 1; level <= 3; ++level) {
+    seeds.push_back(rig.enc.encode_region(Region{40 * level, 50, 24}, level));
+  }
+  util::SplitMix64 rng(0x6d757461ULL);  // "muta"
+  int applied = 0;
+  for (int round = 0; round < 300; ++round) {
+    for (const Bytes& seed : seeds) {
+      Bytes m = seed;
+      switch (rng.next_below(3)) {
+        case 0:
+          m.resize(rng.next_below(m.size() + 1));
+          break;
+        case 1:
+          m.push_back(static_cast<std::uint8_t>(rng.next()));
+          break;
+        default:
+          for (int flips = 0; flips < 3; ++flips) {
+            m[rng.next_below(m.size())] ^=
+                static_cast<std::uint8_t>(1u << rng.next_below(8));
+          }
+          break;
+      }
+      ProgressiveDecoder dec(128, 128, 3, 8);
+      try {
+        dec.apply(m);
+        ++applied;
+      } catch (const std::runtime_error&) {
+      }
+    }
+  }
+  EXPECT_GT(applied, 0);  // e.g. flipped coefficient bytes stay valid
 }
 
 TEST(Progressive, RejectsBadTileSize) {
