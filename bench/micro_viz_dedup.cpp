@@ -51,7 +51,6 @@ using viz::CompressedSizeCache;
 using viz::MultiSessionResult;
 using viz::RegionEncodeCache;
 using viz::TileStore;
-using viz::VizClient;
 using viz::VizWorld;
 using viz::WorldSetup;
 
@@ -80,38 +79,22 @@ struct RunStats {
   std::uint64_t events = 0;
 };
 
-RunStats run_world(const WorldSetup& setup, const tunable::ConfigPoint& cfg) {
+/// One fixed-configuration run of every client in a caller-owned world, so
+/// the simulator's event count can be read afterwards.
+RunStats run_case(const WorldSetup& setup, const tunable::ConfigPoint& cfg) {
   auto start = std::chrono::steady_clock::now();
 
   VizWorld world(setup);
-  sim::Simulator& sim = world.simulator();
   for (int i = 0; i < setup.client_count; ++i) {
     world.make_client_at(static_cast<std::size_t>(i), cfg);
   }
-  world.spawn_server_loops();
-  auto driver = [](VizClient* client, int images) -> sim::Task<> {
-    co_await client->fetch_images(0, images);
-    co_await client->shutdown_server();
-  };
-  for (int i = 0; i < setup.client_count; ++i) {
-    sim.spawn(driver(&world.client(static_cast<std::size_t>(i)),
-                     setup.image_count));
-  }
-  sim.run();
+  RunStats stats;
+  stats.result = viz::run_world(world);
 
   auto stop = std::chrono::steady_clock::now();
-  RunStats stats;
   stats.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
-  stats.events = sim.events_processed();
-  stats.result.total_time = sim.now();
-  for (int i = 0; i < setup.client_count; ++i) {
-    viz::SessionResult session;
-    session.images = world.client(static_cast<std::size_t>(i)).history();
-    session.initial_config = cfg;
-    session.total_time = sim.now();
-    stats.result.clients.push_back(std::move(session));
-  }
+  stats.events = world.simulator().events_processed();
   return stats;
 }
 
@@ -176,7 +159,7 @@ int main() {
   content_setup.server_options.region_cache = &content_regions;
   content_setup.server_options.chunk_cache = &content_chunks;
 
-  RunStats content = run_world(content_setup, cfg);
+  RunStats content = run_case(content_setup, cfg);
   std::uint64_t content_fp = viz::result_fingerprint(content.result);
   std::size_t content_resident = content_store.bytes_resident();
   std::uint64_t cross_hits = content_store.cross_origin_hits();
@@ -200,7 +183,7 @@ int main() {
     setup.server_options.size_cache = &sizes;
     setup.server_options.region_cache = &regions;
     setup.server_options.chunk_cache = &chunks;
-    RunStats replay = run_world(setup, cfg);
+    RunStats replay = run_case(setup, cfg);
     bool deterministic = viz::result_fingerprint(replay.result) == content_fp;
     report("replay", replay, store);
     bench::JsonBenchCase c = make_case("replay", kSessions, replay, store);
@@ -224,7 +207,7 @@ int main() {
     setup.server_options.region_cache = &regions;
     setup.server_options.chunk_cache = &chunks;
     setup.server_options.identity_keyed_regions = true;
-    RunStats identity = run_world(setup, cfg);
+    RunStats identity = run_case(setup, cfg);
     identity_resident = store.bytes_resident();
     report("identity", identity, store);
     bool same_trace = viz::result_fingerprint(identity.result) == content_fp;
@@ -251,7 +234,7 @@ int main() {
     setup.server_options.size_cache = &sizes;
     setup.server_options.region_cache = &regions;
     setup.server_options.chunk_cache = &chunks;
-    RunStats verified = run_world(setup, cfg);
+    RunStats verified = run_case(setup, cfg);
     report("verified", verified, store);
     bool same_trace = viz::result_fingerprint(verified.result) == content_fp;
     bench::JsonBenchCase c = make_case("verified", kSessions, verified, store);
@@ -276,7 +259,7 @@ int main() {
     naive.server_options.size_cache = nullptr;
     naive.server_options.region_cache = nullptr;
     naive.server_options.chunk_cache = nullptr;
-    RunStats nocache = run_world(naive, cfg);
+    RunStats nocache = run_case(naive, cfg);
     std::printf("%-18s %12.2f %12" PRIu64 "\n", "nocache", nocache.wall_ms,
                 nocache.events);
     bench::JsonBenchCase c;
@@ -307,7 +290,7 @@ int main() {
     setup.server_options.size_cache = &sizes;
     setup.server_options.region_cache = &regions;
     setup.server_options.chunk_cache = &chunks;
-    RunStats reference = run_world(setup, cfg);
+    RunStats reference = run_case(setup, cfg);
     reference_resident = store.bytes_resident();
     report("reference-1x1", reference, store);
     cases.push_back(make_case("reference-1x1", 1, reference, store));

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -104,38 +103,24 @@ struct RunStats {
   FluidCounters cpu;          // client host + server host CPUs
 };
 
-/// Session arrival shape: `waves` groups started `wave_gap` seconds apart
-/// (waves=1 keeps the historical everyone-at-t0 shape), optionally under a
-/// testkit fault schedule against the shared link.
+/// Session arrival shape of the churn lane: `waves` groups started
+/// `wave_gap` seconds apart under a testkit fault schedule against the
+/// shared link.
 struct ChurnPlan {
   int waves = 1;
   double wave_gap = 0.0;
-  const testkit::FaultSchedule* faults = nullptr;
+  testkit::FaultSchedule faults;
   std::uint64_t fault_seed = 1;
 };
 
-/// One full multi-client session with direct world access (the library
-/// runner hides the world, and we need simulator/link/cache counters).
-RunStats run_world(const WorldSetup& setup, const tunable::ConfigPoint& cfg,
-                   const ChurnPlan& plan = {}) {
-  auto start = std::chrono::steady_clock::now();
-
-  VizWorld world(setup);
+/// The churn lane's own runner: staggered arrivals need a delayed start per
+/// driver, which the library runner deliberately does not offer.
+MultiSessionResult run_churn(VizWorld& world, const ChurnPlan& plan) {
   sim::Simulator& sim = world.simulator();
-  for (int i = 0; i < setup.client_count; ++i) {
-    world.make_client_at(static_cast<std::size_t>(i), cfg);
-  }
   world.spawn_server_loops();
-
-  std::unique_ptr<testkit::FaultInjector> injector;
-  if (plan.faults != nullptr) {
-    testkit::FaultInjector::Targets targets;
-    targets.sim = &sim;
-    targets.link = &world.link();
-    injector = std::make_unique<testkit::FaultInjector>(targets,
-                                                        plan.fault_seed);
-    injector->arm(*plan.faults);
-  }
+  testkit::FaultInjector injector({.sim = &sim, .link = &world.link()},
+                                  plan.fault_seed);
+  injector.arm(plan.faults);
 
   auto driver = [](sim::Simulator* s, VizClient* client, int images,
                    double start_at) -> sim::Task<> {
@@ -143,34 +128,54 @@ RunStats run_world(const WorldSetup& setup, const tunable::ConfigPoint& cfg,
     co_await client->fetch_images(0, images);
     co_await client->shutdown_server();
   };
-  int waves = plan.waves > 0 ? plan.waves : 1;
-  int per_wave = (setup.client_count + waves - 1) / waves;
-  for (int i = 0; i < setup.client_count; ++i) {
-    double start_at = plan.wave_gap * (i / per_wave);
+  const int n = world.client_count();
+  const int per_wave = (n + plan.waves - 1) / plan.waves;
+  for (int i = 0; i < n; ++i) {
     sim.spawn(driver(&sim, &world.client(static_cast<std::size_t>(i)),
-                     setup.image_count, start_at));
+                     world.setup().image_count,
+                     plan.wave_gap * (i / per_wave)));
   }
   sim.run();
 
-  auto stop = std::chrono::steady_clock::now();
+  MultiSessionResult result;
+  result.total_time = sim.now();
+  for (int i = 0; i < n; ++i) {
+    const VizClient& client = world.client(static_cast<std::size_t>(i));
+    viz::SessionResult session;
+    session.images = client.history();
+    session.initial_config = client.config();
+    session.total_time = sim.now();
+    result.clients.push_back(std::move(session));
+  }
+  return result;
+}
 
+/// One full multi-client run in a caller-owned world, so the case can read
+/// simulator, link and CPU counters afterwards.  `churn` selects the churn
+/// lane's runner; every other lane uses viz::run_world.
+RunStats run_case(const WorldSetup& setup, const tunable::ConfigPoint& cfg,
+                  const ChurnPlan* churn = nullptr) {
+  auto start = std::chrono::steady_clock::now();
+
+  VizWorld world(setup);
+  for (int i = 0; i < setup.client_count; ++i) {
+    world.make_client_at(static_cast<std::size_t>(i), cfg);
+  }
   RunStats stats;
+  stats.result =
+      churn != nullptr ? run_churn(world, *churn) : viz::run_world(world);
+
+  auto stop = std::chrono::steady_clock::now();
   stats.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
-  stats.events = sim.events_processed();
-  stats.result.total_time = sim.now();
+  stats.events = world.simulator().events_processed();
   double response_sum = 0.0;
   std::size_t response_n = 0;
-  for (int i = 0; i < setup.client_count; ++i) {
-    viz::SessionResult session;
-    session.images = world.client(static_cast<std::size_t>(i)).history();
-    session.initial_config = cfg;
-    session.total_time = sim.now();
+  for (const viz::SessionResult& session : stats.result.clients) {
     for (const auto& image : session.images) {
       response_sum += image.avg_response;
       ++response_n;
     }
-    stats.result.clients.push_back(std::move(session));
   }
   stats.avg_response = response_n ? response_sum / response_n : 0.0;
   stats.fluid.absorb(world.link().forward());
@@ -276,11 +281,11 @@ int main() {
     setup.server_options.region_cache = &region_cache;
     setup.server_options.chunk_cache = &chunk_cache;
 
-    RunStats run = run_world(setup, cfg);
+    RunStats run = run_case(setup, cfg);
     std::uint64_t fp = viz::result_fingerprint(run.result);
 
     // Determinism: the identical world replayed must fingerprint equal.
-    RunStats replay = run_world(setup, cfg);
+    RunStats replay = run_case(setup, cfg);
     bool deterministic = viz::result_fingerprint(replay.result) == fp;
     ok = ok && deterministic;
 
@@ -331,7 +336,7 @@ int main() {
     naive.server_options.size_cache = nullptr;
     naive.server_options.region_cache = nullptr;
     naive.server_options.chunk_cache = nullptr;
-    RunStats run = run_world(naive, cfg);
+    RunStats run = run_case(naive, cfg);
     std::printf("%-22s %12.2f %12" PRIu64 "\n", "naive/clients=64",
                 run.wall_ms, run.events);
 
@@ -380,9 +385,9 @@ int main() {
     setup.server_options.region_cache = &region_cache;
     setup.server_options.chunk_cache = &chunk_cache;
 
-    RunStats run = run_world(setup, cfg);
+    RunStats run = run_case(setup, cfg);
     std::uint64_t fp = viz::result_fingerprint(run.result);
-    RunStats replay = run_world(setup, cfg);
+    RunStats replay = run_case(setup, cfg);
     bool deterministic = viz::result_fingerprint(replay.result) == fp;
     ok = ok && deterministic;
     churn_clients = std::max(churn_clients, n);
@@ -449,19 +454,17 @@ int main() {
     setup.server_options.region_cache = &region_cache;
     setup.server_options.chunk_cache = &chunk_cache;
 
-    testkit::FaultSchedule faults;
-    faults.faults.push_back(
-        {testkit::FaultKind::kLinkFlap, /*at=*/2.0, /*until=*/20.0,
-         /*value=*/setup.link_bandwidth_bps / 8.0, /*period=*/0.5});
     ChurnPlan plan;
     plan.waves = 8;
     plan.wave_gap = 5.0;
-    plan.faults = &faults;
+    plan.faults.faults.push_back(
+        {testkit::FaultKind::kLinkFlap, /*at=*/2.0, /*until=*/20.0,
+         /*value=*/setup.link_bandwidth_bps / 8.0, /*period=*/0.5});
     plan.fault_seed = 1;
 
-    RunStats run = run_world(setup, cfg, plan);
+    RunStats run = run_case(setup, cfg, &plan);
     std::uint64_t fp = viz::result_fingerprint(run.result);
-    RunStats replay = run_world(setup, cfg, plan);
+    RunStats replay = run_case(setup, cfg, &plan);
     bool deterministic = viz::result_fingerprint(replay.result) == fp;
     ok = ok && deterministic;
     std::printf("%-22s %12.2f %12" PRIu64 " %s\n",

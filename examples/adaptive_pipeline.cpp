@@ -17,7 +17,7 @@
 // Build & run:  ./build/examples/adaptive_pipeline
 #include <iostream>
 
-#include "adapt/controller.hpp"
+#include "adapt/stack.hpp"
 #include "examples/specs.hpp"
 #include "perfdb/driver.hpp"
 #include "sandbox/sandbox.hpp"
@@ -143,20 +143,17 @@ int main() {
   std::cout << "\n== live run: uplink collapses 1 MB/s -> 16 KB/s at t=2s "
                "==\n";
   PipelineWorld world(1e6, 1.0);
-  adapt::MonitoringAgent monitor(world.sim, spec.resource_axes());
-  tunable::ConfigPoint initial = scheduler.select({1e6})->config;
-  adapt::SteeringAgent steering(spec, initial);
-  adapt::AdaptationController controller(world.sim, scheduler, monitor,
-                                         steering);
-  controller.configure({1e6});
-  controller.start();
+  adapt::AdaptationStack stack(world.sim, spec, db,
+                               examples::pipeline_preferences(), {1e6}, {});
   world.sim.schedule(2.0, [&] { world.uplink.set_bandwidth(16e3); });
 
+  const tunable::ConfigPoint& initial = stack.initial_config;
   auto [throughput, latency] =
-      world.run(initial, 40000, &steering, &monitor, &controller);
+      world.run(initial, 40000, &stack.steering, &stack.monitor,
+                &stack.controller);
 
   std::cout << "initial configuration: " << initial.key() << "\n";
-  for (const auto& event : controller.adaptations()) {
+  for (const auto& event : stack.controller.adaptations()) {
     std::cout << "t=" << util::TextTable::num(event.time, 2) << "s: "
               << event.from.key() << " -> " << event.to.key() << "\n";
   }

@@ -13,7 +13,7 @@
 // Build & run:  ./build/examples/quickstart
 #include <iostream>
 
-#include "adapt/controller.hpp"
+#include "adapt/stack.hpp"
 #include "examples/specs.hpp"
 #include "perfdb/driver.hpp"
 #include "sandbox/sandbox.hpp"
@@ -88,13 +88,12 @@ int main() {
   opts.cpu_share = 0.9;
   sandbox::Sandbox box(host, "renderer", opts);
 
-  adapt::ResourceScheduler scheduler(db, preferences);
-  adapt::MonitoringAgent monitor(sim, spec.resource_axes());
-  tunable::ConfigPoint initial = scheduler.select({0.9})->config;
-  adapt::SteeringAgent steering(spec, initial);
-  adapt::AdaptationController controller(sim, scheduler, monitor, steering);
-  controller.configure({0.9});
-  controller.start();
+  // The run-time stack: scheduler, monitoring agent, steering agent and
+  // the controller's periodic check, configured for a 90% CPU share.
+  adapt::AdaptationStack stack(sim, spec, db, preferences, {0.9}, {});
+  adapt::MonitoringAgent& monitor = stack.monitor;
+  adapt::SteeringAgent& steering = stack.steering;
+  const tunable::ConfigPoint& initial = stack.initial_config;
 
   util::TextTable table({"frame", "t (s)", "quality", "frame time (s)"});
   auto app = [&]() -> sim::Task<> {
@@ -112,7 +111,7 @@ int main() {
                      util::TextTable::num(dt, 3)});
       steering.apply_pending();  // frame boundary = reconfiguration point
     }
-    controller.stop();
+    stack.controller.stop();
   };
   sim.spawn(app());
   // Competing load arrives at t=2: our share drops to 30%.
@@ -120,7 +119,7 @@ int main() {
   sim.run();
 
   std::cout << "initial configuration: " << initial.key() << "\n";
-  for (const auto& event : controller.adaptations()) {
+  for (const auto& event : stack.controller.adaptations()) {
     std::cout << "t=" << util::TextTable::num(event.time, 2) << "s: adapted "
               << event.from.key() << " -> " << event.to.key() << "\n";
   }

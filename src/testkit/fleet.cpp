@@ -5,11 +5,9 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "adapt/scheduler.hpp"
-#include "adapt/steering.hpp"
+#include "adapt/stack.hpp"
 #include "sim/link.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -33,15 +31,11 @@ void fnv1a_str(std::uint64_t& h, const std::string& s) {
   h = util::fnv1a64(s.data(), s.size(), h);
 }
 
-/// One session's complete adaptation stack.  Everything is built at the
-/// session's wave-start event (not at world construction): the initial
-/// automatic configuration must see the ground truth *at arrival time*.
+/// One session's complete adaptation stack.  It is built at the session's
+/// wave-start event (not at world construction): the initial automatic
+/// configuration must see the ground truth *at arrival time*.
 struct Session {
-  std::unique_ptr<adapt::ResourceScheduler> scheduler;
-  std::unique_ptr<adapt::MonitoringAgent> monitor;
-  std::unique_ptr<adapt::SteeringAgent> steering;
-  std::unique_ptr<adapt::AdaptationController> controller;
-  tunable::ConfigPoint initial_config;
+  std::unique_ptr<adapt::AdaptationStack> stack;
   std::size_t cpu_axis = 0;
   std::size_t net_axis = 0;
   double end_time = 0.0;
@@ -81,18 +75,18 @@ struct FleetState {
 /// session's monitoring lifetime ends.
 void observe_tick(FleetState& st, std::size_t idx) {
   Session& s = st.sessions[idx];
-  s.monitor->observe(s.cpu_axis, st.injector.true_cpu_share());
-  s.monitor->observe(s.net_axis, st.injector.true_bandwidth());
+  s.stack->monitor.observe(s.cpu_axis, st.injector.true_cpu_share());
+  s.stack->monitor.observe(s.net_axis, st.injector.true_bandwidth());
   ++s.tasks;
-  s.steering->apply_pending();
+  s.stack->steering.apply_pending();
   const double next = st.sim.now() + st.opt.observe_interval;
   if (next <= s.end_time) {
     s.observe_event = st.sim.schedule(st.opt.observe_interval,
                                       [&st, idx] { observe_tick(st, idx); });
   } else {
     s.observe_event = st.sim.schedule_at(s.end_time, [&st, idx] {
-      st.sessions[idx].steering->apply_pending();
-      st.sessions[idx].controller->stop();
+      st.sessions[idx].stack->steering.apply_pending();
+      st.sessions[idx].stack->controller.stop();
     });
   }
 }
@@ -100,33 +94,22 @@ void observe_tick(FleetState& st, std::size_t idx) {
 void start_session(FleetState& st, std::size_t idx) {
   Session& s = st.sessions[idx];
 
-  adapt::ResourceScheduler::Options sched_options;
-  sched_options.lookup = perfdb::Lookup::kInterpolate;
-  sched_options.switch_hysteresis = st.opt.switch_hysteresis;
-  sched_options.decision_cache = st.opt.decision_cache;
-  s.scheduler = std::make_unique<adapt::ResourceScheduler>(
-      st.db, st.prefs, std::move(sched_options));
-  s.monitor = std::make_unique<adapt::MonitoringAgent>(
-      st.sim, fleet_app_spec().resource_axes(), st.opt.monitor);
-  s.cpu_axis = s.monitor->axis_id("cpu_share");
-  s.net_axis = s.monitor->axis_id("net_bps");
-
-  const std::vector<double> initial{st.injector.true_cpu_share(),
-                                    st.injector.true_bandwidth()};
-  auto d0 = s.scheduler->select(initial);
-  if (!d0) {
-    throw std::runtime_error("fleet: empty performance database");
-  }
-  s.steering = std::make_unique<adapt::SteeringAgent>(fleet_app_spec(),
-                                                      d0->config);
   // The spec/preference/database triple is identical for every session;
   // lint it once, at the first arrival.
-  adapt::AdaptationController::Options copt = st.opt.controller;
-  copt.validate_spec = copt.validate_spec && idx == 0;
-  s.controller = std::make_unique<adapt::AdaptationController>(
-      st.sim, *s.scheduler, *s.monitor, *s.steering, copt);
-  s.initial_config = s.controller->configure(initial);
-  s.controller->start();
+  adapt::AdaptationController::Options controller = st.opt.controller;
+  controller.validate_spec = controller.validate_spec && idx == 0;
+  s.stack = std::make_unique<adapt::AdaptationStack>(
+      st.sim, fleet_app_spec(), st.db, st.prefs,
+      std::vector<double>{st.injector.true_cpu_share(),
+                          st.injector.true_bandwidth()},
+      adapt::AdaptationStack::Options{
+          .monitor = st.opt.monitor,
+          .scheduler = {.lookup = perfdb::Lookup::kInterpolate,
+                        .switch_hysteresis = st.opt.switch_hysteresis},
+          .controller = controller,
+          .decision_cache = st.opt.decision_cache});
+  s.cpu_axis = s.stack->monitor.axis_id("cpu_share");
+  s.net_axis = s.stack->monitor.axis_id("net_bps");
 
   s.end_time = st.sim.now() + st.opt.session_duration;
   observe_tick(st, idx);
@@ -272,13 +255,13 @@ FleetResult run_fleet(const FleetOptions& options) {
   std::uint64_t h = util::kFnv1aOffset;
   for (const Session& s : st.sessions) {
     result.tasks += s.tasks;
-    result.checks += s.controller->checks();
-    result.ticks_skipped += s.controller->ticks_skipped();
-    result.triggers += s.monitor->triggers();
-    const auto& events = s.controller->adaptations();
+    result.checks += s.stack->controller.checks();
+    result.ticks_skipped += s.stack->controller.ticks_skipped();
+    result.triggers += s.stack->monitor.triggers();
+    const auto& events = s.stack->controller.adaptations();
     result.adaptations += events.size();
 
-    fnv1a_str(h, s.initial_config.key());
+    fnv1a_str(h, s.stack->initial_config.key());
     fnv1a_u64(h, events.size());
     for (const auto& e : events) {
       fnv1a_f64(h, e.time);
@@ -288,7 +271,7 @@ FleetResult run_fleet(const FleetOptions& options) {
       fnv1a_u64(h, e.estimates.size());
       for (double v : e.estimates) fnv1a_f64(h, v);
     }
-    fnv1a_str(h, s.steering->active().key());
+    fnv1a_str(h, s.stack->steering.active().key());
     fnv1a_u64(h, s.tasks);
   }
   result.decision_fingerprint = h;

@@ -3,8 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "adapt/scheduler.hpp"
-#include "adapt/steering.hpp"
+#include "adapt/stack.hpp"
 #include "sandbox/sandbox.hpp"
 #include "sim/network.hpp"
 #include "util/fmt.hpp"
@@ -56,9 +55,7 @@ struct Ctx {
   sandbox::Sandbox& server_box;
   sim::Endpoint& client_ep;
   sim::Endpoint& server_ep;
-  adapt::MonitoringAgent& monitor;
-  adapt::SteeringAgent& steering;
-  adapt::AdaptationController& controller;
+  adapt::AdaptationStack& stack;
   FaultInjector& injector;
   TransitionPointChecker& transitions;
   MonitorAccuracyChecker& accuracy;
@@ -90,12 +87,12 @@ sim::Task<> client_proc(Ctx& ctx) {
   const AppModel& model = ctx.opt.model;
   // Axis ids resolved once; the compute chunks observe per chunk and must
   // not pay the name lookup per sample.
-  const std::size_t cpu_axis = ctx.monitor.axis_id("cpu_share");
-  const std::size_t net_axis = ctx.monitor.axis_id("net_bps");
+  const std::size_t cpu_axis = ctx.stack.monitor.axis_id("cpu_share");
+  const std::size_t net_axis = ctx.stack.monitor.axis_id("net_bps");
   std::uint32_t task_id = 0;
   while (sim.now() < ctx.opt.duration) {
     ++task_id;
-    const tunable::ConfigPoint cfg = ctx.steering.active();
+    const tunable::ConfigPoint cfg = ctx.stack.steering.active();
     const double ops = model.ops(cfg);
     const auto want = static_cast<std::uint32_t>(model.reply_bytes(cfg));
 
@@ -109,7 +106,7 @@ sim::Task<> client_proc(Ctx& ctx) {
       co_await ctx.client_box.compute(ops / kComputeChunks);
       const sim::SimTime t1 = sim.now();
       if (t1 > t0) {
-        ctx.monitor.observe(
+        ctx.stack.monitor.observe(
             cpu_axis,
             ctx.injector.perturb(
                 "cpu_share",
@@ -129,7 +126,7 @@ sim::Task<> client_proc(Ctx& ctx) {
         timeout.cancel();
         const double span = msg.delivered_at - msg.sent_at - model.link_latency;
         if (span > 0.0) {
-          ctx.monitor.observe(
+          ctx.stack.monitor.observe(
               net_axis,
               ctx.injector.perturb(
                   "net_bps", static_cast<double>(msg.wire_size()) / span));
@@ -153,13 +150,13 @@ sim::Task<> client_proc(Ctx& ctx) {
                      util::format("id={} cfg={} attempts={}", task_id,
                                   cfg.key(), attempt + 1));
     ctx.transitions.enter_boundary();
-    ctx.steering.apply_pending();
+    ctx.stack.steering.apply_pending();
     ctx.transitions.leave_boundary();
   }
   sim::Message bye;
   bye.kind = kShutdown;
   co_await ctx.client_box.send(ctx.client_ep, std::move(bye));
-  ctx.controller.stop();
+  ctx.stack.controller.stop();
 }
 
 sim::Task<> server_proc(Ctx& ctx) {
@@ -187,7 +184,7 @@ sim::Task<> probe_proc(Ctx& ctx) {
   while (ctx.sim.now() < ctx.opt.duration) {
     co_await ctx.sim.delay(interval);
     auto fmt_est = [&](const char* axis) {
-      auto e = ctx.monitor.estimate(axis);
+      auto e = ctx.stack.monitor.estimate(axis);
       return e ? bits(*e) : std::string("-");
     };
     ctx.trace.record(ctx.sim.now(), "probe",
@@ -195,7 +192,7 @@ sim::Task<> probe_proc(Ctx& ctx) {
                                   fmt_est("cpu_share"), fmt_est("net_bps"),
                                   bits(ctx.injector.true_cpu_share()),
                                   bits(ctx.injector.true_bandwidth())));
-    const auto& events = ctx.controller.adaptations();
+    const auto& events = ctx.stack.controller.adaptations();
     while (ctx.adapt_seen < events.size()) {
       const auto& e = events[ctx.adapt_seen++];
       ctx.trace.record(e.time, "adapt",
@@ -352,48 +349,38 @@ ScenarioResult run_scenario(const FaultSchedule& schedule,
   const perfdb::PerfDatabase db = build_testkit_database(model);
   const adapt::PreferenceList prefs =
       testkit_preferences(options.preference_template);
-  adapt::ResourceScheduler scheduler(
-      db, prefs,
-      {.lookup = perfdb::Lookup::kInterpolate,
-       .switch_hysteresis = options.switch_hysteresis});
-  adapt::MonitoringAgent monitor(sim, testkit_app_spec().resource_axes(),
-                                 options.monitor);
-
-  const std::vector<double> initial{injector.true_cpu_share(),
-                                    injector.true_bandwidth()};
-  auto d0 = scheduler.select(initial);
-  if (!d0) {
-    throw std::runtime_error("testkit scenario: empty performance database");
-  }
-  adapt::SteeringAgent steering(testkit_app_spec(), d0->config);
-  adapt::AdaptationController controller(sim, scheduler, monitor, steering,
-                                         options.controller);
-  controller.configure(initial);
-  controller.start();
+  adapt::AdaptationStack stack(
+      sim, testkit_app_spec(), db, prefs,
+      {injector.true_cpu_share(), injector.true_bandwidth()},
+      {.monitor = options.monitor,
+       .scheduler = {.lookup = perfdb::Lookup::kInterpolate,
+                     .switch_hysteresis = options.switch_hysteresis},
+       .controller = options.controller});
 
   // Constructed after the initial configure: only run-time reconfigurations
   // must respect task boundaries.
-  TransitionPointChecker transitions(sim, steering, log, &result.trace);
-  MonitorAccuracyChecker accuracy(sim, monitor, injector, log,
+  TransitionPointChecker transitions(sim, stack.steering, log, &result.trace);
+  MonitorAccuracyChecker accuracy(sim, stack.monitor, injector, log,
                                   {.tolerance = options.accuracy_tolerance,
                                    .window = options.monitor.window,
                                    .settle = options.accuracy_settle});
 
   injector.arm(schedule);
   result.trace.record(0.0, "begin",
-                      util::format("cfg={} seed={}", d0->config.key(),
+                      util::format("cfg={} seed={}",
+                                   stack.initial_config.key(),
                                    options.injector_seed));
 
-  Ctx ctx{sim,        options,  client_box, server_box, channel.a(),
-          channel.b(), monitor,  steering,   controller, injector,
-          transitions, accuracy, result.trace};
+  Ctx ctx{sim,         options,   client_box, server_box,  channel.a(),
+          channel.b(), stack,     injector,   transitions, accuracy,
+          result.trace};
   sim.spawn(server_proc(ctx));
   sim.spawn(client_proc(ctx));
   sim.spawn(probe_proc(ctx));
   sim.run();
 
   // Adaptations decided after the probe's final drain.
-  const auto& events = controller.adaptations();
+  const auto& events = stack.controller.adaptations();
   while (ctx.adapt_seen < events.size()) {
     const auto& e = events[ctx.adapt_seen++];
     result.trace.record(e.time, "adapt",
@@ -403,8 +390,8 @@ ScenarioResult run_scenario(const FaultSchedule& schedule,
 
   if (options.check_invariants) {
     check_adaptation_events(events, db, prefs, log);
-    check_reconvergence(sim.now(), injector, scheduler, steering, events,
-                        options.monitor.window,
+    check_reconvergence(sim.now(), injector, stack.scheduler, stack.steering,
+                        events, options.monitor.window,
                         options.controller.check_interval,
                         options.reconverge_checks, log);
   }
@@ -412,11 +399,11 @@ ScenarioResult run_scenario(const FaultSchedule& schedule,
   result.violations = log.violations();
   result.tasks = ctx.tasks;
   result.retries = ctx.retries;
-  result.checks = controller.checks();
+  result.checks = stack.controller.checks();
   result.accuracy_probes = accuracy.checked();
   result.adaptations = events;
-  result.initial_config = d0->config;
-  result.final_config = steering.active();
+  result.initial_config = stack.initial_config;
+  result.final_config = stack.steering.active();
   result.total_time = sim.now();
   result.trace.record(sim.now(), "end",
                       util::format("tasks={} retries={} adaptations={}",

@@ -1,5 +1,6 @@
 #include "viz/world.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <map>
 #include <stdexcept>
@@ -165,6 +166,7 @@ VizWorld::VizWorld(const WorldSetup& setup) : setup_(setup) {
   // name so single-client logs and traces are unchanged.
   channels_.reserve(static_cast<std::size_t>(setup.client_count));
   client_boxes_.reserve(static_cast<std::size_t>(setup.client_count));
+  stacks_.resize(static_cast<std::size_t>(setup.client_count));
   clients_.resize(static_cast<std::size_t>(setup.client_count));
   for (int i = 0; i < setup.client_count; ++i) {
     sim::Channel& channel = net_->open_channel(*link_);
@@ -233,6 +235,21 @@ VizClient& VizWorld::make_client_at(std::size_t i,
   return *clients_[i];
 }
 
+VizClient& VizWorld::make_client_at(std::size_t i,
+                                    const perfdb::PerfDatabase& db,
+                                    const adapt::PreferenceList& preferences,
+                                    const AdaptiveOptions& options) {
+  // Static view of initial resources (what the system-wide monitor would
+  // report before the application has made any observations).
+  const std::vector<double> initial{
+      setup_.client_cpu_share,
+      std::min(setup_.link_bandwidth_bps,
+               setup_.client_net_bps.value_or(setup_.link_bandwidth_bps))};
+  stacks_[i] = std::make_unique<adapt::AdaptationStack>(
+      sim_, viz_app_spec(), db, preferences, initial, options);
+  return make_client_at(i, stacks_[i]->steering, stacks_[i]->monitor);
+}
+
 namespace {
 
 void apply_resource_schedule(VizWorld& world, const ResourceSchedule& schedule) {
@@ -264,29 +281,50 @@ tunable::QosVector qos_of(const std::vector<VizClient::ImageStats>& images) {
 
 }  // namespace
 
-SessionResult run_fixed_session(const WorldSetup& setup,
-                                const ConfigPoint& config,
-                                const ResourceSchedule& schedule) {
-  if (!viz_app_spec().space().valid(config)) {
-    throw std::invalid_argument("invalid viz configuration: " + config.key());
-  }
-  VizWorld world(setup);
-  VizClient& client = world.make_client(config);
+MultiSessionResult run_world(VizWorld& world,
+                             const ResourceSchedule& schedule) {
   sim::Simulator& sim = world.simulator();
-  sim.spawn(world.server().run());
-  auto driver = [&]() -> sim::Task<> {
-    co_await client.fetch_images(0, setup.image_count);
-    co_await client.shutdown_server();
+  const auto n = static_cast<std::size_t>(world.client_count());
+  world.spawn_server_loops();
+  // The simulation drains once the last serve loop has exited and no
+  // controller tick is left.
+  auto driver = [](VizClient* client, adapt::AdaptationController* controller,
+                   int images) -> sim::Task<> {
+    co_await client->fetch_images(0, images);
+    co_await client->shutdown_server();
+    if (controller != nullptr) controller->stop();
   };
-  sim.spawn(driver());
+  MultiSessionResult result;
+  result.clients.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    adapt::AdaptationStack* stack = world.stack(i);
+    result.clients[i].initial_config = world.client(i).config();
+    sim.spawn(driver(&world.client(i),
+                     stack != nullptr ? &stack->controller : nullptr,
+                     world.setup().image_count));
+  }
   apply_resource_schedule(world, schedule);
   sim.run();
 
-  SessionResult result;
-  result.images = client.history();
-  result.initial_config = config;
   result.total_time = sim.now();
+  for (std::size_t i = 0; i < n; ++i) {
+    SessionResult& session = result.clients[i];
+    session.images = world.client(i).history();
+    if (const adapt::AdaptationStack* stack = world.stack(i)) {
+      session.adaptations = stack->controller.adaptations();
+    }
+    session.total_time = sim.now();
+  }
   return result;
+}
+
+SessionResult run_fixed_session(const WorldSetup& setup,
+                                const ConfigPoint& config,
+                                const ResourceSchedule& schedule) {
+  WorldSetup single = setup;
+  single.client_count = 1;
+  return std::move(
+      run_multi_fixed_session(single, config, schedule).clients.front());
 }
 
 SessionResult run_adaptive_session(const WorldSetup& setup,
@@ -294,49 +332,12 @@ SessionResult run_adaptive_session(const WorldSetup& setup,
                                    const adapt::PreferenceList& preferences,
                                    const ResourceSchedule& schedule,
                                    const AdaptiveOptions& options) {
-  VizWorld world(setup);
-  sim::Simulator& sim = world.simulator();
-
-  adapt::ResourceScheduler::Options scheduler_options = options.scheduler;
-  scheduler_options.decision_cache = options.decision_cache;
-  adapt::ResourceScheduler scheduler(db, preferences, scheduler_options);
-  adapt::MonitoringAgent monitor(sim, viz_app_spec().resource_axes(),
-                                 options.monitor);
-  // Static view of initial resources (what the system-wide monitor would
-  // report before the application has made any observations).
-  std::vector<double> initial{
-      setup.client_cpu_share,
-      std::min(setup.link_bandwidth_bps,
-               setup.client_net_bps.value_or(setup.link_bandwidth_bps))};
-  auto decision = scheduler.select(initial);
-  if (!decision) {
-    throw std::runtime_error("adaptive session: empty performance database");
-  }
-  adapt::SteeringAgent steering(viz_app_spec(), decision->config);
-  adapt::AdaptationController controller(sim, scheduler, monitor, steering,
-                                         options.controller);
-  controller.configure(initial);
-  controller.start();
-
-  VizClient& client = world.make_client(steering, monitor);
-  sim.spawn(world.server().run());
-  auto driver = [&]() -> sim::Task<> {
-    co_await client.fetch_images(0, setup.image_count);
-    co_await client.shutdown_server();
-    controller.stop();
-  };
-  sim.spawn(driver());
-  apply_resource_schedule(world, schedule);
-  sim.run();
-
-  SessionResult result;
-  result.images = client.history();
-  result.adaptations = controller.adaptations();
-  result.initial_config = decision->config;
-  result.total_time = sim.now();
-  return result;
+  WorldSetup single = setup;
+  single.client_count = 1;
+  return std::move(run_multi_adaptive_session(single, db, preferences,
+                                              schedule, options)
+                       .clients.front());
 }
-
 
 std::uint64_t result_fingerprint(const MultiSessionResult& result) {
   std::uint64_t h = util::kFnv1aOffset;
@@ -400,115 +401,25 @@ MultiSessionResult run_multi_fixed_session(const WorldSetup& setup,
     throw std::invalid_argument("invalid viz configuration: " + config.key());
   }
   VizWorld world(setup);
-  sim::Simulator& sim = world.simulator();
   for (int i = 0; i < setup.client_count; ++i) {
     world.make_client_at(static_cast<std::size_t>(i), config);
   }
-  world.spawn_server_loops();
-  // Each client downloads its images then shuts down its own serve loop;
-  // the simulation drains once the last loop has exited.
-  auto driver = [](VizClient* client, int images) -> sim::Task<> {
-    co_await client->fetch_images(0, images);
-    co_await client->shutdown_server();
-  };
-  for (int i = 0; i < setup.client_count; ++i) {
-    sim.spawn(driver(&world.client(static_cast<std::size_t>(i)),
-                     setup.image_count));
-  }
-  apply_resource_schedule(world, schedule);
-  sim.run();
-
-  MultiSessionResult result;
-  result.total_time = sim.now();
-  for (int i = 0; i < setup.client_count; ++i) {
-    SessionResult session;
-    session.images = world.client(static_cast<std::size_t>(i)).history();
-    session.initial_config = config;
-    session.total_time = sim.now();
-    result.clients.push_back(std::move(session));
-  }
-  return result;
+  return run_world(world, schedule);
 }
 
 MultiSessionResult run_multi_adaptive_session(
     const WorldSetup& setup, const perfdb::PerfDatabase& db,
     const adapt::PreferenceList& preferences,
     const ResourceSchedule& schedule, const AdaptiveOptions& options) {
+  // One stack per client, sharing the database, the preferences and any
+  // decision cache but nothing else, so each session adapts on its own
+  // observations.
   VizWorld world(setup);
-  sim::Simulator& sim = world.simulator();
-
-  std::vector<double> initial{
-      setup.client_cpu_share,
-      std::min(setup.link_bandwidth_bps,
-               setup.client_net_bps.value_or(setup.link_bandwidth_bps))};
-
-  // One full adaptation stack per client: scheduler + monitor + steering +
-  // controller.  They share the database and preferences but nothing else,
-  // so each session adapts on its own observations.
-  struct Stack {
-    tunable::ConfigPoint initial_config;
-    std::unique_ptr<adapt::ResourceScheduler> scheduler;
-    std::unique_ptr<adapt::MonitoringAgent> monitor;
-    std::unique_ptr<adapt::SteeringAgent> steering;
-    std::unique_ptr<adapt::AdaptationController> controller;
-  };
-  // With a decision cache attached, every stack's scheduler shares the memo;
-  // the first session to see a given estimate point evaluates the candidate
-  // set for the whole fleet.
-  adapt::ResourceScheduler::Options scheduler_options = options.scheduler;
-  scheduler_options.decision_cache = options.decision_cache;
-  std::vector<Stack> stacks;
-  stacks.reserve(static_cast<std::size_t>(setup.client_count));
   for (int i = 0; i < setup.client_count; ++i) {
-    Stack stack;
-    stack.scheduler = std::make_unique<adapt::ResourceScheduler>(
-        db, preferences, scheduler_options);
-    stack.monitor = std::make_unique<adapt::MonitoringAgent>(
-        sim, viz_app_spec().resource_axes(), options.monitor);
-    auto decision = stack.scheduler->select(initial);
-    if (!decision) {
-      throw std::runtime_error(
-          "adaptive session: empty performance database");
-    }
-    stack.initial_config = decision->config;
-    stack.steering = std::make_unique<adapt::SteeringAgent>(
-        viz_app_spec(), decision->config);
-    stack.controller = std::make_unique<adapt::AdaptationController>(
-        sim, *stack.scheduler, *stack.monitor, *stack.steering,
-        options.controller);
-    stack.controller->configure(initial);
-    stack.controller->start();
-    world.make_client_at(static_cast<std::size_t>(i), *stack.steering,
-                         *stack.monitor);
-    stacks.push_back(std::move(stack));
+    world.make_client_at(static_cast<std::size_t>(i), db, preferences,
+                         options);
   }
-  world.spawn_server_loops();
-  auto driver = [](VizClient* client, adapt::AdaptationController* controller,
-                   int images) -> sim::Task<> {
-    co_await client->fetch_images(0, images);
-    co_await client->shutdown_server();
-    controller->stop();
-  };
-  for (int i = 0; i < setup.client_count; ++i) {
-    sim.spawn(driver(&world.client(static_cast<std::size_t>(i)),
-                     stacks[static_cast<std::size_t>(i)].controller.get(),
-                     setup.image_count));
-  }
-  apply_resource_schedule(world, schedule);
-  sim.run();
-
-  MultiSessionResult result;
-  result.total_time = sim.now();
-  for (int i = 0; i < setup.client_count; ++i) {
-    const Stack& stack = stacks[static_cast<std::size_t>(i)];
-    SessionResult session;
-    session.images = world.client(static_cast<std::size_t>(i)).history();
-    session.adaptations = stack.controller->adaptations();
-    session.initial_config = stack.initial_config;
-    session.total_time = sim.now();
-    result.clients.push_back(std::move(session));
-  }
-  return result;
+  return run_world(world, schedule);
 }
 
 perfdb::ProfilingDriver::RunFn make_viz_run_fn(WorldSetup base) {

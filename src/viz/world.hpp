@@ -1,9 +1,9 @@
 // Experiment wiring for the Active Visualization application: the tunable
 // application specification, a simulated two-host world (client + server on
-// a LAN, each in its own sandbox), whole-session runners for fixed and
-// adaptive configurations, and the profiling hookup that populates the
-// performance database by running the app in the virtual testbed
-// (paper §5.2, §7.1).
+// a LAN, each in its own sandbox), one session runner that drives a world's
+// clients to completion (fixed and adaptive sessions are views of it), and
+// the profiling hookup that populates the performance database by running
+// the app in the virtual testbed (paper §5.2, §7.1).
 #pragma once
 
 #include <memory>
@@ -11,11 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "adapt/controller.hpp"
-#include "adapt/monitor.hpp"
-#include "adapt/preferences.hpp"
-#include "adapt/scheduler.hpp"
-#include "adapt/steering.hpp"
+#include "adapt/stack.hpp"
 #include "perfdb/database.hpp"
 #include "perfdb/driver.hpp"
 #include "sandbox/sandbox.hpp"
@@ -96,6 +92,10 @@ struct WorldSetup {
   VizClient::Options client_options{};
 };
 
+/// Options of one adaptive client's run-time stack (monitor, scheduler,
+/// controller, shared decision cache); see adapt/stack.hpp.
+using AdaptiveOptions = adapt::AdaptationStack::Options;
+
 /// One fully wired simulation universe: N client sandboxes, one server,
 /// one shared link with one channel per client.  The single-argument
 /// accessors address client 0 and keep the historical single-client API.
@@ -105,6 +105,7 @@ class VizWorld {
 
   sim::Simulator& simulator() { return sim_; }
   sim::Link& link() { return *link_; }
+  const WorldSetup& setup() const { return setup_; }
   int client_count() const { return setup_.client_count; }
 
   /// The client-side channel endpoint (tests inject protocol traffic here).
@@ -128,6 +129,12 @@ class VizWorld {
   /// Build client i in adaptive mode (steering + monitoring attached).
   VizClient& make_client_at(std::size_t i, adapt::SteeringAgent& steering,
                             adapt::MonitoringAgent& monitor);
+  /// Build client i in adaptive mode on a world-owned adaptation stack,
+  /// configured for the setup's static resource view (client CPU share;
+  /// link bandwidth capped by the client's net limit).
+  VizClient& make_client_at(std::size_t i, const perfdb::PerfDatabase& db,
+                            const adapt::PreferenceList& preferences,
+                            const AdaptiveOptions& options);
 
   /// Single-client compatibility: build/get client 0.
   VizClient& make_client(const tunable::ConfigPoint& fixed_config) {
@@ -139,6 +146,8 @@ class VizWorld {
   }
 
   VizClient& client(std::size_t i = 0) { return *clients_[i]; }
+  /// Client i's world-owned adaptation stack, or null.
+  adapt::AdaptationStack* stack(std::size_t i = 0) { return stacks_[i].get(); }
 
  private:
   WorldSetup setup_;
@@ -149,12 +158,15 @@ class VizWorld {
   std::vector<std::unique_ptr<sandbox::Sandbox>> client_boxes_;
   std::unique_ptr<sandbox::Sandbox> server_box_;
   std::unique_ptr<VizServer> server_;
+  // Declared before clients_: a client refers into its stack.
+  std::vector<std::unique_ptr<adapt::AdaptationStack>> stacks_;
   std::vector<std::unique_ptr<VizClient>> clients_;
 };
 
 /// Timed resource variations applied during a session.
 struct ResourceSchedule {
-  /// Client CPU-share steps (paper Exp 2/3).
+  /// Client CPU-share steps (paper Exp 2/3).  They step client 0's sandbox
+  /// only: in a multi-client world every other client keeps its share.
   std::vector<sandbox::CapChange> client_cpu;
   /// Link ("network between server and client") bandwidth steps, bytes/s
   /// (paper Exp 1).
@@ -168,17 +180,26 @@ struct SessionResult {
   double total_time = 0.0;
 };
 
-/// Run a non-adaptive session: `images` downloads under `config`.
-SessionResult run_fixed_session(const WorldSetup& setup,
-                                const tunable::ConfigPoint& config,
-                                const ResourceSchedule& schedule = {});
-
 /// Aggregate result of a multi-client run: one SessionResult per client
 /// (client i at index i), plus the simulated makespan.
 struct MultiSessionResult {
   std::vector<SessionResult> clients;
   double total_time = 0.0;
 };
+
+/// The session runner: drive every (already built) client of `world` to
+/// completion under `schedule`.  Each client downloads setup().image_count
+/// images, shuts down its serve loop and stops its world-owned controller,
+/// if any.  The world stays with the caller, whose simulator, link and
+/// cache counters remain readable.
+MultiSessionResult run_world(VizWorld& world,
+                             const ResourceSchedule& schedule = {});
+
+/// Run a non-adaptive session: one client downloading setup.image_count
+/// images under `config` (run_multi_fixed_session with one client).
+SessionResult run_fixed_session(const WorldSetup& setup,
+                                const tunable::ConfigPoint& config,
+                                const ResourceSchedule& schedule = {});
 
 /// Bit-exact digest of a multi-client result: FNV-1a over the IEEE-754
 /// patterns of every per-image stat in client order.  Two runs of the same
@@ -199,19 +220,9 @@ MultiSessionResult run_multi_fixed_session(
     const WorldSetup& setup, const tunable::ConfigPoint& config,
     const ResourceSchedule& schedule = {});
 
-struct AdaptiveOptions {
-  adapt::MonitoringAgent::Options monitor{};
-  adapt::ResourceScheduler::Options scheduler{};
-  adapt::AdaptationController::Options controller{};
-  /// Shared decision memo attached to every per-client scheduler in the
-  /// run (null = each scheduler evaluates the candidate set itself).
-  /// Decisions, and therefore whole sessions, are byte-identical to a run
-  /// without the cache.
-  std::shared_ptr<adapt::DecisionCache> decision_cache;
-};
-
 /// Run an adaptive session: initial automatic configuration from the
-/// starting resource view, then monitor/schedule/steer against `db`.
+/// starting resource view, then monitor/schedule/steer against `db`
+/// (run_multi_adaptive_session with one client).
 SessionResult run_adaptive_session(const WorldSetup& setup,
                                    const perfdb::PerfDatabase& db,
                                    const adapt::PreferenceList& preferences,
@@ -219,8 +230,9 @@ SessionResult run_adaptive_session(const WorldSetup& setup,
                                    const AdaptiveOptions& options = {});
 
 /// Run `setup.client_count` adaptive clients concurrently, each with its
-/// own monitoring/steering/controller stack against the shared database —
-/// per-client adaptation under genuine multi-session contention.
+/// own adaptation stack against the shared database — per-client
+/// adaptation under genuine multi-session contention.  A decision cache in
+/// `options` is shared by every client's scheduler.
 MultiSessionResult run_multi_adaptive_session(
     const WorldSetup& setup, const perfdb::PerfDatabase& db,
     const adapt::PreferenceList& preferences,

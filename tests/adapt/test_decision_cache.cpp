@@ -92,12 +92,16 @@ TEST(DecisionCache, BitExactAgainstUncachedOracle) {
         auto got = cached.select_with_incumbent(point, inc);
         auto want = oracle.select_with_incumbent(point, inc);
         ASSERT_EQ(got.has_value(), want.has_value());
-        if (want) EXPECT_EQ(*got, *want);
+        if (want) {
+          EXPECT_EQ(*got, *want);
+        }
       } else {
         auto got = cached.select(point);
         auto want = oracle.select(point);
         ASSERT_EQ(got.has_value(), want.has_value());
-        if (want) EXPECT_EQ(*got, *want);
+        if (want) {
+          EXPECT_EQ(*got, *want);
+        }
       }
     }
     auto stats = cache->stats();
@@ -180,7 +184,9 @@ TEST(DecisionCache, BoundedSizeWipesWhenFull) {
     auto got = cached.select(point);
     auto want = oracle.select(point);
     ASSERT_EQ(got.has_value(), want.has_value());
-    if (want) EXPECT_EQ(*got, *want);
+    if (want) {
+      EXPECT_EQ(*got, *want);
+    }
     EXPECT_LE(cache->size(), cache->max_entries());
   }
   auto stats = cache->stats();

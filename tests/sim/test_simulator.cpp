@@ -195,9 +195,9 @@ TEST(Simulator, AbandonedProcessesDestroyedInSpawnOrder) {
   };
   {
     Simulator sim;
-    auto forever = [](Simulator& s, std::vector<int>& order,
+    auto forever = [](Simulator& s, std::vector<int>& log,
                       int id) -> Task<> {
-      Tracer t{&order, id};
+      Tracer t{&log, id};
       co_await s.delay(1e9);  // never reached before teardown
     };
     for (int i = 0; i < 16; ++i) sim.spawn(forever(sim, order, i));

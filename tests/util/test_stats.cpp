@@ -193,7 +193,9 @@ TEST(TimeWindow, SuffixFoldMatchesExactRescanUnderFuzz) {
         }
         auto mean = w.mean_since(cutoff);
         ASSERT_EQ(mean.has_value(), want.has_value());
-        if (want) EXPECT_EQ(*mean, *want);
+        if (want) {
+          EXPECT_EQ(*mean, *want);
+        }
       }
     }
     // mean() is the whole-deque fold; it must match the oracle with a

@@ -3,6 +3,8 @@
 // miniature scale.  The full-size versions are the fig7* benchmarks.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "perfdb/prune.hpp"
 #include "viz/world.hpp"
 
@@ -147,6 +149,14 @@ TEST(VizAdapt, AdaptiveBeatsWorseStaticUnderChange) {
   static_a.set("l", 4);
   SessionResult fixed = run_fixed_session(setup, static_a, schedule);
   EXPECT_LT(adaptive.total_time, fixed.total_time);
+}
+
+TEST(VizAdapt, EmptyDatabaseThrows) {
+  const perfdb::PerfDatabase empty(viz_app_spec().resource_axes(),
+                                   viz_app_spec().metrics());
+  EXPECT_THROW(run_adaptive_session(small_setup(), empty,
+                                    {adapt::minimize("transmit_time")}),
+               std::runtime_error);
 }
 
 TEST(VizAdapt, NoAdaptationUnderSteadyResources) {

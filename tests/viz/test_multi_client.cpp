@@ -129,26 +129,6 @@ TEST(MultiClient, InterleavedSessionsShareRegionEncodes) {
   }
 }
 
-TEST(MultiClient, SingleClientMatchesLegacyFixedSession) {
-  // The multi-client runner at N=1 must reproduce the historical
-  // single-client session byte for byte (golden-trace compatibility).
-  ConfigPoint config = cfg(160, 1, 3);
-  MultiSessionResult multi = run_multi_fixed_session(small_setup(1), config);
-  SessionResult legacy = run_fixed_session(small_setup(1), config);
-
-  ASSERT_EQ(multi.clients.size(), 1u);
-  const auto& a = multi.clients[0].images;
-  const auto& b = legacy.images;
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t j = 0; j < a.size(); ++j) {
-    EXPECT_EQ(a[j].payload_hash, b[j].payload_hash);
-    EXPECT_EQ(a[j].wire_bytes, b[j].wire_bytes);
-    EXPECT_DOUBLE_EQ(a[j].start_time, b[j].start_time);
-    EXPECT_DOUBLE_EQ(a[j].end_time, b[j].end_time);
-    EXPECT_DOUBLE_EQ(a[j].transmit_time, b[j].transmit_time);
-  }
-}
-
 TEST(MultiClient, AdaptiveMultiSessionIsDeterministic) {
   // Tiny profile: enough for the scheduler to pick configurations; the
   // paper-scale trends are covered by test_adaptation.cpp.  Four pyramid
