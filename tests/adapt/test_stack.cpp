@@ -102,21 +102,5 @@ TEST(AdaptationStack, BringUpConfiguresAndStarts) {
   EXPECT_EQ(stats.hits, 1u);
 }
 
-TEST(AdaptationStack, AdaptsWhenTheMonitoredResourceDrops) {
-  sim::Simulator sim;
-  const tunable::AppSpec spec = make_spec();
-  const PerfDatabase db = make_db();
-  AdaptationStack::Options options;
-  options.monitor.consecutive_required = 1;
-  AdaptationStack stack(sim, spec, db, {minimize("time")}, {1000.0}, options);
-
-  sim.schedule(0.5, [&] { stack.monitor.observe("bw", 100.0); });
-  sim.schedule(2.0, [&] { stack.controller.stop(); });
-  sim.run();
-  ASSERT_EQ(stack.controller.adaptations().size(), 1u);
-  EXPECT_EQ(stack.controller.adaptations()[0].to, cfg(1));
-  EXPECT_EQ(stack.initial_config, cfg(0));
-}
-
 }  // namespace
 }  // namespace avf::adapt
