@@ -3,7 +3,8 @@
 // Profiles a synthetic application on a thread pool at 1/2/4/hw workers
 // and verifies the central contract of the parallel pipeline: the database
 // assembled by profile() at ANY thread count is bit-for-bit identical
-// (save() bytes, compared via FNV-1a fingerprint) to profile_serial().
+// (save() bytes, compared via FNV-1a fingerprint) to the threads = 1
+// profile() of a non-sleeping run.
 // Exits non-zero on a fingerprint mismatch or if 4 workers fail to reach
 // 2.5x over 1 worker.
 //
@@ -92,14 +93,14 @@ int main() {
   base.sensitivity_threshold = 0.5;
   base.max_suggestions_per_round = 16;
 
-  // Determinism oracle: the reference single-threaded path.
+  // Determinism oracle: profile() on the calling thread (threads = 1).
   const std::uint64_t want =
       fingerprint(ProfilingDriver([](const ConfigPoint& c,
                                      const ResourcePoint& p) {
                     return model(c, p);  // no need to sleep for the oracle
                   },
                   base)
-                      .profile_serial(spec, grid));
+                      .profile(spec, grid));
 
   const std::size_t hw = util::ThreadPool::resolve_threads(0);
   std::vector<std::size_t> sweep = {1, 2, 4};
@@ -147,7 +148,7 @@ int main() {
 
   if (!ok) {
     std::fprintf(stderr,
-                 "FAIL: parallel profile() diverged from profile_serial()\n");
+                 "FAIL: profile() diverged from the threads=1 oracle\n");
     return 1;
   }
   // Scaling floor, overridable for instrumented builds (sanitizers slow

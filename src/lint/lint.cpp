@@ -28,28 +28,6 @@ std::string join(const std::vector<std::string>& names) {
   return out;
 }
 
-/// Iterate the *unguarded* cartesian product of the declared domains.
-/// `fn` returns false to stop early.  No-op when no parameters exist.
-template <typename Fn>
-void for_each_raw(const ConfigSpace& space, Fn&& fn) {
-  const auto& params = space.parameters();
-  if (params.empty()) return;
-  std::vector<std::size_t> idx(params.size(), 0);
-  ConfigPoint point;
-  for (;;) {
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      point.set(params[i].name, params[i].values[idx[i]]);
-    }
-    if (!fn(point)) return;
-    std::size_t i = params.size();
-    while (i-- > 0) {
-      if (++idx[i] < params[i].values.size()) break;
-      idx[i] = 0;
-      if (i == 0) return;
-    }
-  }
-}
-
 /// Check one of a task's name lists against a membership predicate.
 template <typename Has>
 void check_references(Report& report, const tunable::TaskSpec& task,
@@ -191,12 +169,9 @@ void lint_feasibility(Report& report, const AppSpec& spec,
     // Blame any single guard that is infeasible on its own.
     for (const tunable::Guard& guard : space.guards()) {
       bool admits = false;
-      for_each_raw(space, [&](const ConfigPoint& point) {
-        if (guard.predicate(point)) {
-          admits = true;
-          return false;
-        }
-        return true;
+      space.for_each_raw([&](const ConfigPoint& point) {
+        admits = guard.predicate(point);
+        return !admits;
       });
       if (!admits) {
         report.error(rid(rules::kInfeasible),

@@ -14,7 +14,6 @@
 namespace avf::perfdb {
 
 using tunable::ConfigPoint;
-using tunable::QosVector;
 
 ProfilingDriver::ProfilingDriver(RunFn run)
     : make_run_([run = std::move(run)] { return run; }) {}
@@ -26,11 +25,39 @@ ProfilingDriver::ProfilingDriver(RunFn run, Options options)
 ProfilingDriver::ProfilingDriver(RunFactory make_run, Options options)
     : make_run_(std::move(make_run)), options_(std::move(options)) {}
 
-std::size_t ProfilingDriver::effective_threads() const {
-  return util::ThreadPool::resolve_threads(options_.threads);
-}
+/// The run contexts of one public call: a pool and one RunFn per worker,
+/// plus one for the calling thread, when Options::threads resolves to more
+/// than one; otherwise a single RunFn on the calling thread.
+class ProfilingDriver::Workers {
+ public:
+  Workers(const RunFactory& make_run, std::size_t threads) {
+    if (util::ThreadPool::resolve_threads(threads) > 1) pool_.emplace(threads);
+    runs_.resize(pool_ ? pool_->size() + 1 : 1);
+    for (RunFn& run : runs_) run = make_run();
+  }
 
-void ProfilingDriver::validate_grid(
+  /// Run every record's cell and fill its quality in place.  The batch
+  /// keeps its order, so committing it is canonical at any thread count;
+  /// the lowest failing index's exception propagates.
+  void measure(std::vector<PerfRecord>& batch) {
+    auto run_one = [&](std::size_t i) {
+      PerfRecord& r = batch[i];
+      r.quality = runs_[pool_ ? pool_->current_worker() : 0](r.config,
+                                                             r.resources);
+    };
+    if (pool_) {
+      pool_->parallel_for(batch.size(), run_one);
+    } else {
+      for (std::size_t i = 0; i < batch.size(); ++i) run_one(i);
+    }
+  }
+
+ private:
+  std::optional<util::ThreadPool> pool_;
+  std::vector<RunFn> runs_;
+};
+
+std::vector<PerfRecord> ProfilingDriver::sweep_cells(
     const tunable::AppSpec& spec,
     const std::vector<std::vector<double>>& grid) const {
   if (grid.size() != spec.resource_axes().size()) {
@@ -43,105 +70,40 @@ void ProfilingDriver::validate_grid(
       throw std::invalid_argument("empty grid axis");
     }
   }
-}
-
-std::vector<ConfigPoint> ProfilingDriver::enumerate_configs(
-    const tunable::AppSpec& spec) const {
-  std::vector<ConfigPoint> configs = spec.space().enumerate();
+  const std::vector<ConfigPoint> configs = spec.space().enumerate();
   if (configs.empty()) {
     throw std::invalid_argument("configuration space is empty");
   }
-  return configs;
-}
-
-std::vector<ResourcePoint> ProfilingDriver::enumerate_points(
-    const std::vector<std::vector<double>>& grid) const {
-  // Odometer over the resource grid, last axis fastest — the canonical
-  // sweep order shared by the serial and parallel paths.
-  std::vector<ResourcePoint> points;
+  // Odometer over the resource grid, last axis fastest.
+  std::vector<PerfRecord> cells;
   std::vector<std::size_t> idx(grid.size(), 0);
   for (;;) {
     ResourcePoint point(grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
       point[i] = grid[i][idx[i]];
     }
-    points.push_back(std::move(point));
-    std::size_t i = grid.size();
-    bool done = true;
-    while (i-- > 0) {
-      if (++idx[i] < grid[i].size()) {
-        done = false;
-        break;
-      }
-      idx[i] = 0;
-    }
-    if (done) break;
-  }
-  return points;
-}
-
-PerfDatabase ProfilingDriver::profile_serial(
-    const tunable::AppSpec& spec,
-    const std::vector<std::vector<double>>& grid) const {
-  validate_grid(spec, grid);
-  PerfDatabase db(spec.resource_axes(), spec.metrics());
-  std::vector<ConfigPoint> configs = enumerate_configs(spec);
-  RunFn run = make_run_();
-  std::vector<PerfRecord> batch;
-  for (const ResourcePoint& point : enumerate_points(grid)) {
     for (const ConfigPoint& config : configs) {
-      if (options_.on_run) options_.on_run(config, point);
-      batch.push_back(PerfRecord{config, point, run(config, point)});
+      cells.push_back(PerfRecord{config, point, {}});
+    }
+    std::size_t i = grid.size();
+    while (i-- > 0) {
+      if (++idx[i] < grid[i].size()) break;
+      idx[i] = 0;
+      if (i == 0) return cells;
     }
   }
-  db.insert_batch(batch);
-  for (int round = 0; round < options_.refinement_rounds; ++round) {
-    if (refine(db) == 0) break;
-  }
-  return db;
 }
 
 PerfDatabase ProfilingDriver::profile(
     const tunable::AppSpec& spec,
     const std::vector<std::vector<double>>& grid) const {
-  std::size_t threads = effective_threads();
-  if (threads <= 1) return profile_serial(spec, grid);
-
-  validate_grid(spec, grid);
+  std::vector<PerfRecord> batch = sweep_cells(spec, grid);
+  Workers workers(make_run_, options_.threads);
+  workers.measure(batch);
   PerfDatabase db(spec.resource_axes(), spec.metrics());
-  std::vector<ConfigPoint> configs = enumerate_configs(spec);
-  std::vector<ResourcePoint> points = enumerate_points(grid);
-
-  util::ThreadPool pool(threads);
-  // One RunFn per worker (plus a spare slot for the calling thread, which
-  // can only execute tasks during teardown): testbed state is per-worker,
-  // never shared.
-  std::vector<RunFn> runs(pool.size() + 1);
-  for (RunFn& r : runs) r = make_run_();
-
-  // Shard the (point, config) cartesian product across the pool; buffer
-  // every result, then commit in canonical sweep order so the database —
-  // and its save() bytes — are bit-for-bit those of profile_serial().
-  const std::size_t total = points.size() * configs.size();
-  std::vector<QosVector> results(total);
-  pool.parallel_for(total, [&](std::size_t t) {
-    const ConfigPoint& config = configs[t % configs.size()];
-    const ResourcePoint& point = points[t / configs.size()];
-    results[t] = runs[pool.current_worker()](config, point);
-  });
-
-  std::vector<PerfRecord> batch;
-  batch.reserve(total);
-  for (std::size_t t = 0; t < total; ++t) {
-    const ConfigPoint& config = configs[t % configs.size()];
-    const ResourcePoint& point = points[t / configs.size()];
-    if (options_.on_run) options_.on_run(config, point);
-    batch.push_back(PerfRecord{config, point, std::move(results[t])});
-  }
   db.insert_batch(batch);
-
   for (int round = 0; round < options_.refinement_rounds; ++round) {
-    if (refine(db) == 0) break;
+    if (refine(db, workers) == 0) break;
   }
   return db;
 }
@@ -175,61 +137,39 @@ std::vector<const RefinementSuggestion*> ProfilingDriver::select_suggestions(
 }
 
 std::size_t ProfilingDriver::refine(PerfDatabase& db) const {
-  std::size_t threads = effective_threads();
+  Workers workers(make_run_, options_.threads);
+  return refine(db, workers);
+}
+
+std::size_t ProfilingDriver::refine(PerfDatabase& db, Workers& workers) const {
   std::vector<RefinementSuggestion> suggestions =
-      sensitivity_analysis(db, options_.sensitivity_threshold, threads);
-  std::vector<const RefinementSuggestion*> picked =
-      select_suggestions(suggestions);
-  if (picked.empty()) return 0;
-
-  if (threads <= 1) {
-    RunFn run = make_run_();
-    std::vector<PerfRecord> batch;
-    for (const RefinementSuggestion* s : picked) {
-      if (options_.on_run) options_.on_run(s->config, s->point);
-      batch.push_back(
-          PerfRecord{s->config, s->point, run(s->config, s->point)});
-    }
-    db.insert_batch(batch);
-    return picked.size();
-  }
-
-  util::ThreadPool pool(threads);
-  std::vector<RunFn> runs(pool.size() + 1);
-  for (RunFn& r : runs) r = make_run_();
-  std::vector<QosVector> results(picked.size());
-  pool.parallel_for(picked.size(), [&](std::size_t i) {
-    results[i] = runs[pool.current_worker()](picked[i]->config,
-                                             picked[i]->point);
-  });
+      sensitivity_analysis(db, options_.sensitivity_threshold,
+                           options_.threads);
   std::vector<PerfRecord> batch;
-  batch.reserve(picked.size());
-  for (std::size_t i = 0; i < picked.size(); ++i) {
-    if (options_.on_run) options_.on_run(picked[i]->config, picked[i]->point);
-    batch.push_back(PerfRecord{picked[i]->config, picked[i]->point,
-                               std::move(results[i])});
+  for (const RefinementSuggestion* s : select_suggestions(suggestions)) {
+    batch.push_back(PerfRecord{s->config, s->point, {}});
   }
+  if (batch.empty()) return 0;
+  workers.measure(batch);
   db.insert_batch(batch);
-  return picked.size();
+  return batch.size();
 }
 
 PerfDatabase ProfilingDriver::profile_adaptive(
     const tunable::AppSpec& spec, const std::vector<std::vector<double>>& grid,
     const AdaptiveOptions& adaptive, AdaptiveModel* model_out) const {
-  validate_grid(spec, grid);
+  std::vector<PerfRecord> sweep = sweep_cells(spec, grid);
   if (adaptive.budget == 0) {
     throw std::invalid_argument("adaptive profiling: budget must be >= 1");
   }
-  std::vector<ConfigPoint> configs = enumerate_configs(spec);
-  std::vector<ResourcePoint> points = enumerate_points(grid);
-  const std::size_t total = points.size() * configs.size();
+  const std::size_t total = sweep.size();
   const std::size_t budget = std::min(adaptive.budget, total);
   const std::vector<tunable::MetricDef>& metric_defs = spec.metrics().metrics();
 
   // Feature layout: config parameters in ConfigPoint's canonical (sorted
   // name) order, then the spec's resource axes.
   AdaptiveModel model;
-  for (const auto& [name, value] : configs.front().values()) {
+  for (const auto& [name, value] : sweep.front().config.values()) {
     (void)value;
     model.feature_names.push_back(name);
   }
@@ -237,50 +177,25 @@ PerfDatabase ProfilingDriver::profile_adaptive(
   for (const std::string& axis : spec.resource_axes()) {
     model.feature_names.push_back(axis);
   }
-
-  auto cell_config = [&](std::size_t t) -> const ConfigPoint& {
-    return configs[t % configs.size()];
-  };
-  auto cell_point = [&](std::size_t t) -> const ResourcePoint& {
-    return points[t / configs.size()];
+  auto features_of = [&](std::size_t t) {
+    return model.features_of(sweep[t].config, sweep[t].resources);
   };
 
-  // One pool + per-worker RunFns for the whole run: rounds are small, so
-  // re-hiring workers per round would dominate the sandbox time.
-  const std::size_t threads = effective_threads();
-  std::optional<util::ThreadPool> pool;
-  std::vector<RunFn> runs;
-  if (threads > 1 && budget > 1) {
-    pool.emplace(threads);
-    runs.resize(pool->size() + 1);
-  } else {
-    runs.resize(1);
-  }
-  for (RunFn& r : runs) r = make_run_();
-
+  // One set of workers for every round: rounds are small, so re-hiring
+  // workers per round would dominate the sandbox time.
+  Workers workers(make_run_, options_.threads);
   std::vector<char> measured(total, 0);
-  std::vector<QosVector> values(total);
   std::size_t measured_count = 0;
-  // `cells` arrives sorted ascending: results are committed — and on_run is
-  // invoked — in canonical sweep order regardless of thread count.
+  // `cells` arrives sorted ascending, so each round commits in canonical
+  // sweep order.
   auto measure_cells = [&](const std::vector<std::size_t>& cells) {
-    std::vector<QosVector> results(cells.size());
-    if (pool) {
-      pool->parallel_for(cells.size(), [&](std::size_t i) {
-        const std::size_t t = cells[i];
-        results[i] =
-            runs[pool->current_worker()](cell_config(t), cell_point(t));
-      });
-    } else {
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        results[i] = runs.front()(cell_config(cells[i]), cell_point(cells[i]));
-      }
-    }
+    std::vector<PerfRecord> batch;
+    batch.reserve(cells.size());
+    for (std::size_t t : cells) batch.push_back(sweep[t]);
+    workers.measure(batch);
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      const std::size_t t = cells[i];
-      if (options_.on_run) options_.on_run(cell_config(t), cell_point(t));
-      values[t] = std::move(results[i]);
-      measured[t] = 1;
+      sweep[cells[i]].quality = std::move(batch[i].quality);
+      measured[cells[i]] = 1;
     }
     measured_count += cells.size();
   };
@@ -323,16 +238,14 @@ PerfDatabase ProfilingDriver::profile_adaptive(
     }
     std::vector<std::vector<double>> features;
     features.reserve(sampled.size());
-    for (std::size_t t : sampled) {
-      features.push_back(model.features_of(cell_config(t), cell_point(t)));
-    }
+    for (std::size_t t : sampled) features.push_back(features_of(t));
     model.trees.clear();
     for (const tunable::MetricDef& m : metric_defs) {
       std::vector<TreeSample> samples;
       samples.reserve(sampled.size());
       for (std::size_t i = 0; i < sampled.size(); ++i) {
-        samples.push_back(TreeSample{features[i], values[sampled[i]].get(
-                                                      m.name)});
+        samples.push_back(
+            TreeSample{features[i], sweep[sampled[i]].quality.get(m.name)});
       }
       model.trees[m.name].fit(samples, tree_options);
     }
@@ -363,8 +276,7 @@ PerfDatabase ProfilingDriver::profile_adaptive(
     std::vector<std::map<std::size_t, std::size_t>> where(metric_defs.size());
     for (std::size_t t = 0; t < total; ++t) {
       if (measured[t]) continue;
-      std::vector<double> f =
-          model.features_of(cell_config(t), cell_point(t));
+      std::vector<double> f = features_of(t);
       for (std::size_t mi = 0; mi < metric_defs.size(); ++mi) {
         const RegressionTree& tree = model.trees.at(metric_defs[mi].name);
         const std::size_t node = tree.leaf_of(f);
@@ -419,26 +331,16 @@ PerfDatabase ProfilingDriver::profile_adaptive(
   }
   if (fitted_at != measured_count) fit_trees();
 
-  PerfDatabase db(spec.resource_axes(), spec.metrics());
-  std::vector<PerfRecord> batch;
-  batch.reserve(total);
   for (std::size_t t = 0; t < total; ++t) {
-    const ConfigPoint& config = cell_config(t);
-    const ResourcePoint& point = cell_point(t);
-    if (measured[t]) {
-      batch.push_back(PerfRecord{config, point, std::move(values[t]),
-                                 Provenance::kMeasured});
-      continue;
-    }
-    std::vector<double> f = model.features_of(config, point);
-    QosVector quality;
+    if (measured[t]) continue;
+    std::vector<double> f = features_of(t);
     for (const tunable::MetricDef& m : metric_defs) {
-      quality.set(m.name, model.trees.at(m.name).predict(f));
+      sweep[t].quality.set(m.name, model.trees.at(m.name).predict(f));
     }
-    batch.push_back(
-        PerfRecord{config, point, std::move(quality), Provenance::kPredicted});
+    sweep[t].provenance = Provenance::kPredicted;
   }
-  db.insert_batch(batch);
+  PerfDatabase db(spec.resource_axes(), spec.metrics());
+  db.insert_batch(sweep);
   if (model_out) *model_out = std::move(model);
   return db;
 }

@@ -8,13 +8,15 @@
 // builds a fresh testbed, executes one run of the given configuration under
 // the given resource conditions, and returns the measured QoS vector.
 //
-// Profiling the full configs x resource-grid cartesian product is the
-// dominant offline cost of the framework, so the driver shards runs across
-// a work-stealing thread pool (Options::threads) with a deterministic
-// assembly contract: results are buffered per shard and committed into the
-// PerfDatabase in canonical (grid point, config) order, so a parallel
-// profile() is bit-for-bit identical — including save() bytes — to
-// profile_serial().  Callers with per-run state supply a RunFactory; each
+// Every public call decides *which* (config, point) cells to run and hands
+// them to one measure step: the base sweep, each refinement round and each
+// adaptive round alike.  The measure step hires its workers once per
+// public call — a work-stealing pool when Options::threads resolves to
+// more than one, otherwise the calling thread — and fills a batch of
+// records in place, in the batch's own order.  Batches are built in
+// canonical (grid point, config) order, so the database, including its
+// save() bytes, is identical at any thread count; threads = 1 is the
+// serial oracle.  Callers with per-run state supply a RunFactory; each
 // worker thread then gets its own RunFn, so testbed/sandbox state is never
 // shared across threads.
 // Adaptive profiling (after "A Decision Tree Based Approach Towards
@@ -22,9 +24,9 @@
 // count instead: profile_adaptive() measures a seeded space-filling sample,
 // fits one regression tree per metric, spends the remaining budget on the
 // highest-variance leaves, and emits a database where every unmeasured cell
-// is tree-predicted and flagged (Provenance::kPredicted).  profile_serial
-// stays the untouched ground-truth path; predictions are validated against
-// it by an error-bound test suite, not bit-exactness.
+// is tree-predicted and flagged (Provenance::kPredicted).  Predictions are
+// validated against the exhaustive profile() by an error-bound test suite,
+// not bit-exactness.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +44,8 @@ class ProfilingDriver {
  public:
   using RunFn = std::function<tunable::QosVector(const tunable::ConfigPoint&,
                                                  const ResourcePoint&)>;
-  /// Makes one RunFn per worker thread (parallel profiling); called once
-  /// per worker at sweep start, from the coordinating thread.
+  /// Makes one RunFn per worker thread; called once per worker per public
+  /// call, from the calling thread.
   using RunFactory = std::function<RunFn()>;
 
   struct Options {
@@ -53,13 +55,8 @@ class ProfilingDriver {
     double sensitivity_threshold = 0.5;
     /// Cap on extra samples per refinement round (strongest changes first).
     std::size_t max_suggestions_per_round = 32;
-    /// Progress callback (config, point).  Serial runs invoke it before
-    /// each run; parallel runs invoke it from the coordinating thread as
-    /// results are committed, in canonical order.
-    std::function<void(const tunable::ConfigPoint&, const ResourcePoint&)>
-        on_run;
-    /// Worker threads for profile()/refine(): 1 = serial (default),
-    /// 0 = hardware_concurrency, N = exactly N workers.
+    /// Worker threads of every public call: 1 = the calling thread
+    /// (default), 0 = hardware_concurrency, N = exactly N workers.
     std::size_t threads = 1;
   };
 
@@ -70,22 +67,16 @@ class ProfilingDriver {
   explicit ProfilingDriver(RunFn run);
   ProfilingDriver(RunFn run, Options options);
 
-  /// Per-worker contexts: `make_run` is invoked once per worker thread at
-  /// the start of each parallel sweep (and once total for serial runs).
+  /// Per-worker contexts: `make_run` is invoked once per worker (plus once
+  /// for the calling thread) per public call.
   ProfilingDriver(RunFactory make_run, Options options);
 
   /// Profile every configuration of `spec` on the cartesian grid given by
   /// `grid[i]` = sample values for spec.resource_axes()[i], then apply the
   /// configured refinement rounds.  Shards runs across Options::threads
-  /// workers; the assembled database is identical to profile_serial().
+  /// workers; the database is byte-identical at any thread count.
   PerfDatabase profile(const tunable::AppSpec& spec,
                        const std::vector<std::vector<double>>& grid) const;
-
-  /// The reference single-threaded path (kept as the determinism oracle:
-  /// profile() at any thread count must produce identical save() bytes).
-  PerfDatabase profile_serial(const tunable::AppSpec& spec,
-                              const std::vector<std::vector<double>>& grid)
-      const;
 
   /// Run one refinement round against an existing database; returns the
   /// number of new samples taken.  Suggestion selection is deterministic:
@@ -96,8 +87,8 @@ class ProfilingDriver {
   struct AdaptiveOptions {
     /// Cap on sandbox runs (cells measured); every other cell of the
     /// configs x grid product is tree-predicted.  Clamped to the cell
-    /// count; 0 is invalid.  budget >= |cells| degenerates to the
-    /// exhaustive sweep (byte-identical database, no `origin` column).
+    /// count; 0 is invalid.  budget >= |cells| degenerates to profile()
+    /// (byte-identical database, no `origin` column).
     std::size_t budget = 0;
     /// Seed of the deterministic space-filling sample (a SplitMix64
     /// Fisher-Yates permutation of the cells).  Same seed + budget =>
@@ -117,28 +108,28 @@ class ProfilingDriver {
   /// leaf-variance-guided rounds), then fill the rest of the grid with
   /// regression-tree predictions flagged Provenance::kPredicted.
   /// Options::refinement_rounds is not applied — the tree, not the
-  /// sensitivity scan, decides where the budget goes.  Rounds shard across
-  /// Options::threads with the same canonical-order commit contract as
-  /// profile(): the database is byte-identical at any thread count.  The
-  /// fitted model is returned through `model_out` when non-null (leaf
-  /// variances give sensitivity_analysis a principled refinement order).
+  /// sensitivity scan, decides where the budget goes.  Rounds go through
+  /// the same measure step as profile(): the database is byte-identical at
+  /// any thread count.  The fitted model is returned through `model_out`
+  /// when non-null.
   PerfDatabase profile_adaptive(const tunable::AppSpec& spec,
                                 const std::vector<std::vector<double>>& grid,
                                 const AdaptiveOptions& options,
                                 AdaptiveModel* model_out = nullptr) const;
 
  private:
-  void validate_grid(const tunable::AppSpec& spec,
-                     const std::vector<std::vector<double>>& grid) const;
-  std::vector<tunable::ConfigPoint> enumerate_configs(
-      const tunable::AppSpec& spec) const;
-  /// Grid points in canonical odometer order (last axis fastest).
-  std::vector<ResourcePoint> enumerate_points(
+  class Workers;
+
+  /// Every cell of spec x grid in canonical order (grid point major, last
+  /// axis fastest; configs in enumerate() order), qualities empty.
+  std::vector<PerfRecord> sweep_cells(
+      const tunable::AppSpec& spec,
       const std::vector<std::vector<double>>& grid) const;
+  /// One refinement round on `workers`; returns the samples taken.
+  std::size_t refine(PerfDatabase& db, Workers& workers) const;
   /// Deterministic refinement picks for one round, in commit order.
   std::vector<const RefinementSuggestion*> select_suggestions(
       const std::vector<RefinementSuggestion>& suggestions) const;
-  std::size_t effective_threads() const;
 
   RunFactory make_run_;
   Options options_{};

@@ -77,40 +77,22 @@ PruneResult analyze_prune(const PerfDatabase& db, double equivalence_epsilon,
   const std::size_t n = all.size();
 
   // The pairwise predicates are pure functions of the sampled records, so
-  // they can be evaluated up front on a pool; the marking passes below
-  // then consult the precomputed matrices and stay byte-identical to the
-  // serial analysis (the marking order — which representative wins a
-  // merge, which domination is discovered first — is what defines the
-  // result, and it never changes).
-  threads = util::ThreadPool::resolve_threads(threads);
-  std::vector<char> equiv;      // row-major [i * n + j], j > i only
-  std::vector<char> dominated;  // [j * n + i]: all[j] dominates all[i]
-  const bool precomputed = threads > 1 && n > 1;
-  if (precomputed) {
-    equiv.assign(n * n, 0);
-    dominated.assign(n * n, 0);
-    util::ThreadPool pool(threads);
-    pool.parallel_for(n, [&](std::size_t i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        equiv[i * n + j] =
-            equivalent(db.schema(), all[i], all[j], equivalence_epsilon) ? 1
-                                                                         : 0;
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        dominated[j * n + i] = dominates(db.schema(), all[j], all[i]) ? 1 : 0;
-      }
-    });
-  }
-  auto is_equivalent = [&](std::size_t i, std::size_t j) {
-    return precomputed
-               ? equiv[i * n + j] != 0
-               : equivalent(db.schema(), all[i], all[j], equivalence_epsilon);
-  };
-  auto is_dominated_by = [&](std::size_t i, std::size_t j) {
-    return precomputed ? dominated[j * n + i] != 0
-                       : dominates(db.schema(), all[j], all[i]);
-  };
+  // they are evaluated up front (fanned out over `threads`); the marking
+  // passes below then read the matrices in one fixed order (which
+  // representative wins a merge, which domination is discovered first),
+  // so the result is the same at any thread count.
+  std::vector<char> equiv(n * n, 0);      // row-major, j > i only
+  std::vector<char> dominated(n * n, 0);  // [j * n + i]: j dominates i
+  util::parallel_for(threads, n, [&](std::size_t i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      equiv[i * n + j] =
+          equivalent(db.schema(), all[i], all[j], equivalence_epsilon);
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      dominated[j * n + i] = dominates(db.schema(), all[j], all[i]);
+    }
+  });
 
   std::vector<bool> removed(n, false);
 
@@ -121,7 +103,7 @@ PruneResult analyze_prune(const PerfDatabase& db, double equivalence_epsilon,
     if (removed[i]) continue;
     for (std::size_t j = i + 1; j < n; ++j) {
       if (removed[j]) continue;
-      if (is_equivalent(i, j)) {
+      if (equiv[i * n + j] != 0) {
         removed[j] = true;
         result.merged_into[all[j].config.key()] = all[i].config.key();
       }
@@ -133,7 +115,7 @@ PruneResult analyze_prune(const PerfDatabase& db, double equivalence_epsilon,
     if (removed[i]) continue;
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j || removed[j]) continue;
-      if (is_dominated_by(i, j)) {
+      if (dominated[j * n + i] != 0) {
         removed[i] = true;
         result.dominated.push_back(all[i].config);
         break;

@@ -26,10 +26,11 @@ struct PruneResult {
 /// identical resource points (the profiling driver samples all configs on
 /// one grid, so in practice the full grid).
 ///
-/// `threads` > 1 (0 = hardware_concurrency) evaluates the O(n^2) pairwise
-/// equivalence/dominance predicates on a work-stealing pool; the
-/// keep/merge/dominate marking itself stays serial and order-identical, so
-/// the result matches the single-threaded analysis exactly.
+/// The O(n^2) pairwise equivalence/dominance predicates are always
+/// precomputed into matrices, fanned out through util::parallel_for on
+/// `threads` workers (0 = hardware_concurrency); the keep/merge/dominate
+/// marking then reads them serially in one fixed order, so the result is
+/// the same at any thread count.
 PruneResult analyze_prune(const PerfDatabase& db, double equivalence_epsilon,
                           std::size_t threads = 1);
 

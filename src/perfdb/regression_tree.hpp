@@ -108,8 +108,6 @@ class RegressionTree {
 /// The fitted per-metric trees of one adaptive profiling run, plus the
 /// feature layout they were trained on: config parameters first (in
 /// ConfigPoint's canonical name order), then the spec's resource axes.
-/// sensitivity_analysis uses the leaf variances as a principled refinement
-/// order (see rank_by_leaf_variance).
 struct AdaptiveModel {
   std::vector<std::string> feature_names;
   std::size_t config_features = 0;  ///< leading entries that are parameters

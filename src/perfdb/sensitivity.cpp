@@ -66,17 +66,9 @@ std::vector<RefinementSuggestion> sensitivity_analysis(
   std::vector<ConfigPoint> configs = db.configs();
   std::vector<std::vector<RefinementSuggestion>> per_config(configs.size());
 
-  threads = util::ThreadPool::resolve_threads(threads);
-  if (threads > 1 && configs.size() > 1) {
-    util::ThreadPool pool(threads);
-    pool.parallel_for(configs.size(), [&](std::size_t i) {
-      per_config[i] = analyze_config(db, configs[i], relative_threshold);
-    });
-  } else {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      per_config[i] = analyze_config(db, configs[i], relative_threshold);
-    }
-  }
+  util::parallel_for(threads, configs.size(), [&](std::size_t i) {
+    per_config[i] = analyze_config(db, configs[i], relative_threshold);
+  });
 
   std::vector<RefinementSuggestion> out;
   for (std::vector<RefinementSuggestion>& list : per_config) {
@@ -96,32 +88,6 @@ std::vector<RefinementSuggestion> sensitivity_analysis(
                      std::tie(b.config, b.point, b.axis, b.metric);
             });
   return out;
-}
-
-std::vector<RefinementSuggestion> rank_by_leaf_variance(
-    std::vector<RefinementSuggestion> suggestions,
-    const AdaptiveModel& model) {
-  std::vector<double> scores;
-  scores.reserve(suggestions.size());
-  for (const RefinementSuggestion& s : suggestions) {
-    auto it = model.trees.find(s.metric);
-    if (it == model.trees.end() || !it->second.fitted()) {
-      scores.push_back(0.0);
-      continue;
-    }
-    scores.push_back(
-        it->second.leaf_variance(model.features_of(s.config, s.point)));
-  }
-  std::vector<std::size_t> order(suggestions.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return scores[a] > scores[b];
-                   });
-  std::vector<RefinementSuggestion> ranked;
-  ranked.reserve(suggestions.size());
-  for (std::size_t i : order) ranked.push_back(std::move(suggestions[i]));
-  return ranked;
 }
 
 }  // namespace avf::perfdb

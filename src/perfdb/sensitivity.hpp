@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "perfdb/database.hpp"
-#include "perfdb/regression_tree.hpp"
 
 namespace avf::perfdb {
 
@@ -30,21 +29,11 @@ struct RefinementSuggestion {
 /// The order is a deterministic total order — relative change descending,
 /// ties broken by (config key, point, axis, metric) — so downstream
 /// refinement picks are identical across runs and thread counts.
-/// `threads` > 1 fans the per-configuration scans out across a
-/// work-stealing pool (0 = hardware_concurrency); the result is identical
-/// to the serial scan.
+/// The per-configuration scans fan out through util::parallel_for on
+/// `threads` workers (0 = hardware_concurrency); the result is the same at
+/// any thread count.
 std::vector<RefinementSuggestion> sensitivity_analysis(
     const PerfDatabase& db, double relative_threshold,
     std::size_t threads = 1);
-
-/// Re-rank sensitivity suggestions by an adaptive model's uncertainty: each
-/// suggestion is scored with the leaf variance of its triggering metric's
-/// tree at that cell, highest first (stable — equal variances keep the
-/// sensitivity_analysis total order, so the result is still deterministic).
-/// Suggestions for metrics the model has no tree for score zero.  This gives
-/// refinement after an adaptive profile a principled order: sample first
-/// where the tree is least certain, not merely where the surface is steep.
-std::vector<RefinementSuggestion> rank_by_leaf_variance(
-    std::vector<RefinementSuggestion> suggestions, const AdaptiveModel& model);
 
 }  // namespace avf::perfdb

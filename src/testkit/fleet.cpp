@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "adapt/stack.hpp"
+#include "perfdb/driver.hpp"
 #include "sim/link.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -179,23 +180,16 @@ double FleetModel::quality(const tunable::ConfigPoint& config) const {
 }
 
 perfdb::PerfDatabase build_fleet_database(const FleetModel& model) {
-  const tunable::AppSpec& spec = fleet_app_spec();
-  const std::vector<double> cpu_grid{0.1, 0.2, 0.4, 0.7, 1.0};
-  const std::vector<double> bw_grid{50e3, 100e3, 250e3, 500e3, 1e6};
-  std::vector<perfdb::PerfRecord> records;
-  for (const tunable::ConfigPoint& config : spec.space().enumerate()) {
-    for (double s : cpu_grid) {
-      for (double w : bw_grid) {
+  const perfdb::ProfilingDriver driver(
+      [&model](const tunable::ConfigPoint& config,
+               const perfdb::ResourcePoint& at) {
         tunable::QosVector q;
-        q.set("response", model.response(config, s, w));
+        q.set("response", model.response(config, at[0], at[1]));
         q.set("quality", model.quality(config));
-        records.push_back(perfdb::PerfRecord{config, {s, w}, q});
-      }
-    }
-  }
-  perfdb::PerfDatabase db(spec.resource_axes(), spec.metrics());
-  db.insert_batch(records);
-  return db;
+        return q;
+      });
+  return driver.profile(fleet_app_spec(), {{0.1, 0.2, 0.4, 0.7, 1.0},
+                                           {50e3, 100e3, 250e3, 500e3, 1e6}});
 }
 
 adapt::PreferenceList fleet_preferences() {

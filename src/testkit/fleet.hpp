@@ -58,7 +58,8 @@ struct FleetModel {
 };
 
 /// Analytic performance database for fleet_app_spec() over a fixed
-/// 5x5 (cpu_share x net_bps) grid: 2400 records.
+/// 5x5 (cpu_share x net_bps) grid: 2400 records, profiled through
+/// perfdb::ProfilingDriver with the closed-form model as its run.
 perfdb::PerfDatabase build_fleet_database(const FleetModel& model = {});
 
 /// The fleet's preference list: "interactive" (response <= 0.7 s, maximize

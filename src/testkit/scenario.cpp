@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "adapt/stack.hpp"
+#include "perfdb/driver.hpp"
 #include "sandbox/sandbox.hpp"
 #include "sim/network.hpp"
 #include "util/fmt.hpp"
@@ -261,23 +262,16 @@ double AppModel::response(const tunable::ConfigPoint& config, double cpu_share,
 }
 
 perfdb::PerfDatabase build_testkit_database(const AppModel& model) {
-  const tunable::AppSpec& spec = testkit_app_spec();
-  const std::vector<double> cpu_grid{0.1, 0.2, 0.4, 0.7, 1.0};
-  const std::vector<double> bw_grid{50e3, 100e3, 250e3, 500e3, 1e6};
-  std::vector<perfdb::PerfRecord> records;
-  for (const tunable::ConfigPoint& config : spec.space().enumerate()) {
-    for (double s : cpu_grid) {
-      for (double w : bw_grid) {
+  const perfdb::ProfilingDriver driver(
+      [&model](const tunable::ConfigPoint& config,
+               const perfdb::ResourcePoint& at) {
         tunable::QosVector q;
-        q.set("response", model.response(config, s, w));
+        q.set("response", model.response(config, at[0], at[1]));
         q.set("quality", static_cast<double>(config.get("q")));
-        records.push_back(perfdb::PerfRecord{config, {s, w}, q});
-      }
-    }
-  }
-  perfdb::PerfDatabase db(spec.resource_axes(), spec.metrics());
-  db.insert_batch(records);
-  return db;
+        return q;
+      });
+  return driver.profile(testkit_app_spec(), {{0.1, 0.2, 0.4, 0.7, 1.0},
+                                             {50e3, 100e3, 250e3, 500e3, 1e6}});
 }
 
 adapt::PreferenceList testkit_preferences(int template_id) {

@@ -54,7 +54,8 @@ struct AppModel {
                   double net_bps) const;
 };
 
-/// Analytic performance database over a fixed resource grid.
+/// Analytic performance database over a fixed resource grid, profiled
+/// through perfdb::ProfilingDriver with the closed-form model as its run.
 perfdb::PerfDatabase build_testkit_database(const AppModel& model = {});
 
 /// Preference templates: 0 = latency-constrained maximize-quality with an

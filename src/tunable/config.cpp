@@ -128,31 +128,38 @@ const ParamDomain& ConfigSpace::parameter(const std::string& name) const {
   throw std::out_of_range(util::format("no such parameter: {}", name));
 }
 
-std::vector<ConfigPoint> ConfigSpace::enumerate() const {
-  std::vector<ConfigPoint> out;
-  if (params_.empty()) return out;
+void ConfigSpace::for_each_raw(
+    const std::function<bool(const ConfigPoint&)>& fn) const {
+  if (params_.empty()) return;
   std::vector<std::size_t> idx(params_.size(), 0);
+  ConfigPoint point;
   for (;;) {
-    ConfigPoint point;
     for (std::size_t i = 0; i < params_.size(); ++i) {
       point.set(params_[i].name, params_[i].values[idx[i]]);
     }
-    bool ok = true;
-    for (const Guard& g : guards_) {
-      if (!g.predicate(point)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) out.push_back(std::move(point));
+    if (!fn(point)) return;
     // Odometer increment.
     std::size_t i = params_.size();
     while (i-- > 0) {
       if (++idx[i] < params_[i].values.size()) break;
       idx[i] = 0;
-      if (i == 0) return out;
+      if (i == 0) return;
     }
   }
+}
+
+bool ConfigSpace::passes_guards(const ConfigPoint& point) const {
+  return std::all_of(guards_.begin(), guards_.end(),
+                     [&](const Guard& g) { return g.predicate(point); });
+}
+
+std::vector<ConfigPoint> ConfigSpace::enumerate() const {
+  std::vector<ConfigPoint> out;
+  for_each_raw([&](const ConfigPoint& point) {
+    if (passes_guards(point)) out.push_back(point);
+    return true;
+  });
+  return out;
 }
 
 bool ConfigSpace::valid(const ConfigPoint& point) const {
@@ -163,10 +170,7 @@ bool ConfigSpace::valid(const ConfigPoint& point) const {
       return false;
     }
   }
-  for (const Guard& g : guards_) {
-    if (!g.predicate(point)) return false;
-  }
-  return true;
+  return passes_guards(point);
 }
 
 std::size_t ConfigSpace::raw_size() const {
@@ -183,28 +187,12 @@ std::size_t ConfigSpace::raw_size() const {
 }
 
 bool ConfigSpace::feasible() const {
-  if (params_.empty()) return false;
-  std::vector<std::size_t> idx(params_.size(), 0);
-  for (;;) {
-    ConfigPoint point;
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-      point.set(params_[i].name, params_[i].values[idx[i]]);
-    }
-    bool ok = true;
-    for (const Guard& g : guards_) {
-      if (!g.predicate(point)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return true;
-    std::size_t i = params_.size();
-    while (i-- > 0) {
-      if (++idx[i] < params_[i].values.size()) break;
-      idx[i] = 0;
-      if (i == 0) return false;
-    }
-  }
+  bool found = false;
+  for_each_raw([&](const ConfigPoint& point) {
+    found = passes_guards(point);
+    return !found;
+  });
+  return found;
 }
 
 }  // namespace avf::tunable

@@ -88,6 +88,11 @@ class ConfigSpace {
   /// All guard-satisfying configurations, in lexicographic domain order.
   std::vector<ConfigPoint> enumerate() const;
 
+  /// Visit the *unguarded* cartesian product of the declared domains in
+  /// enumerate()'s order (last parameter fastest) until `fn` returns
+  /// false.  Visits nothing when no parameters are declared.
+  void for_each_raw(const std::function<bool(const ConfigPoint&)>& fn) const;
+
   /// Whether `point` assigns a valid domain value to every parameter and
   /// passes all guards.
   bool valid(const ConfigPoint& point) const;
@@ -106,6 +111,8 @@ class ConfigSpace {
   std::size_t guard_count() const { return guards_.size(); }
 
  private:
+  bool passes_guards(const ConfigPoint& point) const;
+
   std::vector<ParamDomain> params_;
   std::vector<Guard> guards_;
 };

@@ -205,4 +205,13 @@ void ThreadPool::parallel_for(std::size_t count,
   if (state.executed != count) throw ThreadPoolStopped();
 }
 
+void parallel_for(std::size_t threads, std::size_t count,
+                  const std::function<void(std::size_t)>& fn) {
+  if (ThreadPool::resolve_threads(threads) > 1 && count > 1) {
+    ThreadPool(threads).parallel_for(count, fn);
+    return;
+  }
+  for (std::size_t i = 0; i < count; ++i) fn(i);
+}
+
 }  // namespace avf::util

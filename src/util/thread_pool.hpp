@@ -1,5 +1,6 @@
 // A small work-stealing thread pool shared by the offline subsystems
-// (profiling driver, prune/sensitivity post-passes).
+// (profiling driver, prune/sensitivity post-passes), and parallel_for(),
+// the one-shot fan-out those post-passes use.
 //
 // Design:
 //   - N workers on std::jthread; each worker owns a mutex-guarded deque.
@@ -23,6 +24,11 @@
 // parallel_for must not be called from inside a pool task (the caller
 // blocks without helping, so nested calls on a saturated pool can
 // deadlock).
+//
+// The free util::parallel_for(threads, count, fn) is the one place besides
+// the profiling driver's workers that chooses between running inline and
+// running on a pool: it runs on the calling thread when `threads` resolves
+// to 1 or count <= 1, else on a pool hired for the call.
 #pragma once
 
 #include <atomic>
@@ -100,5 +106,12 @@ class ThreadPool {
   std::atomic<bool> stopping_{false};
   std::vector<std::jthread> threads_;  // last member: joins before teardown
 };
+
+/// Run fn(i) for every i in [0, count) on `threads` workers (0 =
+/// hardware_concurrency).  Runs inline on the calling thread when `threads`
+/// resolves to 1 or count <= 1, else on a pool hired for this call.  Either
+/// way the exception of the lowest failing index propagates.
+void parallel_for(std::size_t threads, std::size_t count,
+                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace avf::util

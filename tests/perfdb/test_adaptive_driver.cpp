@@ -1,5 +1,5 @@
 // Acceptance suite for decision-tree-guided adaptive profiling, validated
-// against the exhaustive oracle (the untouched profile_serial path / the
+// against the exhaustive oracle (profile() at one thread / the
 // closed-form run function itself): measured cells must be bit-exact,
 // predicted cells within a relative-error bound, the full-budget case must
 // degenerate to the exhaustive database byte-for-byte, and the whole run
@@ -15,8 +15,6 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-#include "perfdb/sensitivity.hpp"
 
 namespace avf::perfdb {
 namespace {
@@ -132,7 +130,7 @@ TEST(AdaptiveDriver, MeasuredCellsBitExactPredictionsWithinBound) {
 TEST(AdaptiveDriver, FullBudgetDegeneratesToExhaustiveBytes) {
   AppSpec spec = make_spec();
   ProfilingDriver driver = make_driver();
-  const std::string want = save_bytes(driver.profile_serial(spec, kGrid));
+  const std::string want = save_bytes(driver.profile(spec, kGrid));
   for (std::size_t budget : {kCells, kCells + 1000}) {
     PerfDatabase db =
         driver.profile_adaptive(spec, kGrid, adaptive_options(budget, 1));
@@ -285,31 +283,6 @@ TEST(AdaptiveDriver, ModelOutPredictsExactlyWhatTheDatabaseStores) {
       }
     }
   }
-}
-
-TEST(AdaptiveDriver, RankByLeafVariancePutsUncertainCellsFirst) {
-  // Hand-built model: one feature, a pure left leaf and a spread-out right
-  // leaf (variance 4).
-  AdaptiveModel model;
-  model.feature_names = {"cpu"};
-  model.config_features = 0;
-  std::vector<TreeSample> samples{
-      {{0.0}, 0.0}, {{1.0}, 0.0}, {{2.0}, 10.0}, {{3.0}, 14.0}};
-  model.trees["time"].fit(samples, RegressionTree::Options{});
-
-  ConfigPoint config;
-  RefinementSuggestion low{config, {0.5}, "cpu", "time", 0.9};
-  RefinementSuggestion high{config, {2.5}, "cpu", "time", 0.1};
-  RefinementSuggestion unknown{config, {2.5}, "cpu", "other", 0.5};
-
-  std::vector<RefinementSuggestion> ranked =
-      rank_by_leaf_variance({low, unknown, high}, model);
-  ASSERT_EQ(ranked.size(), 3u);
-  EXPECT_EQ(ranked[0].metric, "time");
-  EXPECT_EQ(ranked[0].point, ResourcePoint({2.5}));  // variance 4 leaf first
-  // Zero-scored entries (pure leaf, unknown metric) keep their input order.
-  EXPECT_EQ(ranked[1].point, ResourcePoint({0.5}));
-  EXPECT_EQ(ranked[2].metric, "other");
 }
 
 }  // namespace

@@ -90,22 +90,6 @@ TEST(Driver, RefinementRespectsPerRoundCap) {
   EXPECT_EQ(runs, 6 + 2);
 }
 
-TEST(Driver, OnRunCallbackObservesEveryExecution) {
-  AppSpec spec = make_spec();
-  ProfilingDriver::Options options;
-  int observed = 0;
-  options.on_run = [&](const ConfigPoint&, const ResourcePoint&) {
-    ++observed;
-  };
-  ProfilingDriver driver(
-      [&](const ConfigPoint& c, const ResourcePoint& p) {
-        return model(c, p);
-      },
-      options);
-  (void)driver.profile(spec, {{0.5, 1.0}});
-  EXPECT_EQ(observed, 4);
-}
-
 TEST(Driver, RejectsBadGrids) {
   AppSpec spec = make_spec();
   ProfilingDriver driver(

@@ -1,6 +1,6 @@
 // Determinism contract of the parallel profiling pipeline: profile() at
 // any thread count must assemble a database whose save() bytes are
-// bit-for-bit identical to profile_serial(), and refinement's budgeted
+// bit-for-bit identical to the threads = 1 run, and refinement's budgeted
 // suggestion picks must not depend on thread count or sort internals.
 #include "perfdb/driver.hpp"
 
@@ -64,7 +64,7 @@ TEST(ParallelDriver, MatchesSerialBytesAtAnyThreadCount) {
   ProfilingDriver serial(
       [](const ConfigPoint& c, const ResourcePoint& p) { return model(c, p); },
       options);
-  const std::string want = save_bytes(serial.profile_serial(spec, kGrid));
+  const std::string want = save_bytes(serial.profile(spec, kGrid));
 
   for (std::size_t threads : {1u, 2u, 3u, 4u, 0u}) {
     options.threads = threads;
@@ -82,43 +82,23 @@ TEST(ParallelDriver, RunFactoryMakesOneContextPerWorker) {
   AppSpec spec = make_spec();
   ProfilingDriver::Options options;
   options.threads = 3;
+  options.refinement_rounds = 2;
   std::atomic<int> contexts{0};
+  std::atomic<int> runs{0};
   ProfilingDriver driver(
       [&]() -> ProfilingDriver::RunFn {
         ++contexts;
-        return [](const ConfigPoint& c, const ResourcePoint& p) {
+        return [&](const ConfigPoint& c, const ResourcePoint& p) {
+          ++runs;
           return model(c, p);
         };
       },
       options);
   (void)driver.profile(spec, kGrid);
-  // One RunFn per worker plus the spare slot for the coordinating thread.
+  // One RunFn per worker plus one for the calling thread, hired once for
+  // the base sweep and both refinement rounds.
   EXPECT_EQ(contexts.load(), 4);
-}
-
-TEST(ParallelDriver, OnRunObservesCanonicalOrderInParallel) {
-  AppSpec spec = make_spec();
-  ProfilingDriver::Options options;
-  std::vector<std::pair<std::string, ResourcePoint>> serial_order;
-  options.on_run = [&](const ConfigPoint& c, const ResourcePoint& p) {
-    serial_order.emplace_back(c.key(), p);
-  };
-  ProfilingDriver serial(
-      [](const ConfigPoint& c, const ResourcePoint& p) { return model(c, p); },
-      options);
-  (void)serial.profile(spec, kGrid);
-
-  std::vector<std::pair<std::string, ResourcePoint>> parallel_order;
-  options.on_run = [&](const ConfigPoint& c, const ResourcePoint& p) {
-    parallel_order.emplace_back(c.key(), p);
-  };
-  options.threads = 4;
-  ProfilingDriver parallel(
-      [](const ConfigPoint& c, const ResourcePoint& p) { return model(c, p); },
-      options);
-  (void)parallel.profile(spec, kGrid);
-
-  EXPECT_EQ(parallel_order, serial_order);
+  EXPECT_EQ(runs.load(), 85);
 }
 
 TEST(ParallelDriver, RunExceptionPropagatesAndNothingCommits) {

@@ -5,6 +5,9 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace avf::tunable {
 namespace {
@@ -195,6 +198,64 @@ TEST(ConfigSpace, FeasibleStopsAtFirstAdmissiblePoint) {
   EXPECT_TRUE(space.feasible());
   space.add_guard("a == 3", [](const ConfigPoint& p) { return p.get("a") == 3; });
   EXPECT_TRUE(space.feasible());
+}
+
+TEST(ConfigSpace, ForEachRawVisitsUnguardedProductInEnumerateOrder) {
+  ConfigSpace space;
+  std::size_t visits = 0;
+  space.for_each_raw([&](const ConfigPoint&) {
+    ++visits;
+    return true;
+  });
+  EXPECT_EQ(visits, 0u);  // no parameters: nothing to visit
+
+  space.add_parameter("a", {1, 2});
+  space.add_parameter("b", {5, 6, 7});
+  space.add_guard("none pass", [](const ConfigPoint&) { return false; });
+  std::vector<std::string> keys;
+  space.for_each_raw([&](const ConfigPoint& p) {
+    keys.push_back(p.key());
+    return true;
+  });
+  EXPECT_EQ(keys, (std::vector<std::string>{"a=1,b=5", "a=1,b=6", "a=1,b=7",
+                                            "a=2,b=5", "a=2,b=6",
+                                            "a=2,b=7"}));
+
+  // Returning false stops the walk at that point.
+  keys.clear();
+  space.for_each_raw([&](const ConfigPoint& p) {
+    keys.push_back(p.key());
+    return keys.size() < 4;
+  });
+  EXPECT_EQ(keys.size(), 4u);
+  EXPECT_EQ(keys.back(), "a=2,b=5");
+}
+
+TEST(ConfigSpace, FeasibleIffEnumerateIsNonEmpty) {
+  // Seeded random guard sets over a 3x3x2 space: each guard admits a
+  // random subset of the raw points, so some sets admit nothing.
+  util::SplitMix64 rng(17);
+  int feasible = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    ConfigSpace space;
+    space.add_parameter("a", {0, 1, 2});
+    space.add_parameter("b", {0, 1, 2});
+    space.add_parameter("c", {0, 1});
+    const std::size_t guards = rng.next_below(4);
+    for (std::size_t g = 0; g < guards; ++g) {
+      const std::uint64_t mask = rng.next();  // bit per raw point
+      space.add_guard("random", [mask](const ConfigPoint& p) {
+        const int bit = (p.get("a") * 3 + p.get("b")) * 2 + p.get("c");
+        return ((mask >> bit) & 1u) != 0;
+      });
+    }
+    EXPECT_EQ(space.feasible(), !space.enumerate().empty())
+        << "trial " << trial;
+    feasible += space.feasible() ? 1 : 0;
+  }
+  // Both outcomes occur, so the equivalence is exercised either way.
+  EXPECT_GT(feasible, 0);
+  EXPECT_LT(feasible, 200);
 }
 
 TEST(ConfigSpace, GuardsFilteringEverythingIsReportableNotSilent) {

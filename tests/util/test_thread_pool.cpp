@@ -167,5 +167,51 @@ TEST(ThreadPool, ZeroCountIsNoop) {
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
 }
 
+TEST(ParallelFor, RunsInlineForOneThreadOrOneIndex) {
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::size_t hw = ThreadPool::resolve_threads(0);
+  struct Case {
+    std::size_t threads;
+    std::size_t count;
+  };
+  std::vector<Case> cases{{1, 0}, {1, 1}, {1, 50}, {4, 0}, {4, 1}};
+  if (hw == 1) cases.push_back({0, 50});  // 0 resolves to 1 here
+  for (const Case& c : cases) {
+    std::vector<std::size_t> order;
+    parallel_for(c.threads, c.count, [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    std::vector<std::size_t> want(c.count);
+    std::iota(want.begin(), want.end(), 0);
+    EXPECT_EQ(order, want) << "threads=" << c.threads << " count=" << c.count;
+  }
+}
+
+TEST(ParallelFor, PooledRunsEveryIndexOffTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(100);
+  std::atomic<int> on_caller{0};
+  parallel_for(4, hits.size(), [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+  });
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(on_caller.load(), 0);
+}
+
+TEST(ParallelFor, LowestFailingIndexWinsInBothModes) {
+  for (std::size_t threads : {1u, 4u}) {
+    try {
+      parallel_for(threads, 200, [](std::size_t i) {
+        if (i % 3 == 2) throw std::runtime_error("fail " + std::to_string(i));
+      });
+      FAIL() << "expected an exception, threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "fail 2") << "threads=" << threads;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace avf::util

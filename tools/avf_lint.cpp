@@ -18,10 +18,12 @@
 // at the failing severity, 2 usage or I/O error.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "examples/specs.hpp"
 #include "lint/lint.hpp"
 #include "viz/world.hpp"
@@ -79,11 +81,10 @@ int main(int argc, char** argv) {
       db_path = argv[i];
     } else if (arg == "--max-configs") {
       if (++i == argc) return usage(std::cerr, 2);
-      try {
-        options.max_configs = std::stoul(argv[i]);
-      } catch (const std::exception&) {
-        return usage(std::cerr, 2);
-      }
+      const auto max_configs = avf::cli::parse_int(
+          argv[i], 0, std::numeric_limits<long long>::max());
+      if (!max_configs) return usage(std::cerr, 2);
+      options.max_configs = static_cast<std::size_t>(*max_configs);
     } else if (arg == "--help" || arg == "-h") {
       return usage(std::cout, 0);
     } else if (!arg.empty() && arg[0] == '-') {

@@ -6,11 +6,19 @@
 // reported per-scenario seed reproduces its scenario exactly:
 //
 //   avf_soak --scenario <seed> [--verbose]
+//
+// Seeds take strtoull's base-0 syntax (decimal, 0x hex, leading-0 octal);
+// --count must be >= 1 and --duration positive.  A malformed or
+// out-of-range number (AVF_SOAK_SEED included) prints the usage and exits
+// 2.
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
+#include "cli_args.hpp"
 #include "testkit/scenario.hpp"
 #include "util/fmt.hpp"
 
@@ -21,7 +29,7 @@ int usage(const char* argv0) {
             << " [--seed N] [--count N] [--duration S] [--scenario N]"
                " [--verbose]\n"
                "  --seed N      base seed (default: $AVF_SOAK_SEED, else 1)\n"
-               "  --count N     scenarios to run (default 50)\n"
+               "  --count N     scenarios to run, >= 1 (default 50)\n"
                "  --duration S  simulated seconds per scenario (default 10)\n"
                "  --scenario N  replay one scenario by its per-scenario seed\n"
                "                (the value printed for a violation)\n"
@@ -63,7 +71,12 @@ int replay_scenario(std::uint64_t seed, avf::testkit::ScenarioOptions options,
 int main(int argc, char** argv) {
   std::uint64_t base_seed = 1;
   if (const char* env = std::getenv("AVF_SOAK_SEED")) {
-    base_seed = std::strtoull(env, nullptr, 0);
+    const auto seed = avf::cli::parse_seed(env, 0);
+    if (!seed) {
+      std::cerr << "AVF_SOAK_SEED: not a seed: '" << env << "'\n";
+      return usage(argv[0]);
+    }
+    base_seed = *seed;
   }
   int count = 50;
   avf::testkit::ScenarioOptions options;
@@ -80,14 +93,24 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seed") {
-      base_seed = std::strtoull(next(), nullptr, 0);
+      const auto seed = avf::cli::parse_seed(next(), 0);
+      if (!seed) return usage(argv[0]);
+      base_seed = *seed;
     } else if (arg == "--count") {
-      count = std::atoi(next());
+      const auto n =
+          avf::cli::parse_int(next(), 1, std::numeric_limits<int>::max());
+      if (!n) return usage(argv[0]);
+      count = static_cast<int>(*n);
     } else if (arg == "--duration") {
-      options.duration = std::atof(next());
+      const auto seconds = avf::cli::parse_double(
+          next(), std::numeric_limits<double>::denorm_min());
+      if (!seconds) return usage(argv[0]);
+      options.duration = *seconds;
     } else if (arg == "--scenario") {
+      const auto seed = avf::cli::parse_seed(next(), 0);
+      if (!seed) return usage(argv[0]);
       replay = true;
-      scenario_seed = std::strtoull(next(), nullptr, 0);
+      scenario_seed = *seed;
     } else if (arg == "--verbose") {
       verbose = true;
     } else {

@@ -9,7 +9,9 @@
 //                   [--out FILE]
 // Defaults: 512x512 image, cpu 0.1,0.4,0.7,1.0, bw 25e3,50e3,250e3,500e3,
 // no refinement, 1 thread (0 = hardware concurrency; any thread count
-// produces a byte-identical database), stdout.
+// produces a byte-identical database), stdout.  CPU shares must lie in
+// (0, 1] and bandwidths be positive; a malformed or out-of-range number
+// prints the usage and exits 2, as does a setup the testbed rejects.
 //
 // --budget B caps the sandbox runs at B cells (adaptive profiling): the
 // driver measures a seeded space-filling sample, fits one regression tree
@@ -19,28 +21,21 @@
 // --budget excludes --refine; a budget covering the whole grid degenerates
 // to the exhaustive sweep byte-for-byte.
 #include <cstdint>
+#include <exception>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "perfdb/driver.hpp"
 #include "viz/world.hpp"
 
 using namespace avf;
 
 namespace {
-
-std::vector<double> parse_list(const std::string& arg) {
-  std::vector<double> out;
-  std::stringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    out.push_back(std::stod(item));
-  }
-  return out;
-}
 
 [[noreturn]] void usage() {
   std::cerr << "usage: avf_viz_profile [--size N] [--cpu a,b,..] "
@@ -49,9 +44,18 @@ std::vector<double> parse_list(const std::string& arg) {
   std::exit(2);
 }
 
+/// `parsed`'s value, or the usage and exit 2.
+template <typename T>
+T or_usage(std::optional<T> parsed) {
+  if (!parsed) usage();
+  return *std::move(parsed);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr double kMaxDouble = std::numeric_limits<double>::max();
+  constexpr double kPositive = std::numeric_limits<double>::denorm_min();
   viz::WorldSetup setup;
   setup.image_size = 512;
   std::vector<double> cpu_grid{0.1, 0.4, 0.7, 1.0};
@@ -69,30 +73,29 @@ int main(int argc, char** argv) {
       return argv[i];
     };
     if (arg == "--size") {
-      setup.image_size = std::stoi(next());
+      setup.image_size =
+          static_cast<int>(or_usage(cli::parse_int(next(), 1, 8192)));
     } else if (arg == "--cpu") {
-      cpu_grid = parse_list(next());
+      cpu_grid = or_usage(cli::parse_list(next(), kPositive, 1.0));
     } else if (arg == "--bw") {
-      bw_grid = parse_list(next());
+      bw_grid = or_usage(cli::parse_list(next(), kPositive, kMaxDouble));
     } else if (arg == "--refine") {
-      refine = std::stoi(next());
+      refine = static_cast<int>(or_usage(
+          cli::parse_int(next(), 0, std::numeric_limits<int>::max())));
     } else if (arg == "--budget") {
-      long long b = std::stoll(next());
-      if (b <= 0) usage();
-      budget = static_cast<std::size_t>(b);
+      budget = static_cast<std::size_t>(or_usage(
+          cli::parse_int(next(), 1, std::numeric_limits<long long>::max())));
     } else if (arg == "--seed") {
-      seed = std::stoull(next());
+      seed = or_usage(cli::parse_seed(next(), 10));
     } else if (arg == "--threads") {
-      int t = std::stoi(next());
-      if (t < 0) usage();
-      threads = static_cast<std::size_t>(t);
+      threads =
+          static_cast<std::size_t>(or_usage(cli::parse_int(next(), 0, 4096)));
     } else if (arg == "--out") {
       out_path = next();
     } else {
       usage();
     }
   }
-  if (cpu_grid.empty() || bw_grid.empty()) usage();
   if (budget > 0 && refine > 0) usage();  // the tree owns the budget
 
   std::cerr << "profiling " << viz::viz_app_spec().space().enumerate().size()
@@ -102,11 +105,19 @@ int main(int argc, char** argv) {
             << " refinement rounds, "
             << (threads == 0 ? std::string("hw") : std::to_string(threads))
             << " threads)...\n";
-  perfdb::PerfDatabase db =
-      budget > 0
-          ? viz::build_viz_database_adaptive(setup, cpu_grid, bw_grid, budget,
-                                             seed, threads)
-          : viz::build_viz_database(setup, cpu_grid, bw_grid, refine, threads);
+  std::optional<perfdb::PerfDatabase> built;
+  try {
+    built.emplace(budget > 0 ? viz::build_viz_database_adaptive(
+                                   setup, cpu_grid, bw_grid, budget, seed,
+                                   threads)
+                             : viz::build_viz_database(setup, cpu_grid,
+                                                       bw_grid, refine,
+                                                       threads));
+  } catch (const std::exception& e) {
+    std::cerr << "avf_viz_profile: " << e.what() << "\n";
+    return 2;
+  }
+  const perfdb::PerfDatabase& db = *built;
   std::cerr << db.size() << " samples collected";
   if (db.predicted_count() > 0) {
     std::cerr << " (" << db.size() - db.predicted_count() << " measured, "

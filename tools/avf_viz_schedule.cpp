@@ -10,12 +10,18 @@
 // Example:
 //   avf_viz_schedule --db db.csv --cpu 0.4 --bw 50e3
 //                    --maximize resolution --range transmit_time:0:10
+// --cpu and --bw must be finite and >= 0; range bounds may be infinite.  A
+// malformed number prints the usage and exits 2, as does a query the
+// scheduler rejects.
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 
 #include "adapt/scheduler.hpp"
+#include "cli_args.hpp"
 #include "perfdb/database.hpp"
 
 using namespace avf;
@@ -29,14 +35,22 @@ namespace {
   std::exit(2);
 }
 
+/// `parsed`'s value, or the usage and exit 2.
+double or_usage(std::optional<double> parsed) {
+  if (!parsed) usage();
+  return *parsed;
+}
+
 adapt::MetricRange parse_range(const std::string& spec) {
   std::size_t c1 = spec.find(':');
   std::size_t c2 = spec.find(':', c1 + 1);
   if (c1 == std::string::npos || c2 == std::string::npos) usage();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   adapt::MetricRange range;
   range.metric = spec.substr(0, c1);
-  range.min = std::stod(spec.substr(c1 + 1, c2 - c1 - 1));
-  range.max = std::stod(spec.substr(c2 + 1));
+  const std::string min = spec.substr(c1 + 1, c2 - c1 - 1);
+  range.min = or_usage(cli::parse_double(min, -kInf, kInf));
+  range.max = or_usage(cli::parse_double(spec.substr(c2 + 1), -kInf, kInf));
   return range;
 }
 
@@ -57,9 +71,9 @@ int main(int argc, char** argv) {
     if (arg == "--db") {
       db_path = next();
     } else if (arg == "--cpu") {
-      cpu = std::stod(next());
+      cpu = or_usage(cli::parse_double(next(), 0.0));
     } else if (arg == "--bw") {
-      bw = std::stod(next());
+      bw = or_usage(cli::parse_double(next(), 0.0));
     } else if (arg == "--minimize") {
       pref.objective_metric = next();
       pref.maximize = false;
@@ -91,8 +105,14 @@ int main(int argc, char** argv) {
 
   adapt::ResourceScheduler::Options options;
   options.lookup = lookup;
-  adapt::ResourceScheduler scheduler(*db, {pref}, options);
-  auto decision = scheduler.select({cpu, bw});
+  std::optional<adapt::Decision> decision;
+  try {
+    adapt::ResourceScheduler scheduler(*db, {pref}, options);
+    decision = scheduler.select({cpu, bw});
+  } catch (const std::exception& e) {
+    std::cerr << "avf_viz_schedule: " << e.what() << "\n";
+    return 2;
+  }
   if (!decision) {
     std::cerr << "no usable configurations in the database\n";
     return 1;
