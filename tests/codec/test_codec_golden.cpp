@@ -5,28 +5,17 @@
 // only for a deliberate format change.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <string>
-
 #include "codec/bwt.hpp"
 #include "codec/lzw.hpp"
+#include "golden_digest.hpp"
 #include "test_inputs.hpp"
-#include "util/hash.hpp"
 
 namespace avf::codec {
 namespace {
 
 constexpr std::size_t kBlock = 64 * 1024;
 
-/// "<size>:<Hasher128 digest, hi then lo, in hex>".
-std::string digest(const Bytes& bytes) {
-  util::Hash128 h = util::Hasher128::of(bytes.data(), bytes.size());
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                static_cast<unsigned long long>(h.hi),
-                static_cast<unsigned long long>(h.lo));
-  return std::to_string(bytes.size()) + ":" + buf;
-}
+using golden::digest;
 
 TEST(CodecGolden, WaveletPayload) {
   const Bytes& input = testing::wavelet_payload();

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "golden_digest.hpp"
 #include "util/blob.hpp"
 #include "util/rng.hpp"
 
@@ -258,6 +259,46 @@ TEST(Protocol, MutatedMessagesDecodeOrThrow) {
   // The unmutated messages each decode under their own kind only.
   for (const sim::Message& original : seeds) {
     EXPECT_EQ(decode_all(original), original.kind == kShutdown ? 0 : 1);
+  }
+}
+
+// Golden inline payload of every message kind.  Multi-byte fields hold
+// distinct bytes, so a swapped or dropped byte moves the digest.
+TEST(ProtocolGolden, EncodedPayloads) {
+  Reply reply = sample_reply();
+  reply.session_id = 0x89ABCDEF;
+  reply.complete = true;
+  reply.premeasured = true;
+  reply.raw_len = 0x01020304;
+  reply.wire_len = 0x00A0B0C0;
+  const std::pair<sim::Message, const char*> cases[] = {
+      {encode(OpenImage{.session_id = 0x89ABCDEF,
+                        .image_id = 0x13572468,
+                        .level = 4,
+                        .codec = 2}),
+       "10:4691315e3ddf55e03b83762af4739e0b"},
+      {encode(OpenAck{.session_id = 0x89ABCDEF,
+                      .width = 0x1234,
+                      .height = 0xFEDC,
+                      .levels = 5}),
+       "9:2298d4b38ad8984c4c579cfde624d3a1"},
+      {encode(Request{.session_id = 0x89ABCDEF,
+                      .cx = 0x0102,
+                      .cy = 0xA0B0,
+                      .half = 0x7F80,
+                      .level = 3}),
+       "11:19da3355a0935aee133ed02c864aadb2"},
+      {encode(reply), "15:53108dda9bb5ab603bca37b651c9c3d9"},
+      {encode(SetCodec{.session_id = 0x89ABCDEF, .codec = 2}),
+       "5:6ada58a0762b3bfcaa15f8a7ebc27894"},
+      {encode(ErrorReply{.session_id = 0x89ABCDEF,
+                         .code = ErrorCode::kBadMessage}),
+       "5:097590929df0ab2df76e30937d062f43"},
+      {encode_shutdown(), "0:a350bf18bd3605d23cbf60ca88438073"},
+  };
+  for (const auto& [message, expected] : cases) {
+    EXPECT_EQ(golden::digest(message.payload), expected)
+        << "kind " << message.kind;
   }
 }
 

@@ -4,9 +4,11 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "golden_digest.hpp"
 #include "util/rng.hpp"
 
 namespace avf::wavelet {
@@ -241,6 +243,47 @@ TEST(Progressive, TakeRegionTilesMarksSent) {
   // even though serialize_tiles never ran.
   EXPECT_TRUE(rig.enc.take_region_tiles(r, 2).empty());
   EXPECT_TRUE(rig.enc.encode_region(r, 2).empty());
+}
+
+// -- golden wire bytes ---------------------------------------------------
+
+TEST(ProgressiveGolden, SerializedTiles) {
+  // A 120x88 image with 3 levels and 8-pixel tiles: LL is 15x11 and the
+  // level-3 details are 60x44, so every band ends in partial edge tiles.
+  // Detail coefficients are signed, so both halves of the i16 matter.
+  Image img = Image::synthetic(120, 88, 31);
+  Pyramid pyr(img, 3);
+  struct Case {
+    Region region;
+    int level;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {{60, 44, 12}, 0, "256:30d7db851153b8a33318318a9a58e667"},
+      {{60, 44, 20}, 1, "1018:de82bced294e93bbe35c59085913731b"},
+      // Bottom-right corner: partial edge tiles only.
+      {{110, 80, 16}, 2, "744:91c1ecfba0827ac1afcd7c751a2de3fc"},
+      // Everything.
+      {{60, 44, 120}, 3, "22494:d781f073614704f6028115a2552cac82"},
+  };
+  for (const Case& c : cases) {
+    ProgressiveEncoder enc(pyr, 8);
+    std::vector<TileRef> tiles = enc.take_region_tiles(c.region, c.level);
+    EXPECT_EQ(golden::digest(enc.serialize_tiles(tiles)), c.digest)
+        << "region " << c.region.cx << "," << c.region.cy << ","
+        << c.region.half << " level " << c.level;
+  }
+  // A growing fovea on one encoder: each step serializes only new tiles.
+  ProgressiveEncoder enc(pyr, 8);
+  std::vector<std::string> steps;
+  for (int half = 8; half <= 64; half += 28) {
+    steps.push_back(golden::digest(enc.encode_region({30, 70, half}, 3)));
+  }
+  EXPECT_EQ(steps, (std::vector<std::string>{
+                       "3810:9dd45e7b8f44699196b272be7f74fa42",
+                       "6908:5d043f2de61e3023d19dfa332b5fde9b",
+                       "7505:9f6fdc4b6edfe6ee34ac3a652bbcadb2",
+                   }));
 }
 
 }  // namespace
