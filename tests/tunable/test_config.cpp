@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/fmt.hpp"
 #include "util/rng.hpp"
 
 namespace avf::tunable {
@@ -187,7 +188,7 @@ TEST(ConfigSpace, RawSizeSaturatesInsteadOfOverflowing) {
   std::vector<int> wide(100000);
   for (int i = 0; i < 100000; ++i) wide[i] = i;
   for (int p = 0; p < 5; ++p) {
-    space.add_parameter("p" + std::to_string(p), wide);  // 10^25 raw points
+    space.add_parameter(util::format("p{}", p), wide);  // 10^25 raw points
   }
   EXPECT_EQ(space.raw_size(), std::numeric_limits<std::size_t>::max());
 }
