@@ -9,6 +9,7 @@
 #include <string>
 
 #include "codec/bitstream.hpp"
+#include "util/bytes.hpp"
 
 namespace avf::codec {
 
@@ -252,63 +253,6 @@ Bytes mtf_decode(BytesView input) {
   return out;
 }
 
-Bytes rle_encode(BytesView input) {
-  Bytes out;
-  std::size_t i = 0;
-  while (i < input.size()) {
-    // Measure the run starting at i.
-    std::size_t run = 1;
-    while (i + run < input.size() && input[i + run] == input[i] &&
-           run < 128) {
-      ++run;
-    }
-    if (run >= 3) {
-      out.push_back(static_cast<std::uint8_t>(257 - run));
-      out.push_back(input[i]);
-      i += run;
-      continue;
-    }
-    // Collect literals until the next run of >= 3 (or 128 literals).
-    std::size_t start = i;
-    std::size_t lits = 0;
-    while (i < input.size() && lits < 128) {
-      std::size_t r = 1;
-      while (i + r < input.size() && input[i + r] == input[i] && r < 3) ++r;
-      if (r >= 3) break;
-      i += r;
-      lits += r;
-    }
-    if (lits > 128) {  // r==2 step may overshoot by one
-      --lits;
-      --i;
-    }
-    out.push_back(static_cast<std::uint8_t>(lits - 1));
-    out.insert(out.end(), input.begin() + start, input.begin() + start + lits);
-  }
-  return out;
-}
-
-Bytes rle_decode(BytesView input) {
-  Bytes out;
-  std::size_t i = 0;
-  while (i < input.size()) {
-    std::uint8_t ctl = input[i++];
-    if (ctl <= 127) {
-      std::size_t lits = ctl + 1u;
-      if (i + lits > input.size()) throw std::runtime_error("rle: truncated");
-      out.insert(out.end(), input.begin() + i, input.begin() + i + lits);
-      i += lits;
-    } else if (ctl >= 129) {
-      if (i >= input.size()) throw std::runtime_error("rle: truncated run");
-      std::size_t run = 257u - ctl;
-      out.insert(out.end(), run, input[i++]);
-    } else {
-      throw std::runtime_error("rle: invalid control byte 128");
-    }
-  }
-  return out;
-}
-
 namespace {
 
 /// Compute Huffman code lengths over an `alphabet`-sized histogram.
@@ -359,7 +303,7 @@ void huffman_lengths(std::span<const std::uint64_t> freq,
   }
 }
 
-/// Longest code the encoders emit: one BitWriter::write per symbol.  A
+/// Longest code the encoder emits: one BitWriter::write per symbol.  A
 /// Huffman code longer than 32 bits needs at least F(35) = 9,227,465
 /// symbols (Fibonacci-weighted frequencies), above BwtCodec::kMaxBlockSize.
 constexpr int kMaxEmitLength = 32;
@@ -439,29 +383,6 @@ struct CanonicalDecoder {
 };
 
 }  // namespace
-
-Bytes huffman_encode(BytesView input, std::uint8_t (&lengths_out)[256]) {
-  std::array<std::uint64_t, 256> freq{};
-  for (std::uint8_t b : input) ++freq[b];
-  huffman_lengths(freq, lengths_out);
-  std::uint32_t codes[256] = {};
-  canonical_codes_reversed(lengths_out, codes);
-  BitWriter bits;
-  for (std::uint8_t b : input) bits.write(codes[b], lengths_out[b]);
-  return bits.take();
-}
-
-Bytes huffman_decode(BytesView data, const std::uint8_t (&lengths)[256],
-                     std::size_t output_size) {
-  CanonicalDecoder decoder{std::span<const std::uint8_t>(lengths)};
-  BitReader bits(data);
-  Bytes out;
-  out.reserve(std::min<std::size_t>(output_size, 1u << 22));
-  while (out.size() < output_size) {
-    out.push_back(static_cast<std::uint8_t>(decoder.decode_one(bits)));
-  }
-  return out;
-}
 
 std::vector<std::uint16_t> rle0_encode(BytesView mtf) {
   std::vector<std::uint16_t> out;
@@ -560,27 +481,6 @@ std::vector<std::uint16_t> huffman_decode_sym(
 
 }  // namespace bwtdetail
 
-namespace {
-
-void append_u32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-std::uint32_t read_u32(BytesView in, std::size_t& at) {
-  if (at + 4 > in.size()) throw std::runtime_error("bwt: truncated header");
-  std::uint32_t v = static_cast<std::uint32_t>(in[at]) |
-                    (static_cast<std::uint32_t>(in[at + 1]) << 8) |
-                    (static_cast<std::uint32_t>(in[at + 2]) << 16) |
-                    (static_cast<std::uint32_t>(in[at + 3]) << 24);
-  at += 4;
-  return v;
-}
-
-}  // namespace
-
 BwtCodec::BwtCodec(std::size_t block_size) : block_size_(block_size) {
   if (block_size == 0 || block_size > kMaxBlockSize) {
     throw std::invalid_argument("bwt: block size must be in [1, " +
@@ -591,7 +491,7 @@ BwtCodec::BwtCodec(std::size_t block_size) : block_size_(block_size) {
 Bytes BwtCodec::compress(BytesView input) const {
   using namespace bwtdetail;
   Bytes out;
-  append_u32(out, static_cast<std::uint32_t>(input.size()));
+  util::put_u32(out, static_cast<std::uint32_t>(input.size()));
   std::size_t offset = 0;
   while (offset < input.size()) {
     std::size_t len = std::min(block_size_, input.size() - offset);
@@ -605,10 +505,10 @@ Bytes BwtCodec::compress(BytesView input) const {
     std::vector<std::uint8_t> lengths;
     Bytes packed = huffman_encode_sym(symbols, kRle0Alphabet, lengths);
 
-    append_u32(out, static_cast<std::uint32_t>(len));
-    append_u32(out, primary);
-    append_u32(out, static_cast<std::uint32_t>(symbols.size()));
-    append_u32(out, static_cast<std::uint32_t>(packed.size()));
+    util::put_u32(out, static_cast<std::uint32_t>(len));
+    util::put_u32(out, primary);
+    util::put_u32(out, static_cast<std::uint32_t>(symbols.size()));
+    util::put_u32(out, static_cast<std::uint32_t>(packed.size()));
     out.insert(out.end(), lengths.begin(), lengths.end());
     out.insert(out.end(), packed.begin(), packed.end());
   }
@@ -617,23 +517,22 @@ Bytes BwtCodec::compress(BytesView input) const {
 
 Bytes BwtCodec::decompress(BytesView input) const {
   using namespace bwtdetail;
-  std::size_t at = 0;
-  std::uint32_t total = read_u32(input, at);
+  util::ByteReader in(input, "bwt");
+  std::uint32_t total = in.u32();
   Bytes out;
   out.reserve(std::min<std::size_t>(total, 1u << 22));
   while (out.size() < total) {
-    std::uint32_t block_len = read_u32(input, at);
-    std::uint32_t primary = read_u32(input, at);
-    std::uint32_t sym_count = read_u32(input, at);
-    std::uint32_t packed_len = read_u32(input, at);
-    if (at + kRle0Alphabet + packed_len > input.size()) {
-      throw std::runtime_error("bwt: truncated block");
+    std::uint32_t block_len = in.u32();
+    // compress never writes a larger block, and decoding a declared block
+    // costs memory in proportion to its length, not to the input's.
+    if (block_len == 0 || block_len > kMaxBlockSize) {
+      throw std::runtime_error("bwt: bad block length");
     }
-    std::span<const std::uint8_t> lengths =
-        input.subspan(at, kRle0Alphabet);
-    at += kRle0Alphabet;
-    BytesView packed = input.subspan(at, packed_len);
-    at += packed_len;
+    std::uint32_t primary = in.u32();
+    std::uint32_t sym_count = in.u32();
+    std::uint32_t packed_len = in.u32();
+    BytesView lengths = in.take(kRle0Alphabet);
+    BytesView packed = in.take(packed_len);
 
     std::vector<std::uint16_t> symbols =
         huffman_decode_sym(packed, lengths, sym_count);
@@ -644,6 +543,7 @@ Bytes BwtCodec::decompress(BytesView input) const {
     out.insert(out.end(), block.begin(), block.end());
   }
   if (out.size() != total) throw std::runtime_error("bwt: size mismatch");
+  in.done();
   return out;
 }
 

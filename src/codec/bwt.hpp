@@ -7,9 +7,11 @@
 // a much higher CPU cost — exactly the trade-off that produces the Figure
 // 6(a) crossover.
 //
-// Format: u32 input_len, then per block { u32 block_len | u32
-// primary_index | u32 symbol_count | u32 packed_len | huffman table (257 x
-// 1-byte code lengths) | bitstream }.
+// Format (integers u32 little-endian, through util/bytes.hpp): input_len,
+// then per block { block_len | primary_index | symbol_count | packed_len |
+// huffman table (257 x 1-byte code lengths) | bitstream }.  decompress
+// rejects a block_len outside [1, kMaxBlockSize] before decoding the
+// block, and trailing bytes after the last block.
 #pragma once
 
 #include "codec/codec.hpp"
@@ -54,19 +56,6 @@ Bytes bwt_inverse(BytesView last_column, std::uint32_t primary_index);
 Bytes mtf_encode(BytesView input);
 Bytes mtf_decode(BytesView input);
 
-/// Packbits-style RLE: control byte n in [0,127] = n+1 literals follow;
-/// n in [129,255] = repeat next byte 257-n times; 128 unused.
-Bytes rle_encode(BytesView input);
-Bytes rle_decode(BytesView input);
-
-/// Canonical Huffman over bytes.  `lengths_out` receives 256 code lengths
-/// (0 = symbol absent).  Decode needs the same table.  Throws
-/// std::length_error if a code would exceed 32 bits (only possible past
-/// 9,227,464 input symbols).
-Bytes huffman_encode(BytesView input, std::uint8_t (&lengths_out)[256]);
-Bytes huffman_decode(BytesView bits, const std::uint8_t (&lengths)[256],
-                     std::size_t output_size);
-
 /// bzip2-style zero-run coding of the MTF stream: symbols 0/1 are RUNA/RUNB
 /// digits of a bijective base-2 run length; MTF value v >= 1 maps to symbol
 /// v + 1.  Alphabet size = 257.
@@ -77,9 +66,10 @@ std::vector<std::uint16_t> rle0_encode(BytesView mtf);
 Bytes rle0_decode(std::span<const std::uint16_t> symbols,
                   std::size_t max_output = SIZE_MAX);
 
-/// Canonical Huffman over an arbitrary small symbol alphabet (used with the
-/// RLE0 stream).  `lengths_out` receives `alphabet` code lengths.  Throws
-/// like huffman_encode.
+/// Canonical Huffman over a small symbol alphabet (the RLE0 stream uses
+/// kRle0Alphabet).  `lengths_out` receives `alphabet` code lengths (0 =
+/// symbol absent); decode needs the same table.  Throws std::length_error
+/// if a code would exceed 32 bits (only possible past 9,227,464 symbols).
 Bytes huffman_encode_sym(std::span<const std::uint16_t> symbols, int alphabet,
                          std::vector<std::uint8_t>& lengths_out);
 std::vector<std::uint16_t> huffman_decode_sym(

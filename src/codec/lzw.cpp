@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "codec/bitstream.hpp"
+#include "util/bytes.hpp"
 
 namespace avf::codec {
 
@@ -70,26 +71,11 @@ class FlatDict {
   std::size_t last_miss_ = 0;
 };
 
-void append_u32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-std::uint32_t read_u32(BytesView in, std::size_t at) {
-  if (at + 4 > in.size()) throw std::runtime_error("lzw: truncated header");
-  return static_cast<std::uint32_t>(in[at]) |
-         (static_cast<std::uint32_t>(in[at + 1]) << 8) |
-         (static_cast<std::uint32_t>(in[at + 2]) << 16) |
-         (static_cast<std::uint32_t>(in[at + 3]) << 24);
-}
-
 }  // namespace
 
 Bytes LzwCodec::compress(BytesView input) const {
   Bytes out;
-  append_u32(out, static_cast<std::uint32_t>(input.size()));
+  util::put_u32(out, static_cast<std::uint32_t>(input.size()));
   if (input.empty()) return out;
 
   BitWriter bits;
@@ -127,14 +113,15 @@ Bytes LzwCodec::compress(BytesView input) const {
 }
 
 Bytes LzwCodec::decompress(BytesView input) const {
-  std::uint32_t original_size = read_u32(input, 0);
+  util::ByteReader in(input, "lzw");
+  std::uint32_t original_size = in.u32();
   Bytes out;
   // A corrupted header must not trigger a huge up-front allocation; the
   // vector grows on demand if the size is genuine.
   out.reserve(std::min<std::size_t>(original_size, 1u << 22));
   if (original_size == 0) return out;
 
-  BitReader bits(input.subspan(4));
+  BitReader bits(in.rest());
   // Dictionary entry: (prefix code, appended byte); entries < 256 are roots.
   std::vector<std::pair<std::uint32_t, std::uint8_t>> dict;
   auto reset_dict = [&] {

@@ -1,6 +1,6 @@
 // LZW — the paper's "compression A".
 //
-// Classic variable-width LZW: codes start at 9 bits and grow to 16; when the
+// Classic variable-width LZW: codes start at 9 bits and grow to 12; when the
 // dictionary fills, a CLEAR code resets it.  Format: 4-byte little-endian
 // original length, then the LSB-first packed code stream.
 #pragma once

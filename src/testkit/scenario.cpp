@@ -7,6 +7,7 @@
 #include "perfdb/driver.hpp"
 #include "sandbox/sandbox.hpp"
 #include "sim/network.hpp"
+#include "util/bytes.hpp"
 #include "util/fmt.hpp"
 #include "util/rng.hpp"
 
@@ -21,29 +22,14 @@ constexpr int kReply = 2;
 constexpr int kTimeout = 3;
 constexpr int kShutdown = 9;
 
-void put_u32(std::vector<std::uint8_t>& payload, std::uint32_t v) {
-  payload.push_back(static_cast<std::uint8_t>(v));
-  payload.push_back(static_cast<std::uint8_t>(v >> 8));
-  payload.push_back(static_cast<std::uint8_t>(v >> 16));
-  payload.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& payload,
-                      std::size_t off) {
-  return static_cast<std::uint32_t>(payload[off]) |
-         static_cast<std::uint32_t>(payload[off + 1]) << 8 |
-         static_cast<std::uint32_t>(payload[off + 2]) << 16 |
-         static_cast<std::uint32_t>(payload[off + 3]) << 24;
-}
-
 // Payload layout (12 bytes): task_id, attempt, want (reply wire bytes).
 sim::Message make_request(std::uint32_t task_id, std::uint32_t attempt,
                           std::uint32_t want) {
   sim::Message m;
   m.kind = kRequest;
-  put_u32(m.payload, task_id);
-  put_u32(m.payload, attempt);
-  put_u32(m.payload, want);
+  util::put_u32(m.payload, task_id);
+  util::put_u32(m.payload, attempt);
+  util::put_u32(m.payload, want);
   return m;
 }
 
@@ -71,8 +57,8 @@ sim::EventHandle arm_timeout(Ctx& ctx, std::uint32_t task_id,
   return ctx.sim.schedule(after, [&ep = ctx.client_ep, task_id, attempt] {
     sim::Message m;
     m.kind = kTimeout;
-    put_u32(m.payload, task_id);
-    put_u32(m.payload, attempt);
+    util::put_u32(m.payload, task_id);
+    util::put_u32(m.payload, attempt);
     ep.inject(std::move(m));
   });
 }
@@ -122,7 +108,11 @@ sim::Task<> client_proc(Ctx& ctx) {
     sim::EventHandle timeout = arm_timeout(ctx, task_id, attempt, timeout_s);
     for (;;) {
       sim::Message msg = co_await ctx.client_ep.recv();
-      if (msg.kind == kReply && get_u32(msg.payload, 0) == task_id) {
+      // A reply echoes (task_id, attempt, want); a timeout marker carries
+      // (task_id, attempt).
+      util::ByteReader in(msg.payload, "testkit message");
+      const std::uint32_t msg_task = in.u32();
+      if (msg.kind == kReply && msg_task == task_id) {
         // Any attempt's reply completes the task.
         timeout.cancel();
         const double span = msg.delivered_at - msg.sent_at - model.link_latency;
@@ -134,8 +124,8 @@ sim::Task<> client_proc(Ctx& ctx) {
         }
         break;
       }
-      if (msg.kind == kTimeout && get_u32(msg.payload, 0) == task_id &&
-          get_u32(msg.payload, 4) == attempt) {
+      if (msg.kind == kTimeout && msg_task == task_id &&
+          in.u32() == attempt) {
         ++ctx.retries;
         ++attempt;
         timeout_s *= 2.0;
@@ -171,8 +161,10 @@ sim::Task<> server_proc(Ctx& ctx) {
     co_await ctx.server_box.compute(ctx.opt.model.server_ops);
     sim::Message reply;
     reply.kind = kReply;
-    reply.payload = msg.payload;  // echo (task_id, attempt, want)
-    reply.wire_size_override = get_u32(msg.payload, 8);
+    util::ByteReader in(msg.payload, "testkit message");
+    in.take(8);  // task_id, attempt: echoed back
+    reply.wire_size_override = in.u32();
+    reply.payload = std::move(msg.payload);  // echo (task_id, attempt, want)
     co_await ctx.server_box.send(ctx.server_ep, std::move(reply));
   }
 }

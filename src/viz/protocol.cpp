@@ -1,55 +1,17 @@
 #include "viz/protocol.hpp"
 
 #include <utility>
-#include <vector>
 
+#include "util/bytes.hpp"
 #include "util/fmt.hpp"
 
 namespace avf::viz {
 
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  put_u16(out, v & 0xFFFF);
-  put_u16(out, v >> 16);
-}
-
-struct Reader {
-  const std::vector<std::uint8_t>& data;
-  std::size_t at = 0;
-
-  std::uint8_t u8() {
-    need(1);
-    return data[at++];
-  }
-  std::uint16_t u16() {
-    need(2);
-    std::uint16_t v = static_cast<std::uint16_t>(data[at] | (data[at + 1] << 8));
-    at += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t lo = u16();
-    return lo | (static_cast<std::uint32_t>(u16()) << 16);
-  }
-  void need(std::size_t n) const {
-    if (at + n > data.size()) {
-      throw std::runtime_error("viz protocol: truncated message");
-    }
-  }
-  void done() const {
-    if (at != data.size()) {
-      throw std::runtime_error("viz protocol: trailing bytes");
-    }
-  }
-};
-
-void check_kind(const sim::Message& m, int kind) {
+/// Checks that `m` is a `kind` message and returns a reader over its
+/// inline payload.
+util::ByteReader payload_of(const sim::Message& m, int kind) {
   if (m.kind != kind) {
     throw std::runtime_error(util::format(
         "viz protocol: expected message kind {}, got {}", kind, m.kind));
@@ -59,6 +21,7 @@ void check_kind(const sim::Message& m, int kind) {
   if (kind != kReply && m.body != nullptr) {
     throw std::runtime_error("viz protocol: unexpected message body");
   }
+  return util::ByteReader(m.payload, "viz protocol");
 }
 
 }  // namespace
@@ -66,16 +29,15 @@ void check_kind(const sim::Message& m, int kind) {
 sim::Message encode(const OpenImage& m) {
   sim::Message out;
   out.kind = kOpenImage;
-  put_u32(out.payload, m.session_id);
-  put_u32(out.payload, m.image_id);
+  util::put_u32(out.payload, m.session_id);
+  util::put_u32(out.payload, m.image_id);
   out.payload.push_back(m.level);
   out.payload.push_back(m.codec);
   return out;
 }
 
 OpenImage decode_open_image(const sim::Message& m) {
-  check_kind(m, kOpenImage);
-  Reader r{m.payload};
+  util::ByteReader r = payload_of(m, kOpenImage);
   OpenImage out;
   out.session_id = r.u32();
   out.image_id = r.u32();
@@ -88,16 +50,15 @@ OpenImage decode_open_image(const sim::Message& m) {
 sim::Message encode(const OpenAck& m) {
   sim::Message out;
   out.kind = kOpenAck;
-  put_u32(out.payload, m.session_id);
-  put_u16(out.payload, m.width);
-  put_u16(out.payload, m.height);
+  util::put_u32(out.payload, m.session_id);
+  util::put_u16(out.payload, m.width);
+  util::put_u16(out.payload, m.height);
   out.payload.push_back(m.levels);
   return out;
 }
 
 OpenAck decode_open_ack(const sim::Message& m) {
-  check_kind(m, kOpenAck);
-  Reader r{m.payload};
+  util::ByteReader r = payload_of(m, kOpenAck);
   OpenAck out;
   out.session_id = r.u32();
   out.width = r.u16();
@@ -110,17 +71,16 @@ OpenAck decode_open_ack(const sim::Message& m) {
 sim::Message encode(const Request& m) {
   sim::Message out;
   out.kind = kRequest;
-  put_u32(out.payload, m.session_id);
-  put_u16(out.payload, m.cx);
-  put_u16(out.payload, m.cy);
-  put_u16(out.payload, m.half);
+  util::put_u32(out.payload, m.session_id);
+  util::put_u16(out.payload, m.cx);
+  util::put_u16(out.payload, m.cy);
+  util::put_u16(out.payload, m.half);
   out.payload.push_back(m.level);
   return out;
 }
 
 Request decode_request(const sim::Message& m) {
-  check_kind(m, kRequest);
-  Reader r{m.payload};
+  util::ByteReader r = payload_of(m, kRequest);
   Request out;
   out.session_id = r.u32();
   out.cx = r.u16();
@@ -134,12 +94,12 @@ Request decode_request(const sim::Message& m) {
 sim::Message encode(const Reply& m) {
   sim::Message out;
   out.kind = kReply;
-  put_u32(out.payload, m.session_id);
+  util::put_u32(out.payload, m.session_id);
   out.payload.push_back(m.complete ? 1 : 0);
   out.payload.push_back(m.codec);
   out.payload.push_back(m.premeasured ? 1 : 0);
-  put_u32(out.payload, m.raw_len);
-  put_u32(out.payload, m.wire_len);
+  util::put_u32(out.payload, m.raw_len);
+  util::put_u32(out.payload, m.wire_len);
   out.body = m.body;
   if (m.premeasured) {
     // Network charges the compressed size, not the raw convenience bytes.
@@ -150,8 +110,7 @@ sim::Message encode(const Reply& m) {
 }
 
 Reply decode_reply(sim::Message m) {
-  check_kind(m, kReply);
-  Reader r{m.payload};
+  util::ByteReader r = payload_of(m, kReply);
   Reply out;
   out.session_id = r.u32();
   out.complete = r.u8() != 0;
@@ -170,14 +129,13 @@ Reply decode_reply(sim::Message m) {
 sim::Message encode(const SetCodec& m) {
   sim::Message out;
   out.kind = kSetCodec;
-  put_u32(out.payload, m.session_id);
+  util::put_u32(out.payload, m.session_id);
   out.payload.push_back(m.codec);
   return out;
 }
 
 SetCodec decode_set_codec(const sim::Message& m) {
-  check_kind(m, kSetCodec);
-  Reader r{m.payload};
+  util::ByteReader r = payload_of(m, kSetCodec);
   SetCodec out;
   out.session_id = r.u32();
   out.codec = r.u8();
@@ -188,14 +146,13 @@ SetCodec decode_set_codec(const sim::Message& m) {
 sim::Message encode(const ErrorReply& m) {
   sim::Message out;
   out.kind = kError;
-  put_u32(out.payload, m.session_id);
+  util::put_u32(out.payload, m.session_id);
   out.payload.push_back(static_cast<std::uint8_t>(m.code));
   return out;
 }
 
 ErrorReply decode_error(const sim::Message& m) {
-  check_kind(m, kError);
-  Reader r{m.payload};
+  util::ByteReader r = payload_of(m, kError);
   ErrorReply out;
   out.session_id = r.u32();
   out.code = static_cast<ErrorCode>(r.u8());

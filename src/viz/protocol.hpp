@@ -97,6 +97,7 @@ struct ErrorReply {
 };
 
 // -- encode/decode to sim::Message ---------------------------------------
+// Inline payloads are little-endian and go through util/bytes.hpp.
 // Decoders throw std::runtime_error on malformed/mismatched messages (wrong
 // kind, truncated or trailing inline bytes, a reply without its body); no
 // input makes them read out of bounds.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/bytes.hpp"
 #include "util/fmt.hpp"
 
 namespace avf::wavelet {
@@ -59,11 +60,6 @@ TileRange tiles_for_region(const Band& band, int scale, const Region& region,
   if (bx0 >= bx1 || by0 >= by1) return {0, 0, 0, 0};
   return {bx0 / tile, by0 / tile, tiles_across(bx1, tile),
           tiles_across(by1, tile)};
-}
-
-void append_u16(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
 }  // namespace
@@ -146,22 +142,20 @@ Bytes ProgressiveEncoder::serialize_tiles(
     throw std::runtime_error("too many tiles in one reply");
   }
   Bytes out;
-  append_u16(out, static_cast<std::uint32_t>(tiles.size()));
+  util::put_u16(out, static_cast<std::uint16_t>(tiles.size()));
   for (const TileRef& t : tiles) {
     const Band& band = band_by_id(pyramid_, t.band);
     int x0 = t.tx * tile_, y0 = t.ty * tile_;
     int w = std::min(tile_, band.width - x0);
     int h = std::min(tile_, band.height - y0);
     out.push_back(t.band);
-    append_u16(out, t.tx);
-    append_u16(out, t.ty);
+    util::put_u16(out, t.tx);
+    util::put_u16(out, t.ty);
     out.push_back(static_cast<std::uint8_t>(w));
     out.push_back(static_cast<std::uint8_t>(h));
     for (int y = y0; y < y0 + h; ++y) {
       for (int x = x0; x < x0 + w; ++x) {
-        std::uint16_t v = static_cast<std::uint16_t>(band.at(x, y));
-        out.push_back(static_cast<std::uint8_t>(v));
-        out.push_back(static_cast<std::uint8_t>(v >> 8));
+        util::put_u16(out, static_cast<std::uint16_t>(band.at(x, y)));
       }
     }
   }
@@ -211,64 +205,41 @@ ProgressiveDecoder::ApplyResult ProgressiveDecoder::apply(
     std::span<const std::uint8_t> payload) {
   ApplyResult result;
   if (payload.empty()) return result;
-  std::size_t at = 0;
-  auto need = [&](std::size_t n) {
-    if (at + n > payload.size()) {
-      throw std::runtime_error("progressive: truncated payload");
-    }
-  };
-  auto u8 = [&]() -> std::uint32_t {
-    need(1);
-    return payload[at++];
-  };
-  auto u16 = [&]() -> std::uint32_t {
-    need(2);
-    std::uint32_t v = payload[at] | (static_cast<std::uint32_t>(
-                                        payload[at + 1])
-                                     << 8);
-    at += 2;
-    return v;
-  };
-  std::uint32_t count = u16();
+  util::ByteReader in(payload, "progressive");
+  std::uint32_t count = in.u16();
   for (std::uint32_t t = 0; t < count; ++t) {
-    std::uint32_t b = u8();
-    if (static_cast<int>(b) >= band_count(pyramid_.levels())) {
+    int b = in.u8();
+    if (b >= band_count(pyramid_.levels())) {
       throw std::runtime_error("progressive: bad band id");
     }
-    std::uint32_t tx = u16();
-    std::uint32_t ty = u16();
-    std::uint32_t w = u8();
-    std::uint32_t h = u8();
-    Band& band = band_by_id(pyramid_, static_cast<int>(b));
-    int x0 = static_cast<int>(tx) * tile_;
-    int y0 = static_cast<int>(ty) * tile_;
+    int tx = in.u16();
+    int ty = in.u16();
+    int w = in.u8();
+    int h = in.u8();
+    Band& band = band_by_id(pyramid_, b);
+    int x0 = tx * tile_;
+    int y0 = ty * tile_;
     // x0 < width as well: an empty (w = 0) tile just past the band edge
     // would otherwise index past the received-tile map.
-    if (x0 >= band.width || y0 >= band.height ||
-        x0 + static_cast<int>(w) > band.width ||
-        y0 + static_cast<int>(h) > band.height) {
+    if (x0 >= band.width || y0 >= band.height || x0 + w > band.width ||
+        y0 + h > band.height) {
       throw std::runtime_error("progressive: tile out of bounds");
     }
-    for (std::uint32_t y = 0; y < h; ++y) {
-      for (std::uint32_t x = 0; x < w; ++x) {
-        std::uint32_t lo = u8(), hi = u8();
-        band.at(x0 + static_cast<int>(x), y0 + static_cast<int>(y)) =
-            static_cast<std::int16_t>(
-                static_cast<std::uint16_t>(lo | (hi << 8)));
+    // One bounds check for the whole tile, then rows of i16 LSB-first.
+    const std::uint8_t* src = in.take(std::size_t{2} * w * h).data();
+    for (int y = 0; y < h; ++y, src += 2 * w) {
+      std::int16_t* row = &band.at(x0, y0 + y);
+      for (int x = 0; x < w; ++x) {
+        row[x] = static_cast<std::int16_t>(util::load_u16(src + 2 * x));
       }
     }
     int tiles_x = tiles_across(band.width, tile_);
-    std::size_t idx = static_cast<std::size_t>(ty) * tiles_x + tx;
-    if (!received_[b][idx]) {
-      received_[b][idx] = true;
-    }
+    received_[b][static_cast<std::size_t>(ty) * tiles_x + tx] = true;
     ++result.tiles;
     result.coefficients += static_cast<std::size_t>(w) * h;
   }
   coefficients_ += result.coefficients;
-  if (at != payload.size()) {
-    throw std::runtime_error("progressive: trailing bytes");
-  }
+  in.done();
   return result;
 }
 

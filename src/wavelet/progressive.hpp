@@ -9,11 +9,13 @@
 // been sent yet.  The decoder accumulates tiles into an initially-zero
 // pyramid and can reconstruct a best-effort image at any time.
 //
-// Payload format (little-endian):
+// Payload format (little-endian, read and written through util/bytes.hpp):
 //   u16 tile_count
 //   repeated: u8 band_id | u16 tile_x | u16 tile_y | u8 w | u8 h |
-//             w*h x i16 coefficients
-// band_id 0 = LL; 1 + 3*(k-1) + orientation for detail level k.
+//             w*h x i16 coefficients, row-major
+// band_id 0 = LL; 1 + 3*(k-1) + orientation for detail level k.  The
+// decoder checks each tile header against the band and then takes the
+// tile's 2*w*h coefficient bytes with one bounds check.
 #pragma once
 
 #include <cstdint>
@@ -105,7 +107,9 @@ class ProgressiveDecoder {
   };
 
   /// Integrate a payload produced by ProgressiveEncoder::encode_region.
-  /// Throws std::runtime_error on malformed input.
+  /// Throws std::runtime_error on malformed input (truncated, trailing
+  /// bytes, a bad band id or a tile outside its band); tiles before the
+  /// malformed one stay applied.
   ApplyResult apply(std::span<const std::uint8_t> payload);
 
   const Pyramid& pyramid() const { return pyramid_; }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "codec/lzw.hpp"
 #include "test_inputs.hpp"
@@ -57,64 +59,82 @@ TEST(Mtf, RoundTripRandom) {
   EXPECT_EQ(mtf_decode(mtf_encode(in)), in);
 }
 
-TEST(Rle, EncodesRuns) {
-  Bytes in = {5, 5, 5, 5, 5, 7};
-  Bytes enc = rle_encode(in);
-  EXPECT_EQ(rle_decode(enc), in);
-  EXPECT_LT(enc.size(), in.size());
+TEST(Rle0, KnownSequence) {
+  // A zero run of 3 is RUNA RUNA (1*1 + 1*2); MTF value v >= 1 is v + 1.
+  Bytes mtf = {0, 0, 0, 5, 0, 255};
+  std::vector<std::uint16_t> symbols = rle0_encode(mtf);
+  EXPECT_EQ(symbols, (std::vector<std::uint16_t>{0, 0, 6, 0, 256}));
+  EXPECT_EQ(rle0_decode(symbols), mtf);
 }
 
-TEST(Rle, LiteralsPassThrough) {
-  Bytes in = {1, 2, 3, 4, 5};
-  EXPECT_EQ(rle_decode(rle_encode(in)), in);
-}
-
-TEST(Rle, LongRunsSplit) {
-  Bytes in(1000, 0);
-  Bytes enc = rle_encode(in);
-  EXPECT_EQ(rle_decode(enc), in);
-  EXPECT_LT(enc.size(), 20u);
-}
-
-TEST(Rle, RoundTripRandom) {
+TEST(Rle0, RoundTrip) {
+  for (std::size_t run : {1, 2, 3, 4, 7, 8, 255, 256, 1000, 65537}) {
+    Bytes zeros(run, 0);
+    EXPECT_EQ(rle0_decode(rle0_encode(zeros)), zeros) << "run " << run;
+  }
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    Bytes in = random_bytes(3000, seed, seed % 2 ? 3 : 256);
-    EXPECT_EQ(rle_decode(rle_encode(in)), in);
+    // Alphabet 3 gives frequent zero runs; 256 covers every MTF value.
+    Bytes mtf = random_bytes(3000, seed, seed % 2 ? 3 : 256);
+    std::vector<std::uint16_t> symbols = rle0_encode(mtf);
+    for (std::uint16_t s : symbols) ASSERT_LT(s, kRle0Alphabet);
+    EXPECT_EQ(rle0_decode(symbols, mtf.size()), mtf);
   }
 }
 
-TEST(Rle, InvalidControlByteThrows) {
-  Bytes bad = {128, 1};
-  EXPECT_THROW(rle_decode(bad), std::runtime_error);
+TEST(Rle0, RejectsOutputPastMax) {
+  std::vector<std::uint16_t> run10 = rle0_encode(Bytes(10, 0));
+  EXPECT_EQ(rle0_decode(run10, 10).size(), 10u);
+  EXPECT_THROW(rle0_decode(run10, 9), std::runtime_error);
+  const std::vector<std::uint16_t> literals = {2, 2};
+  EXPECT_EQ(rle0_decode(literals, 2), (Bytes{1, 1}));
+  EXPECT_THROW(rle0_decode(literals, 1), std::runtime_error);
 }
 
-TEST(Rle, TruncatedThrows) {
-  Bytes bad = {3};  // promises 4 literals, provides none
-  EXPECT_THROW(rle_decode(bad), std::runtime_error);
+TEST(Rle0, RejectsSymbolOutOfRange) {
+  EXPECT_EQ(rle0_decode(std::vector<std::uint16_t>{256}), (Bytes{255}));
+  EXPECT_THROW(rle0_decode(std::vector<std::uint16_t>{257}),
+               std::runtime_error);
+  EXPECT_THROW(rle0_decode(std::vector<std::uint16_t>{3, 0xFFFF}),
+               std::runtime_error);
 }
+
+TEST(Rle0, RejectsRunLengthOverflow) {
+  // Sixty RUNA digits claim a run near 2^60; the decoder must stop before
+  // the run length wraps, even with no output bound.
+  EXPECT_THROW(rle0_decode(std::vector<std::uint16_t>(60, 0)),
+               std::runtime_error);
+  EXPECT_THROW(rle0_decode(std::vector<std::uint16_t>(60, 1)),
+               std::runtime_error);
+}
+
+// Huffman code-length assignment over a byte-sized alphabet, through the
+// symbol coder the codec uses.
+constexpr int kByteAlphabet = 256;
 
 TEST(Huffman, RoundTripSkewed) {
-  Bytes in;
+  std::vector<std::uint16_t> in;
   for (int i = 0; i < 1000; ++i) in.push_back(i % 10 == 0 ? 200 : 7);
-  std::uint8_t lengths[256];
-  Bytes enc = huffman_encode(in, lengths);
+  std::vector<std::uint8_t> lengths;
+  Bytes enc = huffman_encode_sym(in, kByteAlphabet, lengths);
+  ASSERT_EQ(lengths.size(), 256u);
   EXPECT_LT(enc.size(), in.size() / 4);
-  EXPECT_EQ(huffman_decode(enc, lengths, in.size()), in);
+  EXPECT_EQ(huffman_decode_sym(enc, lengths, in.size()), in);
 }
 
 TEST(Huffman, SingleSymbolInput) {
-  Bytes in(100, 42);
-  std::uint8_t lengths[256];
-  Bytes enc = huffman_encode(in, lengths);
+  std::vector<std::uint16_t> in(100, 42);
+  std::vector<std::uint8_t> lengths;
+  Bytes enc = huffman_encode_sym(in, kByteAlphabet, lengths);
   EXPECT_EQ(lengths[42], 1);
-  EXPECT_EQ(huffman_decode(enc, lengths, in.size()), in);
+  EXPECT_EQ(huffman_decode_sym(enc, lengths, in.size()), in);
 }
 
 TEST(Huffman, RoundTripUniform) {
-  Bytes in = random_bytes(10000, 5);
-  std::uint8_t lengths[256];
-  Bytes enc = huffman_encode(in, lengths);
-  EXPECT_EQ(huffman_decode(enc, lengths, in.size()), in);
+  Bytes bytes = random_bytes(10000, 5);
+  std::vector<std::uint16_t> in(bytes.begin(), bytes.end());
+  std::vector<std::uint8_t> lengths;
+  Bytes enc = huffman_encode_sym(in, kByteAlphabet, lengths);
+  EXPECT_EQ(huffman_decode_sym(enc, lengths, in.size()), in);
 }
 
 TEST(BwtCodec, RoundTripEmpty) {

@@ -6,6 +6,7 @@
 #include "codec/bwt.hpp"
 #include "codec/lzw.hpp"
 #include "test_inputs.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace avf::codec {
@@ -82,6 +83,40 @@ TEST(CodecRobustness, GarbageInputRejected) {
     }
   }
   SUCCEED();
+}
+
+TEST(CodecRobustness, BwtRejectsBlockLengthAboveMaximum) {
+  // 281 bytes that declare one 32 MiB block of zeros: a single RUNA/RUNB
+  // run under a two-symbol Huffman table, primary index at the end.
+  // compress never writes a block above kMaxBlockSize; decoding this one
+  // would cost about 7 bytes of memory per declared byte.
+  constexpr std::uint32_t kDeclared = 32u << 20;
+  static_assert(kDeclared > BwtCodec::kMaxBlockSize);
+  std::vector<std::uint16_t> run;
+  for (std::uint32_t r = kDeclared; r > 0;) {
+    std::uint32_t digit = r % 2 == 0 ? 2 : 1;  // bijective base 2
+    run.push_back(static_cast<std::uint16_t>(digit - 1));  // RUNB or RUNA
+    r = (r - digit) / 2;
+  }
+  std::vector<std::uint8_t> lengths;
+  Bytes packed =
+      bwtdetail::huffman_encode_sym(run, bwtdetail::kRle0Alphabet, lengths);
+  Bytes stream;
+  for (std::uint32_t field :
+       {kDeclared, kDeclared, kDeclared, static_cast<std::uint32_t>(run.size()),
+        static_cast<std::uint32_t>(packed.size())}) {
+    util::put_u32(stream, field);  // total, block_len, primary, counts
+  }
+  stream.insert(stream.end(), lengths.begin(), lengths.end());
+  stream.insert(stream.end(), packed.begin(), packed.end());
+  ASSERT_EQ(stream.size(), 281u);
+  EXPECT_THROW((void)BwtCodec().decompress(stream), std::runtime_error);
+}
+
+TEST(CodecRobustness, BwtRejectsZeroBlockLength) {
+  Bytes stream = BwtCodec().compress(Bytes{1, 2, 3});
+  stream[4] = stream[5] = stream[6] = stream[7] = 0;  // block_len
+  EXPECT_THROW((void)BwtCodec().decompress(stream), std::runtime_error);
 }
 
 }  // namespace
