@@ -161,10 +161,10 @@ sim::Task<> server_proc(Ctx& ctx) {
     co_await ctx.server_box.compute(ctx.opt.model.server_ops);
     sim::Message reply;
     reply.kind = kReply;
+    reply.payload = msg.payload;  // echo (task_id, attempt, want)
     util::ByteReader in(msg.payload, "testkit message");
-    in.take(8);  // task_id, attempt: echoed back
+    in.take(8);  // task_id, attempt
     reply.wire_size_override = in.u32();
-    reply.payload = std::move(msg.payload);  // echo (task_id, attempt, want)
     co_await ctx.server_box.send(ctx.server_ep, std::move(reply));
   }
 }
