@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "golden_digest.hpp"
+
 namespace avf::wavelet {
 namespace {
+
+using golden::digest;
 
 TEST(Image, ConstructsZeroed) {
   Image img(8, 4);
@@ -65,6 +72,50 @@ TEST(Image, DownsampleRejectsBadFactor) {
   Image img(6, 6);
   EXPECT_THROW((void)img.downsample(4), std::invalid_argument);
   EXPECT_THROW((void)img.downsample(0), std::invalid_argument);
+}
+
+// -- golden pixels -------------------------------------------------------
+//
+// Synthetic images are the content every profiled payload and session
+// decodes, so one moved pixel moves every perf database and session
+// fingerprint.  These pins make a change to Image::synthetic fail here
+// first, by name.  Update them only for a deliberate change of the image.
+
+std::string synthetic_digest(int width, int height, std::uint64_t seed) {
+  return digest(Image::synthetic(width, height, seed).pixels());
+}
+
+TEST(ImageGolden, PaperSessionsCatalog) {
+  // The 1024x1024 images at seeds 2026..2032.
+  const char* const expected[] = {
+      "1048576:f07a88c0dec8dfac71d518c448769111",
+      "1048576:d6a4d726575bdc2d3d0b144469d01a8f",
+      "1048576:2d28b1290d789075252df45c187ac447",
+      "1048576:11fbb4aa598f53cb657825c8d3237652",
+      "1048576:db8fde45fedf6dd0ce5de96ed80321dd",
+      "1048576:855856691dd09363b3066a5e0653b845",
+      "1048576:6cab95fe6db7745bb48189a18a21119e",
+  };
+  for (std::uint64_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(synthetic_digest(1024, 1024, 2026 + i), expected[i])
+        << "seed " << 2026 + i;
+  }
+}
+
+TEST(ImageGolden, Size256) {
+  EXPECT_EQ(synthetic_digest(256, 256, 2026),
+            "65536:bcd7c51501a380b3a0cf3fa606bf1e66");
+}
+
+TEST(ImageGolden, NonSquareAndOddSizes) {
+  EXPECT_EQ(synthetic_digest(33, 17, 2026),
+            "561:09cf44344e7671e166ed98a9fb083c03");
+  EXPECT_EQ(synthetic_digest(100, 7, 2026),
+            "700:86dc06a66994c6ef090c7545c4b3d781");
+  EXPECT_EQ(synthetic_digest(7, 100, 2026),
+            "700:2b21afe859290721f6f1a5a7c3da7dd8");
+  EXPECT_EQ(synthetic_digest(1, 1, 2026),
+            "1:ce59ad494ef5d8646687e3c0d7f69180");
 }
 
 }  // namespace
