@@ -1,16 +1,29 @@
-// Micro-benchmarks: wavelet pyramid construction, reconstruction, and
-// progressive tile encoding.
+// Micro-benchmarks: synthetic image generation, wavelet pyramid
+// construction, reconstruction, and progressive tile encoding.
 #include <benchmark/benchmark.h>
 
 #define AVF_BENCH_HAS_GBENCH
 #include "bench/common.hpp"
 #include "viz/world.hpp"
 #include "wavelet/haar.hpp"
+#include "wavelet/image.hpp"
 #include "wavelet/progressive.hpp"
 
 namespace {
 
 using namespace avf;
+
+// Calls the generator itself, not the viz image memo, so every iteration
+// synthesizes the image.
+void BM_ImageSynthetic(benchmark::State& state) {
+  int size = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    wavelet::Image img = wavelet::Image::synthetic(size, size, 7);
+    benchmark::DoNotOptimize(img.pixels().data());
+  }
+  state.SetItemsProcessed(state.iterations() * size * size);
+}
+BENCHMARK(BM_ImageSynthetic)->Arg(256)->Arg(1024)->UseRealTime();
 
 void BM_PyramidDecompose(benchmark::State& state) {
   int size = static_cast<int>(state.range(0));

@@ -21,9 +21,10 @@
 // ThreadSanitizer-clean — and the lock discipline itself is statically
 // checked: every shared field carries AVF_GUARDED_BY, so a clang
 // -Werror=thread-safety build rejects any access outside the right lock.
-// parallel_for must not be called from inside a pool task (the caller
-// blocks without helping, so nested calls on a saturated pool can
-// deadlock).
+// ThreadPool::parallel_for must not be called from inside a task of the
+// same pool (the caller blocks without helping, so nested calls on a
+// saturated pool can deadlock).  The free util::parallel_for below hires a
+// pool of its own, so it may be called from inside any pool task.
 //
 // The free util::parallel_for(threads, count, fn) is the one place besides
 // the profiling driver's workers that chooses between running inline and

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace avf::wavelet {
 
@@ -22,6 +23,11 @@ double Image::mean_abs_diff(const Image& other) const {
 }
 
 Image Image::synthetic(int width, int height, std::uint64_t seed) {
+  // Checked before any draw: a zero size would reach next_below(0), a
+  // division by zero, and a negative one a huge allocation.
+  if (width < 1 || height < 1) {
+    throw std::invalid_argument("synthetic: width and height must be >= 1");
+  }
   Image img(width, height);
   util::SplitMix64 rng(seed);
 
@@ -32,13 +38,16 @@ Image Image::synthetic(int width, int height, std::uint64_t seed) {
   // Gaussian blobs.
   struct Blob {
     double cx, cy, radius, amplitude;
+    double two_r2;  // 2 * radius^2, the exponent's denominator
   };
   std::vector<Blob> blobs;
   int n_blobs = 6 + static_cast<int>(rng.next_below(6));
   for (int i = 0; i < n_blobs; ++i) {
-    blobs.push_back(Blob{rng.uniform(0, width), rng.uniform(0, height),
-                         rng.uniform(width / 16.0, width / 4.0),
-                         rng.uniform(-90.0, 90.0)});
+    Blob b{rng.uniform(0, width), rng.uniform(0, height),
+           rng.uniform(width / 16.0, width / 4.0), rng.uniform(-90.0, 90.0),
+           0.0};
+    b.two_r2 = 2.0 * b.radius * b.radius;
+    blobs.push_back(b);
   }
 
   // Hard-edged rectangles (keeps high-frequency content non-trivial).
@@ -61,28 +70,56 @@ Image Image::synthetic(int width, int height, std::uint64_t seed) {
   }
 
   double tex_freq = rng.uniform(0.05, 0.25);
+  // `rng` now stands at draw 5 + 4*n_blobs + 5*n_rects, pixel (0, 0)'s
+  // noise draw; pixel (x, y) takes the draw y*width + x after it.
+
+  // Per-column terms, each the same expression the pixel sum used inline.
+  std::vector<double> gradient_x(static_cast<std::size_t>(width));
+  std::vector<double> texture_x(static_cast<std::size_t>(width));
+  for (int x = 0; x < width; ++x) {
+    gradient_x[static_cast<std::size_t>(x)] = gx * 60.0 * x / width;
+    texture_x[static_cast<std::size_t>(x)] = 6.0 * std::sin(tex_freq * x);
+  }
+
   // Sensor-noise amplitude: keeps the wavelet detail bands from being
   // unrealistically sparse, so codec ratios land in the range the paper's
   // photographic data exhibits (see DESIGN.md calibration notes).
   constexpr int kNoise = 20;
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      double v = 110.0 + gx * 60.0 * x / width + gy * 60.0 * y / height;
-      for (const Blob& b : blobs) {
-        double dx = x - b.cx, dy = y - b.cy;
-        v += b.amplitude *
-             std::exp(-(dx * dx + dy * dy) / (2.0 * b.radius * b.radius));
+  // Rows are cut into bands of about kBandPixels pixels; an image of at
+  // most one band runs inline on the caller's thread.
+  constexpr int kBandPixels = 1 << 16;
+  const int band_rows = std::max(1, kBandPixels / width);
+  const int bands = (height + band_rows - 1) / band_rows;
+  util::parallel_for(0, static_cast<std::size_t>(bands), [&](std::size_t b) {
+    const int y0 = static_cast<int>(b) * band_rows;
+    const int y1 = std::min(height, y0 + band_rows);
+    util::SplitMix64 noise = rng;
+    noise.skip(static_cast<std::uint64_t>(y0) *
+               static_cast<std::uint64_t>(width));
+    for (int y = y0; y < y1; ++y) {
+      const double gradient_y = gy * 60.0 * y / height;
+      const double texture_y = std::cos(tex_freq * 0.8 * y);
+      for (int x = 0; x < width; ++x) {
+        // The terms are summed in the same order as ever, so every
+        // intermediate double (and so every pixel) is unchanged.
+        double v = 110.0 + gradient_x[static_cast<std::size_t>(x)] +
+                   gradient_y;
+        for (const Blob& blob : blobs) {
+          double dx = x - blob.cx, dy = y - blob.cy;
+          v += blob.amplitude * std::exp(-(dx * dx + dy * dy) / blob.two_r2);
+        }
+        for (const Rect& r : rects) {
+          if (x >= r.x0 && x < r.x1 && y >= r.y0 && y < r.y1) {
+            v += r.amplitude;
+          }
+        }
+        // Mild deterministic texture (sinusoidal; compresses but not freely).
+        v += texture_x[static_cast<std::size_t>(x)] * texture_y;
+        v += static_cast<double>(noise.next_below(2 * kNoise + 1)) - kNoise;
+        img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
       }
-      for (const Rect& r : rects) {
-        if (x >= r.x0 && x < r.x1 && y >= r.y0 && y < r.y1) v += r.amplitude;
-      }
-      // Mild deterministic texture (sinusoidal; compresses but not freely).
-      v += 6.0 * std::sin(tex_freq * x) * std::cos(tex_freq * 0.8 * y);
-      v += static_cast<double>(rng.next_below(2 * kNoise + 1)) - kNoise;
-      img.at(x, y) =
-          static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
     }
-  }
+  });
   return img;
 }
 

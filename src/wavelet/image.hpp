@@ -5,6 +5,16 @@
 // blobs + texture + hard edges) from a seed.  The mix matters: smooth areas
 // make wavelet detail coefficients sparse and compressible, edges keep the
 // data non-trivial, so codec ratios are realistic rather than degenerate.
+//
+// Determinism: each pixel is a pure function of (seed, x, y).  The seed's
+// SplitMix64 stream first draws the scene (5 + 4*blobs + 5*rects draws:
+// gradient, blob count, blobs, rect count, rects, texture frequency);
+// pixel (x, y)'s noise is then draw 5 + 4*blobs + 5*rects + y*width + x,
+// one draw per pixel.  SplitMix64 reaches any draw in O(1) (skip), so
+// synthetic() fills bands of rows on a thread pool, each band from its
+// own generator, and the bytes do not depend on the thread count or on
+// how the bands interleave.  The per-pixel sum keeps one operand order
+// and uses no fused or reordered arithmetic.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +47,10 @@ class Image {
   /// Mean absolute difference against another image of equal dimensions.
   double mean_abs_diff(const Image& other) const;
 
-  /// Deterministic synthetic test image.
+  /// Deterministic synthetic test image.  Throws std::invalid_argument
+  /// when width or height is below 1.  Rows are built in bands of about
+  /// 2^16 pixels on a pool hired for the call; an image of one band is
+  /// built inline on the calling thread.
   static Image synthetic(int width, int height, std::uint64_t seed);
 
   /// Downsample by pixel-block averaging to (width/f, height/f); `f` must

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "golden_digest.hpp"
+#include "util/thread_pool.hpp"
 
 namespace avf::wavelet {
 namespace {
@@ -43,6 +48,15 @@ TEST(Image, SyntheticHasContrast) {
     }
   }
   EXPECT_GT(hi - lo, 60);  // not a flat image
+}
+
+TEST(Image, SyntheticRejectsEmptyOrNegativeSize) {
+  const int sizes[][2] = {{0, 5}, {5, 0}, {0, 0}, {-1, 5}, {5, -1},
+                          {INT_MIN, INT_MIN}};
+  for (const auto& s : sizes) {
+    EXPECT_THROW((void)Image::synthetic(s[0], s[1], 1), std::invalid_argument)
+        << s[0] << "x" << s[1];
+  }
 }
 
 TEST(Image, MeanAbsDiffZeroForIdentical) {
@@ -116,6 +130,53 @@ TEST(ImageGolden, NonSquareAndOddSizes) {
             "700:2b21afe859290721f6f1a5a7c3da7dd8");
   EXPECT_EQ(synthetic_digest(1, 1, 2026),
             "1:ce59ad494ef5d8646687e3c0d7f69180");
+}
+
+// -- concurrent synthesis ------------------------------------------------
+//
+// Image::synthetic fans its rows out over a thread pool.  Callers may
+// themselves be threads, or tasks of another pool (the viz image memo
+// missing on a profiling worker); every result must still be the bytes a
+// lone call produces.
+
+constexpr int kThreads = 4;
+
+std::vector<Image> lone_calls() {
+  std::vector<Image> out;
+  for (int i = 0; i < kThreads; ++i) {
+    out.push_back(Image::synthetic(1024, 1024, 2026 + i));
+  }
+  return out;
+}
+
+TEST(ImageConcurrency, PlainThreadsMatchLoneCalls) {
+  const std::vector<Image> expected = lone_calls();
+  std::vector<Image> got(kThreads);
+  {
+    std::vector<std::jthread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&got, i] {
+        got[static_cast<std::size_t>(i)] =
+            Image::synthetic(1024, 1024, 2026 + i);
+      });
+    }
+  }
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)],
+              expected[static_cast<std::size_t>(i)])
+        << "seed " << 2026 + i;
+  }
+}
+
+TEST(ImageConcurrency, NestedInParallelForMatchesLoneCalls) {
+  const std::vector<Image> expected = lone_calls();
+  std::vector<Image> got(kThreads);
+  util::parallel_for(kThreads, kThreads, [&got](std::size_t i) {
+    got[i] = Image::synthetic(1024, 1024, 2026 + i);
+  });
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(got[i], expected[i]) << "seed " << 2026 + i;
+  }
 }
 
 }  // namespace
