@@ -73,7 +73,9 @@ Image Image::synthetic(int width, int height, std::uint64_t seed) {
   // `rng` now stands at draw 5 + 4*n_blobs + 5*n_rects, pixel (0, 0)'s
   // noise draw; pixel (x, y) takes the draw y*width + x after it.
 
-  // Per-column terms, each the same expression the pixel sum used inline.
+  // Terms that depend on x only (or y only, below) are computed once.  Any
+  // rewrite of these expressions (a reciprocal multiply, a fused or
+  // factored form) moves pixels; ImageGolden.* pins them.
   std::vector<double> gradient_x(static_cast<std::size_t>(width));
   std::vector<double> texture_x(static_cast<std::size_t>(width));
   for (int x = 0; x < width; ++x) {
@@ -89,9 +91,9 @@ Image Image::synthetic(int width, int height, std::uint64_t seed) {
   // most one band runs inline on the caller's thread.
   constexpr int kBandPixels = 1 << 16;
   const int band_rows = std::max(1, kBandPixels / width);
-  const int bands = (height + band_rows - 1) / band_rows;
-  util::parallel_for(0, static_cast<std::size_t>(bands), [&](std::size_t b) {
-    const int y0 = static_cast<int>(b) * band_rows;
+  const int bands = height / band_rows + (height % band_rows != 0 ? 1 : 0);
+  util::parallel_for(0, static_cast<std::size_t>(bands), [&](std::size_t band) {
+    const int y0 = static_cast<int>(band) * band_rows;
     const int y1 = std::min(height, y0 + band_rows);
     util::SplitMix64 noise = rng;
     noise.skip(static_cast<std::uint64_t>(y0) *
@@ -100,18 +102,15 @@ Image Image::synthetic(int width, int height, std::uint64_t seed) {
       const double gradient_y = gy * 60.0 * y / height;
       const double texture_y = std::cos(tex_freq * 0.8 * y);
       for (int x = 0; x < width; ++x) {
-        // The terms are summed in the same order as ever, so every
-        // intermediate double (and so every pixel) is unchanged.
+        // The operand order of this sum fixes every intermediate double.
         double v = 110.0 + gradient_x[static_cast<std::size_t>(x)] +
                    gradient_y;
-        for (const Blob& blob : blobs) {
-          double dx = x - blob.cx, dy = y - blob.cy;
-          v += blob.amplitude * std::exp(-(dx * dx + dy * dy) / blob.two_r2);
+        for (const Blob& b : blobs) {
+          double dx = x - b.cx, dy = y - b.cy;
+          v += b.amplitude * std::exp(-(dx * dx + dy * dy) / b.two_r2);
         }
         for (const Rect& r : rects) {
-          if (x >= r.x0 && x < r.x1 && y >= r.y0 && y < r.y1) {
-            v += r.amplitude;
-          }
+          if (x >= r.x0 && x < r.x1 && y >= r.y0 && y < r.y1) v += r.amplitude;
         }
         // Mild deterministic texture (sinusoidal; compresses but not freely).
         v += texture_x[static_cast<std::size_t>(x)] * texture_y;
