@@ -25,14 +25,14 @@ ProfilingDriver::ProfilingDriver(RunFn run, Options options)
 ProfilingDriver::ProfilingDriver(RunFactory make_run, Options options)
     : make_run_(std::move(make_run)), options_(std::move(options)) {}
 
-/// The run contexts of one public call: a pool and one RunFn per worker,
-/// plus one for the calling thread, when Options::threads resolves to more
-/// than one; otherwise a single RunFn on the calling thread.
+/// The run contexts of one public call: a pool and one RunFn per worker
+/// when Options::threads resolves to more than one (the calling thread
+/// only waits); otherwise a single RunFn on the calling thread.
 class ProfilingDriver::Workers {
  public:
   Workers(const RunFactory& make_run, std::size_t threads) {
     if (util::ThreadPool::resolve_threads(threads) > 1) pool_.emplace(threads);
-    runs_.resize(pool_ ? pool_->size() + 1 : 1);
+    runs_.resize(pool_ ? pool_->size() : 1);
     for (RunFn& run : runs_) run = make_run();
   }
 

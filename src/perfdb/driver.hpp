@@ -11,7 +11,7 @@
 // Every public call decides *which* (config, point) cells to run and hands
 // them to one measure step: the base sweep, each refinement round and each
 // adaptive round alike.  The measure step hires its workers once per
-// public call — a work-stealing pool when Options::threads resolves to
+// public call — a thread pool when Options::threads resolves to
 // more than one, otherwise the calling thread — and fills a batch of
 // records in place, in the batch's own order.  Batches are built in
 // canonical (grid point, config) order, so the database, including its
@@ -67,8 +67,8 @@ class ProfilingDriver {
   explicit ProfilingDriver(RunFn run);
   ProfilingDriver(RunFn run, Options options);
 
-  /// Per-worker contexts: `make_run` is invoked once per worker (plus once
-  /// for the calling thread) per public call.
+  /// Per-worker contexts: `make_run` is invoked once per worker per public
+  /// call.
   ProfilingDriver(RunFactory make_run, Options options);
 
   /// Profile every configuration of `spec` on the cartesian grid given by

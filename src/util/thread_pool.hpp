@@ -1,44 +1,23 @@
-// A small work-stealing thread pool shared by the offline subsystems
-// (profiling driver, prune/sensitivity post-passes), and parallel_for(),
-// the one-shot fan-out those post-passes use.
+// A fixed pool of worker threads that runs one blocking parallel loop at
+// a time: profiling runs, prune/sensitivity scans, image synthesis bands.
 //
-// Design:
-//   - N workers on std::jthread; each worker owns a mutex-guarded deque.
-//     Workers pop their own deque LIFO (hot cache) and steal from other
-//     deques FIFO (oldest first), so skewed shard sizes rebalance.
-//   - Stop-token aware: request_stop() (or destruction) wakes sleepers via
-//     std::condition_variable_any; queued tasks are still *drained* after a
-//     stop so blocking callers never hang, but parallel_for payloads are
-//     skipped and the call reports cancellation.
-//   - parallel_for(count, fn) is the main entry point: it fans fn(0..count)
-//     out across the workers, blocks until every index completed, and
-//     rethrows the failing index's exception.  When several indices throw,
-//     the *lowest* index wins, so error reporting is deterministic no
-//     matter how the shards interleaved.
+// ThreadPool::parallel_for(count, fn) publishes (fn, count) and blocks;
+// every worker takes the next index, highest first, from one shared
+// counter, and the call returns once every index has run.  Concurrent
+// callers queue.  The lowest failing index's exception propagates, so
+// error reporting does not depend on how the indices interleaved.  Called
+// from one of the pool's own workers, parallel_for runs inline on that
+// worker, so a nested call neither deadlocks nor hires more threads.
 //
-// The pool is intended for coarse tasks (a profiling run, an O(n) pair
-// scan); it makes no attempt at lock-free deques, which keeps it trivially
-// ThreadSanitizer-clean — and the lock discipline itself is statically
-// checked: every shared field carries AVF_GUARDED_BY, so a clang
-// -Werror=thread-safety build rejects any access outside the right lock.
-// ThreadPool::parallel_for must not be called from inside a task of the
-// same pool (the caller blocks without helping, so nested calls on a
-// saturated pool can deadlock).  The free util::parallel_for below hires a
-// pool of its own, so it may be called from inside any pool task.
-//
-// The free util::parallel_for(threads, count, fn) is the one place besides
-// the profiling driver's workers that chooses between running inline and
-// running on a pool: it runs on the calling thread when `threads` resolves
-// to 1 or count <= 1, else on a pool hired for the call.
+// Tasks are coarse, so one mutex guards all shared state.  Every shared
+// field carries AVF_GUARDED_BY, so a clang -Werror=thread-safety build
+// rejects any access outside the lock.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <exception>
 #include <functional>
-#include <memory>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -46,12 +25,6 @@
 #include "util/mutex.hpp"
 
 namespace avf::util {
-
-/// Thrown by parallel_for when the pool was stopped before every index ran.
-class ThreadPoolStopped : public std::runtime_error {
- public:
-  ThreadPoolStopped() : std::runtime_error("thread_pool: stopped") {}
-};
 
 class ThreadPool {
  public:
@@ -62,56 +35,51 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
+  std::size_t size() const { return size_; }
 
   /// Resolve a thread-count knob: 0 -> hardware_concurrency (min 1).
   static std::size_t resolve_threads(std::size_t requested);
 
-  /// Enqueue one fire-and-forget task (round-robin across worker deques).
-  /// Tasks must not throw; use parallel_for for exception propagation.
-  void submit(std::function<void()> task) AVF_EXCLUDES(wake_mutex_);
-
-  /// Run fn(i) for every i in [0, count); blocks until all indices
-  /// completed.  Rethrows the exception of the lowest failing index; throws
-  /// ThreadPoolStopped if the pool was stopped before all payloads ran.
+  /// Run fn(i) for every i in [0, count) on the workers; blocks until every
+  /// index has run, then rethrows the exception of the lowest failing
+  /// index.  Runs inline when called from one of this pool's workers.
   void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn);
+                    const std::function<void(std::size_t)>& fn)
+      AVF_EXCLUDES(mutex_);
 
   /// Index of the calling worker thread within this pool, or size() when
   /// called from a non-worker thread.  Lets parallel_for payloads pick a
   /// per-worker context (e.g. one profiling testbed per worker).
   std::size_t current_worker() const;
 
-  /// Ask workers to stop; queued tasks are drained (payloads skipped).
-  void request_stop() AVF_EXCLUDES(wake_mutex_);
-  bool stop_requested() const;
-
  private:
-  struct Worker {
-    Mutex mutex;
-    std::deque<std::function<void()>> queue AVF_GUARDED_BY(mutex);
-  };
+  void worker_loop(std::size_t self) AVF_EXCLUDES(mutex_);
+  void stop() AVF_EXCLUDES(mutex_);
 
-  void worker_loop(std::stop_token token, std::size_t self);
-  /// Pop own back, else steal another queue's front.
-  bool try_pop(std::size_t self, std::function<void()>& task)
-      AVF_EXCLUDES(wake_mutex_);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  // Guards `unclaimed_` and the sleep/wake handshake (a task enqueued
-  // between a worker's empty check and its wait must not be lost).
-  Mutex wake_mutex_;
-  std::condition_variable_any wake_;
-  std::size_t unclaimed_ AVF_GUARDED_BY(wake_mutex_) = 0;
-  std::size_t next_queue_ AVF_GUARDED_BY(wake_mutex_) = 0;
-  std::atomic<bool> stopping_{false};
+  const std::size_t size_;
+  Mutex mutex_;
+  std::condition_variable_any work_;  // wakes workers: a loop or a stop
+  std::condition_variable_any done_;  // wakes callers: the loop finished
+  // The loop in flight (fn_ == nullptr when none): the top next_ indices
+  // are taken, `finished_` of them have run; err_ is the exception of the
+  // lowest failing index so far, err_index_.
+  const std::function<void(std::size_t)>* fn_ AVF_GUARDED_BY(mutex_) =
+      nullptr;
+  std::size_t count_ AVF_GUARDED_BY(mutex_) = 0;
+  std::size_t next_ AVF_GUARDED_BY(mutex_) = 0;
+  std::size_t finished_ AVF_GUARDED_BY(mutex_) = 0;
+  std::size_t err_index_ AVF_GUARDED_BY(mutex_) = 0;
+  std::exception_ptr err_ AVF_GUARDED_BY(mutex_);
+  bool stopping_ AVF_GUARDED_BY(mutex_) = false;
   std::vector<std::jthread> threads_;  // last member: joins before teardown
 };
 
 /// Run fn(i) for every i in [0, count) on `threads` workers (0 =
-/// hardware_concurrency).  Runs inline on the calling thread when `threads`
-/// resolves to 1 or count <= 1, else on a pool hired for this call.  Either
-/// way the exception of the lowest failing index propagates.
+/// hardware_concurrency).  This is the one place besides the profiling
+/// driver that chooses between inline and pooled execution: it runs inline
+/// on the calling thread when `threads` resolves to 1, count <= 1, or the
+/// caller is a worker of any pool, else on a pool hired for this call.
+/// Either way the exception of the lowest failing index propagates.
 void parallel_for(std::size_t threads, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
 

@@ -245,7 +245,7 @@ perfdb::ProfilingDriver::RunFn make_viz_run_fn(WorldSetup base);
 
 /// Profile the full configuration space of viz_app_spec() over `cpu_grid` x
 /// `bw_grid` (with optional refinement rounds).  `threads` > 1 shards the
-/// runs across a work-stealing pool (0 = hardware_concurrency); the
+/// runs across a thread pool (0 = hardware_concurrency); the
 /// resulting database is identical to the serial build.
 perfdb::PerfDatabase build_viz_database(
     const WorldSetup& base, const std::vector<double>& cpu_grid,

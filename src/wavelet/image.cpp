@@ -9,6 +9,13 @@
 
 namespace avf::wavelet {
 
+Image::Image(int width, int height) : width_(width), height_(height) {
+  if (width < 0 || height < 0) {
+    throw std::invalid_argument("Image: width and height must be >= 0");
+  }
+  pixels_.assign(static_cast<std::size_t>(width) * height, 0);
+}
+
 double Image::mean_abs_diff(const Image& other) const {
   if (width_ != other.width_ || height_ != other.height_) {
     throw std::invalid_argument("mean_abs_diff: dimension mismatch");
@@ -24,7 +31,7 @@ double Image::mean_abs_diff(const Image& other) const {
 
 Image Image::synthetic(int width, int height, std::uint64_t seed) {
   // Checked before any draw: a zero size would reach next_below(0), a
-  // division by zero, and a negative one a huge allocation.
+  // division by zero.
   if (width < 1 || height < 1) {
     throw std::invalid_argument("synthetic: width and height must be >= 1");
   }

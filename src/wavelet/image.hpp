@@ -25,9 +25,9 @@ namespace avf::wavelet {
 class Image {
  public:
   Image() = default;
-  Image(int width, int height)
-      : width_(width), height_(height),
-        pixels_(static_cast<std::size_t>(width) * height, 0) {}
+  /// A zeroed width x height image; throws std::invalid_argument when
+  /// either size is negative (0 x 0 is the empty image).
+  Image(int width, int height);
 
   int width() const { return width_; }
   int height() const { return height_; }
@@ -49,8 +49,9 @@ class Image {
 
   /// Deterministic synthetic test image.  Throws std::invalid_argument
   /// when width or height is below 1.  Rows are built in bands of about
-  /// 2^16 pixels on a pool hired for the call; an image of one band is
-  /// built inline on the calling thread.
+  /// 2^16 pixels through util::parallel_for: on a pool hired for the call,
+  /// or inline on the calling thread when the image is one band or the
+  /// caller is itself a pool worker.
   static Image synthetic(int width, int height, std::uint64_t seed);
 
   /// Downsample by pixel-block averaging to (width/f, height/f); `f` must

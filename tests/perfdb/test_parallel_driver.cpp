@@ -95,9 +95,9 @@ TEST(ParallelDriver, RunFactoryMakesOneContextPerWorker) {
       },
       options);
   (void)driver.profile(spec, kGrid);
-  // One RunFn per worker plus one for the calling thread, hired once for
-  // the base sweep and both refinement rounds.
-  EXPECT_EQ(contexts.load(), 4);
+  // One RunFn per worker (the calling thread never runs an index), hired
+  // once for the base sweep and both refinement rounds.
+  EXPECT_EQ(contexts.load(), 3);
   EXPECT_EQ(runs.load(), 85);
 }
 

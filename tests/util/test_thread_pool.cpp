@@ -89,30 +89,6 @@ TEST(ThreadPool, PoolUsableAfterException) {
   EXPECT_EQ(ran.load(), 10);
 }
 
-TEST(ThreadPool, StopCancelsMidSweep) {
-  ThreadPool pool(2);
-  std::atomic<std::size_t> started{0};
-  std::atomic<bool> release{false};
-  // Tasks block until released; stop fires while the sweep is in flight,
-  // so later payloads must be skipped and the call must report it.
-  std::thread stopper([&] {
-    while (started.load() < 2) std::this_thread::yield();
-    pool.request_stop();
-    release.store(true);
-  });
-  EXPECT_THROW(pool.parallel_for(64,
-                                 [&](std::size_t) {
-                                   started.fetch_add(1);
-                                   while (!release.load()) {
-                                     std::this_thread::yield();
-                                   }
-                                 }),
-               ThreadPoolStopped);
-  stopper.join();
-  EXPECT_LT(started.load(), 64u);
-  EXPECT_TRUE(pool.stop_requested());
-}
-
 TEST(ThreadPool, StealingBalancesSkewedShards) {
   // One giant shard plus many tiny ones: with stealing, total wall time is
   // bounded by the giant shard, not the sum.  We assert the behavioral
@@ -138,18 +114,6 @@ TEST(ThreadPool, CurrentWorkerOutsidePoolIsSize) {
   EXPECT_EQ(pool.current_worker(), pool.size());
 }
 
-TEST(ThreadPool, SubmitFireAndForget) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&] { ran.fetch_add(1); });
-    }
-    // Destruction drains the queues before joining.
-  }
-  EXPECT_EQ(ran.load(), 50);
-}
-
 TEST(ThreadPool, RepeatedTeardownNeverLosesTheStopWakeup) {
   // Destruction right after a sweep races request_stop() against workers
   // that are about to sleep.  A stop request the sleeper misses hangs the
@@ -165,6 +129,27 @@ TEST(ThreadPool, RepeatedTeardownNeverLosesTheStopWakeup) {
 TEST(ThreadPool, ZeroCountIsNoop) {
   ThreadPool pool(2);
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
+}
+
+TEST(ThreadPool, NestedCallRunsInlineOnTheWorker) {
+  // Both workers run an outer index that blocks on the same pool; waiting
+  // for the pool from inside it would deadlock, so the nested loop runs on
+  // the outer index's own thread.
+  ThreadPool pool(2);
+  std::vector<std::thread::id> outer(2);
+  std::vector<std::vector<std::thread::id>> nested(
+      2, std::vector<std::thread::id>(50));
+  pool.parallel_for(2, [&](std::size_t o) {
+    outer[o] = std::this_thread::get_id();
+    pool.parallel_for(50, [&](std::size_t i) {
+      nested[o][i] = std::this_thread::get_id();
+    });
+  });
+  for (std::size_t o = 0; o < 2; ++o) {
+    for (std::size_t i = 0; i < 50; ++i) {
+      EXPECT_EQ(nested[o][i], outer[o]) << "outer " << o << " index " << i;
+    }
+  }
 }
 
 TEST(ParallelFor, RunsInlineForOneThreadOrOneIndex) {
@@ -198,6 +183,22 @@ TEST(ParallelFor, PooledRunsEveryIndexOffTheCallingThread) {
   });
   for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_EQ(on_caller.load(), 0);
+}
+
+TEST(ParallelFor, FromAPoolWorkerRunsInline) {
+  // A free parallel_for inside a pool task hires no second pool.
+  ThreadPool pool(2);
+  std::thread::id worker;
+  std::vector<std::thread::id> ran(100);
+  pool.parallel_for(1, [&](std::size_t) {
+    worker = std::this_thread::get_id();
+    parallel_for(4, ran.size(),
+                 [&](std::size_t i) { ran[i] = std::this_thread::get_id(); });
+  });
+  EXPECT_NE(worker, std::this_thread::get_id());
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    EXPECT_EQ(ran[i], worker) << "index " << i;
+  }
 }
 
 TEST(ParallelFor, LowestFailingIndexWinsInBothModes) {

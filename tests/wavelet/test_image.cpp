@@ -26,6 +26,18 @@ TEST(Image, ConstructsZeroed) {
   }
 }
 
+TEST(Image, ConstructorRejectsNegativeSize) {
+  const int sizes[][2] = {{-1, -1}, {-1, 2}, {2, -1}, {INT_MIN, INT_MIN}};
+  for (const auto& s : sizes) {
+    EXPECT_THROW((void)Image(s[0], s[1]), std::invalid_argument)
+        << s[0] << "x" << s[1];
+  }
+  // 0 x 0 stays valid: the default constructor and downsample of an empty
+  // image make it.
+  EXPECT_EQ(Image(0, 0), Image());
+  EXPECT_EQ(Image(0, 3).size_bytes(), 0u);
+}
+
 TEST(Image, SyntheticIsDeterministic) {
   Image a = Image::synthetic(64, 64, 42);
   Image b = Image::synthetic(64, 64, 42);
