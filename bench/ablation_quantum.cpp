@@ -8,6 +8,7 @@
 #include "bench/common.hpp"
 #include "sandbox/sandbox.hpp"
 #include "sim/host.hpp"
+#include "util/fmt.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -24,7 +25,7 @@ struct Result {
 
 Result run(double share, double quantum) {
   sim::Simulator sim;
-  sim::Host host(sim, "testbed", kSpeed, 128u << 20);
+  sim::Host host(sim, "testbed", kSpeed);
   sandbox::Sandbox::Options opts;
   opts.cpu_share = share;
   opts.cpu_enforcement = sandbox::CpuEnforcement::kQuantized;

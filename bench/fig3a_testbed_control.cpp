@@ -12,6 +12,7 @@
 #include "sandbox/schedule.hpp"
 #include "sandbox/usage_monitor.hpp"
 #include "sim/host.hpp"
+#include "util/fmt.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -30,7 +31,7 @@ int main() {
                        "testbed CPU control: share 80% -> 40% @20s -> 60% @50s");
 
   sim::Simulator sim;
-  sim::Host host(sim, "testbed", kSpeed, 128u << 20);
+  sim::Host host(sim, "testbed", kSpeed);
   sandbox::Sandbox::Options opts;
   opts.cpu_share = 0.8;
   opts.cpu_enforcement = sandbox::CpuEnforcement::kQuantized;

@@ -9,6 +9,7 @@
 #include "bench/common.hpp"
 #include "sandbox/sandbox.hpp"
 #include "sim/host.hpp"
+#include "util/fmt.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -22,7 +23,7 @@ constexpr double kMaxErrorPct = 1.0;
 
 double run_with_share(double share) {
   sim::Simulator sim;
-  sim::Host host(sim, "testbed", kSpeed, 128u << 20);
+  sim::Host host(sim, "testbed", kSpeed);
   sandbox::Sandbox::Options opts;
   opts.cpu_share = share;
   opts.cpu_enforcement = sandbox::CpuEnforcement::kQuantized;

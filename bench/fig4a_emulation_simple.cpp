@@ -9,6 +9,7 @@
 #include "bench/common.hpp"
 #include "sandbox/sandbox.hpp"
 #include "sim/host.hpp"
+#include "util/fmt.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -22,7 +23,7 @@ constexpr double kMaxDiffPct = 8.0;
 
 double run_physical(double speed) {
   sim::Simulator sim;
-  sim::Host host(sim, "physical", speed, 128u << 20);
+  sim::Host host(sim, "physical", speed);
   sandbox::Sandbox::Options opts;  // unconstrained
   sandbox::Sandbox box(host, "toy", opts);
   double done = -1.0;
@@ -37,7 +38,7 @@ double run_physical(double speed) {
 
 double run_testbed(double share) {
   sim::Simulator sim;
-  sim::Host host(sim, "testbed-450", kBaseSpeed, 128u << 20);
+  sim::Host host(sim, "testbed-450", kBaseSpeed);
   sandbox::Sandbox::Options opts;
   opts.cpu_share = share;
   opts.cpu_enforcement = sandbox::CpuEnforcement::kQuantized;

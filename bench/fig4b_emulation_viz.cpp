@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bench/common.hpp"
+#include "util/fmt.hpp"
 #include "util/table.hpp"
 
 namespace {

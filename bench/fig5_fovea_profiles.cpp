@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "bench/common.hpp"
+#include "util/fmt.hpp"
 #include "util/table.hpp"
 
 namespace {

@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "bench/common.hpp"
+#include "util/fmt.hpp"
 #include "util/table.hpp"
 
 int main() {

@@ -3,6 +3,7 @@
 #include <iostream>
 
 #include "bench/common.hpp"
+#include "util/fmt.hpp"
 #include "util/table.hpp"
 
 int main() {

@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "bench/common.hpp"
+#include "util/fmt.hpp"
 #include "util/table.hpp"
 
 int main() {

@@ -45,8 +45,8 @@ struct PipelineWorld {
   sandbox::Sandbox box;
 
   explicit PipelineWorld(double uplink_bps, double cpu_share)
-      : gateway(net.add_host("gateway", kGatewaySpeed, 32u << 20)),
-        server(net.add_host("server", 450e6, 128u << 20)),
+      : gateway(net.add_host("gateway", kGatewaySpeed)),
+        server(net.add_host("server", 450e6)),
         uplink(net.connect(gateway, server, uplink_bps, 0.02)),
         channel(net.open_channel(uplink)),
         box(gateway, "pipeline", make_options(cpu_share)) {

@@ -38,7 +38,7 @@ constexpr int kFrames = 20;
 tunable::QosVector profile_run(const tunable::ConfigPoint& config,
                                const perfdb::ResourcePoint& at) {
   sim::Simulator sim;
-  sim::Host host(sim, "testbed", kSpeed, 64u << 20);
+  sim::Host host(sim, "testbed", kSpeed);
   sandbox::Sandbox::Options opts;
   opts.cpu_share = at[0];
   sandbox::Sandbox box(host, "renderer", opts);
@@ -83,7 +83,7 @@ int main() {
   // steering agent installs it at the next frame boundary.
   // ---------------------------------------------------------------------
   sim::Simulator sim;
-  sim::Host host(sim, "laptop", kSpeed, 64u << 20);
+  sim::Host host(sim, "laptop", kSpeed);
   sandbox::Sandbox::Options opts;
   opts.cpu_share = 0.9;
   sandbox::Sandbox box(host, "renderer", opts);

@@ -99,9 +99,4 @@ void DecisionCache::store(const Query& q,
   entries_[h] = std::move(entry);
 }
 
-void DecisionCache::clear() {
-  util::MutexLock lock(mutex_);
-  entries_.clear();
-}
-
 }  // namespace avf::adapt

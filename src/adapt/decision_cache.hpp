@@ -86,15 +86,13 @@ class DecisionCache {
 
   /// Memoized decision for `q`; nullptr on miss.  A non-null result may
   /// hold nullopt — "no usable records" is memoized too.  The pointee is
-  /// owned by the cache and valid until the next store/clear; callers copy
+  /// owned by the cache and valid until the next store; callers copy
   /// it out before any further cache call.
   const std::optional<Decision>* lookup(const Query& q) const
       AVF_EXCLUDES(mutex_);
 
   void store(const Query& q, const std::optional<Decision>& decision)
       AVF_EXCLUDES(mutex_);
-
-  void clear() AVF_EXCLUDES(mutex_);
 
   std::size_t size() const AVF_EXCLUDES(mutex_) {
     util::MutexLock lock(mutex_);

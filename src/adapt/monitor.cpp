@@ -56,12 +56,6 @@ std::optional<double> MonitoringAgent::estimate(std::size_t axis_id) const {
   return w.mean_since(sim_.now() - options_.window);
 }
 
-std::vector<double> MonitoringAgent::estimates() const {
-  std::vector<double> out;
-  estimates_into(out);
-  return out;
-}
-
 void MonitoringAgent::estimates_into(std::vector<double>& out) const {
   out.resize(axes_.size());
   for (std::size_t i = 0; i < axes_.size(); ++i) {

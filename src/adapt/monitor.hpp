@@ -54,11 +54,9 @@ class MonitoringAgent {
   /// Id-based fast path (see axis_id).
   std::optional<double> estimate(std::size_t axis_id) const;
 
-  /// Estimates for all axes; axes without samples fall back to the
-  /// baseline value.
-  std::vector<double> estimates() const;
-  /// Like estimates(), but fills a caller-owned vector so periodic callers
-  /// (the adaptation controller) can reuse the allocation.
+  /// Estimates for all axes into a caller-owned vector (periodic callers,
+  /// the adaptation controller, reuse the allocation); axes without samples
+  /// fall back to the baseline value.
   void estimates_into(std::vector<double>& out) const;
 
   /// Record the resource point the scheduler last planned for.

@@ -559,8 +559,4 @@ namespace avf::tunable {
 
 lint::Report AppSpec::validate() const { return lint::lint_spec(*this); }
 
-lint::Report AppSpec::validate(const lint::Options& options) const {
-  return lint::lint_spec(*this, options);
-}
-
 }  // namespace avf::tunable

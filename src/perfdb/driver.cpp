@@ -136,11 +136,6 @@ std::vector<const RefinementSuggestion*> ProfilingDriver::select_suggestions(
   return picked;
 }
 
-std::size_t ProfilingDriver::refine(PerfDatabase& db) const {
-  Workers workers(make_run_, options_.threads);
-  return refine(db, workers);
-}
-
 std::size_t ProfilingDriver::refine(PerfDatabase& db, Workers& workers) const {
   std::vector<RefinementSuggestion> suggestions =
       sensitivity_analysis(db, options_.sensitivity_threshold,

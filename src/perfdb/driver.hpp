@@ -75,14 +75,11 @@ class ProfilingDriver {
   /// `grid[i]` = sample values for spec.resource_axes()[i], then apply the
   /// configured refinement rounds.  Shards runs across Options::threads
   /// workers; the database is byte-identical at any thread count.
+  /// Refinement picks are deterministic: suggestions are ranked (strength
+  /// desc, config, point) and each round's budget is allocated round-robin
+  /// across configurations.
   PerfDatabase profile(const tunable::AppSpec& spec,
                        const std::vector<std::vector<double>>& grid) const;
-
-  /// Run one refinement round against an existing database; returns the
-  /// number of new samples taken.  Suggestion selection is deterministic:
-  /// suggestions are ranked (strength desc, config, point) and the
-  /// per-round budget is allocated round-robin across configurations.
-  std::size_t refine(PerfDatabase& db) const;
 
   struct AdaptiveOptions {
     /// Cap on sandbox runs (cells measured); every other cell of the

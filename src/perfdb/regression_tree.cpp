@@ -171,25 +171,12 @@ std::size_t RegressionTree::leaf_of(
   return static_cast<std::size_t>(&descend(features) - nodes_.data());
 }
 
-double RegressionTree::leaf_variance(
-    const std::vector<double>& features) const {
-  return descend(features).variance;
-}
-
 std::vector<RegressionTree::LeafInfo> RegressionTree::leaves() const {
   std::vector<LeafInfo> out;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& n = nodes_[i];
     if (n.left != npos) continue;
     out.push_back(LeafInfo{i, n.count, n.mean, n.variance});
-  }
-  return out;
-}
-
-std::string RegressionTree::trace_string() const {
-  std::string out;
-  for (const SplitRecord& s : trace_) {
-    out += util::format("n{} f{}<={}\n", s.node, s.axis, s.threshold);
   }
   return out;
 }

@@ -71,15 +71,9 @@ class RegressionTree {
   double predict(const std::vector<double>& features) const;
   /// Node index of that leaf (stable across identical fits).
   std::size_t leaf_of(const std::vector<double>& features) const;
-  /// Training variance of the leaf `features` falls in.
-  double leaf_variance(const std::vector<double>& features) const;
 
   std::vector<LeafInfo> leaves() const;
   const std::vector<SplitRecord>& split_trace() const { return trace_; }
-
-  /// Human-readable one-line-per-split rendering of split_trace(), used by
-  /// the golden-sequence regression test.
-  std::string trace_string() const;
 
  private:
   struct Node {

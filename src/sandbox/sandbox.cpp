@@ -8,10 +8,19 @@ namespace avf::sandbox {
 
 namespace {
 
+// The checks are negated comparisons so that NaN, which fails every
+// comparison, is rejected too.
 void validate_share(double share) {
-  if (share <= 0.0 || share > 1.0) {
+  if (!(share > 0.0 && share <= 1.0)) {
     throw std::invalid_argument(
         avf::util::format("cpu share must be in (0, 1], got {}", share));
+  }
+}
+
+void validate_positive(const char* what, double value) {
+  if (!(value > 0.0)) {
+    throw std::invalid_argument(
+        avf::util::format("{} must be > 0, got {}", what, value));
   }
 }
 
@@ -29,16 +38,10 @@ Sandbox::Sandbox(sim::Host& host, std::string name, const Options& options)
       net_mode_(options.net_enforcement),
       net_burst_window_(options.net_burst_window) {
   validate_share(cpu_share_);
-  if (quantum_ <= 0.0) {
-    throw std::invalid_argument("quantum must be > 0");
-  }
-  if (net_burst_window_ <= 0.0) {
-    throw std::invalid_argument("net burst window must be > 0");
-  }
+  validate_positive("quantum", quantum_);
+  validate_positive("net burst window", net_burst_window_);
+  if (net_bps_) validate_positive("net bandwidth", *net_bps_);
   tokens_updated_ = host_.simulator().now();
-  if (options.memory_bytes) {
-    host_.memory().set_cap(owner_, *options.memory_bytes);
-  }
   apply_cpu_cap();
 }
 
@@ -58,7 +61,6 @@ void Sandbox::ensure_quantum_running() {
 
 Sandbox::~Sandbox() {
   quantum_event_.cancel();
-  host_.memory().remove_cap(owner_);
 }
 
 void Sandbox::set_cpu_share(double share) {
@@ -123,10 +125,7 @@ void Sandbox::attach_endpoint(sim::Endpoint& endpoint) {
 }
 
 void Sandbox::set_net_bandwidth(std::optional<double> bps) {
-  if (bps && *bps <= 0.0) {
-    throw std::invalid_argument(
-        avf::util::format("net bandwidth must be > 0, got {}", *bps));
-  }
+  if (bps) validate_positive("net bandwidth", *bps);
   net_bps_ = bps;
   apply_net_caps();
 }
@@ -169,14 +168,6 @@ sim::Task<> Sandbox::send(sim::Endpoint& endpoint, sim::Message msg) {
     tokens_ -= needed;
   }
   co_await endpoint.send(std::move(msg));
-}
-
-void Sandbox::set_memory_limit(std::optional<std::uint64_t> bytes) {
-  if (bytes) {
-    host_.memory().set_cap(owner_, *bytes);
-  } else {
-    host_.memory().remove_cap(owner_);
-  }
 }
 
 }  // namespace avf::sandbox

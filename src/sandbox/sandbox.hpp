@@ -1,9 +1,9 @@
 // The virtual execution environment ("testbed") of the paper, §5.1.
 //
 // A Sandbox wraps one simulated process and constrains its average
-// utilization of CPU, network, and memory to configured limits — the same
-// contract the paper's Win32 API-interception sandbox provides.  Two CPU
-// enforcement modes are supported:
+// utilization of CPU and network to configured limits — the same contract
+// the paper's Win32 API-interception sandbox provides.  Two CPU enforcement
+// modes are supported:
 //
 //  * kFluid     — the cap is applied directly to the process's share slot on
 //                 the host CPU; enforcement is exact at every instant.
@@ -16,14 +16,12 @@
 //                 visible in the paper's Figure 3.
 //
 // Network limits are expressed in bytes/s and applied to every endpoint
-// attached to the sandbox; memory limits cap the process's reservations on
-// the host memory.  When the host is under-loaded the process receives
+// attached to the sandbox.  When the host is under-loaded the process receives
 // exactly its configured resources (see FluidResource), which is what makes
 // the sandbox usable as a *modeling testbed*: running under a cap of s on a
 // fast host predicts execution on a machine of relative speed s.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,7 +51,6 @@ class Sandbox {
   struct Options {
     double cpu_share = 1.0;                        // (0, 1]
     std::optional<double> net_bandwidth_bps;       // nullopt = unlimited
-    std::optional<std::uint64_t> memory_bytes;     // nullopt = unlimited
     CpuEnforcement cpu_enforcement = CpuEnforcement::kFluid;
     NetEnforcement net_enforcement = NetEnforcement::kFluid;
     double quantum = 0.005;                        // s, kQuantized only
@@ -103,14 +100,6 @@ class Sandbox {
   /// interception):
   ///   co_await box.send(endpoint, std::move(msg));
   sim::Task<> send(sim::Endpoint& endpoint, sim::Message msg);
-
-  // -- Memory -----------------------------------------------------------
-  void set_memory_limit(std::optional<std::uint64_t> bytes);
-  /// Reserve under this sandbox's memory cap; invalid reservation on denial.
-  [[nodiscard]] sim::MemoryReservation try_reserve_memory(
-      std::uint64_t bytes) {
-    return host_.memory().try_reserve(owner_, bytes);
-  }
 
  private:
   void apply_cpu_cap();

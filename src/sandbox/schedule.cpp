@@ -7,7 +7,6 @@ namespace {
 void apply_change(Sandbox& box, const CapChange& change) {
   if (change.cpu_share) box.set_cpu_share(*change.cpu_share);
   if (change.net_bps) box.set_net_bandwidth(*change.net_bps);
-  if (change.mem_bytes) box.set_memory_limit(*change.mem_bytes);
 }
 
 }  // namespace

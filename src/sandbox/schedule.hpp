@@ -4,7 +4,6 @@
 // absolute simulated time.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -17,7 +16,6 @@ struct CapChange {
   sim::SimTime at = 0.0;
   std::optional<double> cpu_share;
   std::optional<double> net_bps;
-  std::optional<std::uint64_t> mem_bytes;
 };
 
 /// Schedule all changes against `box`.  Changes with `at` <= now apply

@@ -2,11 +2,7 @@
 
 namespace avf::sim {
 
-Host::Host(Simulator& sim, std::string name, double cpu_ops_per_sec,
-           std::uint64_t memory_bytes)
-    : sim_(sim),
-      name_(name),
-      cpu_(sim, name + ".cpu", cpu_ops_per_sec),
-      memory_(name + ".mem", memory_bytes) {}
+Host::Host(Simulator& sim, std::string name, double cpu_ops_per_sec)
+    : sim_(sim), name_(name), cpu_(sim, name + ".cpu", cpu_ops_per_sec) {}
 
 }  // namespace avf::sim

@@ -1,23 +1,19 @@
-// A simulated host: a named machine with a CPU (fluid resource in ops/s) and
-// physical memory.  Host speeds are quoted in ops/s; the repro convention is
+// A simulated host: a named machine with a CPU (fluid resource in ops/s).
+// Host speeds are quoted in ops/s; the repro convention is
 // "a 450 MHz-class Pentium II executes 450e6 ops/s", so the paper's machines
 // map to speeds 450e6 / 333e6 / 200e6 (see DESIGN.md §5).
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <string>
 
 #include "sim/fluid_resource.hpp"
-#include "sim/memory.hpp"
 #include "sim/simulator.hpp"
 
 namespace avf::sim {
 
 class Host {
  public:
-  Host(Simulator& sim, std::string name, double cpu_ops_per_sec,
-       std::uint64_t memory_bytes);
+  Host(Simulator& sim, std::string name, double cpu_ops_per_sec);
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
@@ -27,8 +23,6 @@ class Host {
 
   FluidResource& cpu() { return cpu_; }
   const FluidResource& cpu() const { return cpu_; }
-  MemoryResource& memory() { return memory_; }
-  const MemoryResource& memory() const { return memory_; }
 
   /// Nominal CPU speed (ops/s) — the capacity of the cpu() resource.
   double cpu_speed() const { return cpu_.capacity(); }
@@ -37,7 +31,6 @@ class Host {
   Simulator& sim_;
   std::string name_;
   FluidResource cpu_;
-  MemoryResource memory_;
 };
 
 }  // namespace avf::sim

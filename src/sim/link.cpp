@@ -62,12 +62,6 @@ void Endpoint::deposit(Message msg) {
   inbox_.push(std::move(msg));
 }
 
-void Endpoint::set_share_slot(ShareSlotPtr slot) {
-  if (!slot) throw std::invalid_argument("endpoint share slot must not be null");
-  slot_ = std::move(slot);
-  out_->reallocate();
-}
-
 Channel::Channel(Link& link)
     : a_(new Endpoint(link.simulator(), link.forward(), link.latency())),
       b_(new Endpoint(link.simulator(), link.backward(), link.latency())) {

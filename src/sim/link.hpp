@@ -112,7 +112,6 @@ class Endpoint {
 
   /// The slot the sandbox adjusts to throttle this endpoint's bandwidth.
   const ShareSlotPtr& share_slot() const { return slot_; }
-  void set_share_slot(ShareSlotPtr slot);
 
   /// The link direction this endpoint injects into.
   FluidResource& out() { return *out_; }

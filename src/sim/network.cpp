@@ -5,20 +5,11 @@
 
 namespace avf::sim {
 
-Host& Network::add_host(const std::string& name, double cpu_ops_per_sec,
-                        std::uint64_t memory_bytes) {
+Host& Network::add_host(const std::string& name, double cpu_ops_per_sec) {
   auto [it, inserted] = hosts_.try_emplace(
-      name, std::make_unique<Host>(sim_, name, cpu_ops_per_sec, memory_bytes));
+      name, std::make_unique<Host>(sim_, name, cpu_ops_per_sec));
   if (!inserted) {
     throw std::invalid_argument(avf::util::format("duplicate host name: {}", name));
-  }
-  return *it->second;
-}
-
-Host& Network::host(const std::string& name) {
-  auto it = hosts_.find(name);
-  if (it == hosts_.end()) {
-    throw std::out_of_range(avf::util::format("no such host: {}", name));
   }
   return *it->second;
 }

@@ -24,11 +24,7 @@ class Network {
   Simulator& simulator() { return sim_; }
 
   /// Create a host; names must be unique.
-  Host& add_host(const std::string& name, double cpu_ops_per_sec,
-                 std::uint64_t memory_bytes);
-
-  /// Look up a host by name; throws std::out_of_range if absent.
-  Host& host(const std::string& name);
+  Host& add_host(const std::string& name, double cpu_ops_per_sec);
 
   /// Create a full-duplex link between two hosts.
   Link& connect(Host& a, Host& b, double bandwidth_bps, double latency_s);

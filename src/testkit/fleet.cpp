@@ -48,10 +48,8 @@ struct FleetState {
   explicit FleetState(const FleetOptions& options)
       : opt(options),
         net(sim),
-        client_host(net.add_host("fleet-clients", options.model.cpu_speed,
-                                 64ull << 20)),
-        server_host(net.add_host("fleet-server", options.model.cpu_speed,
-                                 64ull << 20)),
+        client_host(net.add_host("fleet-clients", options.model.cpu_speed)),
+        server_host(net.add_host("fleet-server", options.model.cpu_speed)),
         link(net.connect(client_host, server_host, options.model.nominal_bw,
                          options.model.link_latency)),
         injector({.sim = &sim, .link = &link}, /*seed=*/1),

@@ -310,8 +310,8 @@ ScenarioResult run_scenario(const FaultSchedule& schedule,
 
   sim::Simulator sim;
   sim::Network net(sim);
-  sim::Host& client_host = net.add_host("client", model.cpu_speed, 64ull << 20);
-  sim::Host& server_host = net.add_host("server", model.cpu_speed, 64ull << 20);
+  sim::Host& client_host = net.add_host("client", model.cpu_speed);
+  sim::Host& server_host = net.add_host("server", model.cpu_speed);
   sim::Link& link =
       net.connect(client_host, server_host, model.nominal_bw,
                   model.link_latency);

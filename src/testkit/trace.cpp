@@ -1,7 +1,6 @@
 #include "testkit/trace.hpp"
 
 #include <bit>
-#include <ostream>
 
 #include "util/fmt.hpp"
 #include "util/hash.hpp"
@@ -33,10 +32,6 @@ std::string TraceRecorder::dump() const {
     out += '\n';
   }
   return out;
-}
-
-void TraceRecorder::dump(std::ostream& out) const {
-  for (const std::string& line : lines_) out << line << '\n';
 }
 
 }  // namespace avf::testkit

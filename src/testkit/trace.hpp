@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -37,7 +36,6 @@ class TraceRecorder {
 
   /// One line per record, '\n'-separated (for diffs on mismatch).
   std::string dump() const;
-  void dump(std::ostream& out) const;
 
  private:
   std::vector<std::string> lines_;

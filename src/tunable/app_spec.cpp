@@ -17,13 +17,4 @@ void AppSpec::add_resource_axis(const std::string& axis,
   axis_sites_.push_back(where);
 }
 
-std::vector<const TaskSpec*> AppSpec::active_tasks(
-    const ConfigPoint& config) const {
-  std::vector<const TaskSpec*> out;
-  for (const TaskSpec& t : tasks_) {
-    if (!t.guard || t.guard(config)) out.push_back(&t);
-  }
-  return out;
-}
-
 }  // namespace avf::tunable

@@ -24,7 +24,6 @@
 
 namespace avf::lint {
 class Report;
-struct Options;
 }  // namespace avf::lint
 
 namespace avf::tunable {
@@ -91,14 +90,10 @@ class AppSpec {
     return transitions_;
   }
 
-  /// Tasks active under `config` (guard-filtered).
-  std::vector<const TaskSpec*> active_tasks(const ConfigPoint& config) const;
-
   /// Static analysis of this specification: reference integrity, guard
   /// feasibility, transition connectivity, metric consistency.  Defined in
   /// the avf_lint library (src/lint/lint.cpp); callers must link it.
   lint::Report validate() const;
-  lint::Report validate(const lint::Options& options) const;
 
  private:
   std::string name_;

@@ -53,10 +53,6 @@ std::string CsvWriter::field(double value) {
   return avf::util::format("{}", value);
 }
 
-std::string CsvWriter::field(long long value) {
-  return avf::util::format("{}", value);
-}
-
 std::size_t CsvDocument::column(const std::string& name) const {
   for (std::size_t i = 0; i < header.size(); ++i) {
     if (header[i] == name) return i;

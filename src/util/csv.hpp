@@ -20,7 +20,6 @@ class CsvWriter {
 
   /// Convenience: format doubles with full round-trip precision.
   static std::string field(double value);
-  static std::string field(long long value);
 
  private:
   std::ostream& out_;

@@ -1,6 +1,7 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace avf::util {
 
@@ -9,16 +10,8 @@ void RunningStats::add(double x) {
   sum_ += x;
   double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-}
-
-void RunningStats::reset() { *this = RunningStats{}; }
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_);
 }
 
 namespace {
@@ -56,14 +49,6 @@ void TimeWindow::add(double time, double value) {
   // bit-identically "subtracted from", so drop the memo and let the next
   // query re-anchor with an exact scan.
   if (fold_valid_ && fold_start_seq_ < base_seq_) fold_valid_ = false;
-}
-
-double TimeWindow::mean() const {
-  if (samples_.empty()) return 0.0;
-  double sum = 0.0;
-  double comp = 0.0;
-  for (const auto& [t, v] : samples_) neumaier_add(sum, comp, v);
-  return (sum + comp) / static_cast<double>(samples_.size());
 }
 
 std::optional<double> TimeWindow::mean_since(double t) const {
@@ -111,68 +96,6 @@ std::optional<SuffixStats> TimeWindow::stats_since(double t) const {
   if (n == 0) return std::nullopt;
   return SuffixStats{(fold_sum_ + fold_comp_) / static_cast<double>(n),
                      first->first, n};
-}
-
-std::size_t TimeWindow::count_since(double t) const {
-  auto first = std::lower_bound(
-      samples_.begin(), samples_.end(), t,
-      [](const std::pair<double, double>& s, double cut) {
-        return s.first < cut;
-      });
-  return static_cast<std::size_t>(samples_.end() - first);
-}
-
-double TimeWindow::min() const {
-  if (samples_.empty()) return 0.0;
-  double m = samples_.front().second;
-  for (const auto& [t, v] : samples_) m = std::min(m, v);
-  return m;
-}
-
-double TimeWindow::max() const {
-  if (samples_.empty()) return 0.0;
-  double m = samples_.front().second;
-  for (const auto& [t, v] : samples_) m = std::max(m, v);
-  return m;
-}
-
-double TimeWindow::latest() const {
-  return samples_.empty() ? 0.0 : samples_.back().second;
-}
-
-double TimeWindow::slope() const {
-  if (samples_.size() < 2) return 0.0;
-  double n = static_cast<double>(samples_.size());
-  double st = 0.0, sv = 0.0, stt = 0.0, stv = 0.0;
-  for (const auto& [t, v] : samples_) {
-    st += t;
-    sv += v;
-    stt += t * t;
-    stv += t * v;
-  }
-  double denom = n * stt - st * st;
-  if (denom == 0.0) return 0.0;
-  return (n * stv - st * sv) / denom;
-}
-
-void Ewma::add(double x) {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
-}
-
-double percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  q = std::clamp(q, 0.0, 1.0);
-  double rank = q * static_cast<double>(samples.size() - 1);
-  std::size_t lo = static_cast<std::size_t>(rank);
-  std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
 }  // namespace avf::util

@@ -1,27 +1,23 @@
-// Streaming statistics and a fixed-capacity sliding window, used by the
-// monitoring agent (history-window estimates) and by the benchmark harnesses.
+// Streaming statistics and a sliding time window, used by the viz client
+// (response times) and the monitoring agent (history-window estimates).
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <optional>
-#include <vector>
+#include <utility>
 
 namespace avf::util {
 
-/// Welford-style streaming mean/variance with min/max tracking.
+/// Welford-style streaming mean with min/max tracking.
 class RunningStats {
  public:
   void add(double x);
-  void reset();
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  double variance() const;  ///< population variance; 0 for < 2 samples
-  double stddev() const { return std::sqrt(variance()); }
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }
   double sum() const { return sum_; }
@@ -29,7 +25,6 @@ class RunningStats {
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
@@ -72,7 +67,6 @@ class TimeWindow {
   bool empty() const { return samples_.empty(); }
   double horizon() const { return horizon_; }
 
-  double mean() const;
   /// Mean of the samples with time >= `t`; nullopt when none qualify.
   /// Eviction on add() is relative to the newest *sample*, so the deque can
   /// retain entries older than the caller's notion of "now" — consumers that
@@ -83,15 +77,6 @@ class TimeWindow {
   /// >= `t`; nullopt when none qualify.  O(1) when the memoized fold already
   /// covers exactly this suffix.
   std::optional<SuffixStats> stats_since(double t) const;
-  /// Number of samples with time >= `t`.
-  std::size_t count_since(double t) const;
-  double min() const;
-  double max() const;
-  /// Most recent value (0 when empty).
-  double latest() const;
-  /// Least-squares slope of value over time (0 with < 2 samples or zero
-  /// time spread); the monitor uses it to detect drifting availability.
-  double slope() const;
 
   const std::deque<std::pair<double, double>>& samples() const {
     return samples_;
@@ -126,25 +111,5 @@ class TimeWindow {
   mutable std::uint64_t fold_rescans_ = 0;
   mutable std::uint64_t fold_hits_ = 0;
 };
-
-/// Exponentially weighted moving average.
-class Ewma {
- public:
-  explicit Ewma(double alpha) : alpha_(alpha) {}
-
-  void add(double x);
-  bool has_value() const { return initialized_; }
-  double value() const { return value_; }
-  void reset() { initialized_ = false; value_ = 0.0; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
-
-/// Percentile of a sample vector (linear interpolation between ranks).
-/// `q` in [0,1]. Returns 0 for empty input.
-double percentile(std::vector<double> samples, double q);
 
 }  // namespace avf::util

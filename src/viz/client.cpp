@@ -209,18 +209,4 @@ sim::Task<> VizClient::shutdown_server() {
   co_await box_.send(endpoint_, encode_shutdown());
 }
 
-tunable::QosVector VizClient::qos() const {
-  tunable::QosVector out;
-  if (history_.empty()) return out;
-  double transmit = 0.0, response = 0.0;
-  for (const ImageStats& s : history_) {
-    transmit += s.transmit_time;
-    response += s.avg_response;
-  }
-  out.set("transmit_time", transmit / static_cast<double>(history_.size()));
-  out.set("response_time", response / static_cast<double>(history_.size()));
-  out.set("resolution", history_.back().resolution);
-  return out;
-}
-
 }  // namespace avf::viz

@@ -90,10 +90,6 @@ class VizClient {
 
   const std::vector<ImageStats>& history() const { return history_; }
 
-  /// Aggregate QoS over the whole history: mean transmit_time, mean
-  /// response_time, and the resolution of the last image.
-  tunable::QosVector qos() const;
-
   /// Currently active configuration (steered or fixed).
   const tunable::ConfigPoint& config() const;
 

@@ -141,17 +141,6 @@ VizServer::VizServer(sandbox::Sandbox& box, sim::Endpoint& endpoint,
                      Options options)
     : box_(box), endpoint_(endpoint), options_(options) {}
 
-void VizServer::add_image(std::uint32_t id, const wavelet::Image& image,
-                          int levels) {
-  add_image(id, std::make_shared<const wavelet::Pyramid>(image, levels));
-}
-
-void VizServer::add_image(std::uint32_t id,
-                          std::shared_ptr<const wavelet::Pyramid> pyramid) {
-  util::Hash128 content = wavelet::pyramid_content_hash(*pyramid);
-  add_image(id, std::move(pyramid), content);
-}
-
 void VizServer::add_image(std::uint32_t id,
                           std::shared_ptr<const wavelet::Pyramid> pyramid,
                           const util::Hash128& content_hash) {
@@ -162,11 +151,6 @@ void VizServer::add_image(std::uint32_t id,
                             ? identity_region_key(id)
                             : content_hash;
   images_[id] = std::move(stored);
-}
-
-std::size_t VizServer::open_sessions() const {
-  util::MutexLock lock(sessions_mutex_);
-  return sessions_.size();
 }
 
 std::shared_ptr<VizServer::Session> VizServer::pin_session(

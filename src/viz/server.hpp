@@ -169,15 +169,10 @@ class VizServer {
   VizServer(sandbox::Sandbox& box, sim::Endpoint& endpoint);
   VizServer(sandbox::Sandbox& box, sim::Endpoint& endpoint, Options options);
 
-  /// Register an image (decomposes it into a pyramid).
-  void add_image(std::uint32_t id, const wavelet::Image& image, int levels);
-  /// Register a pre-decomposed (possibly shared) pyramid; the content hash
-  /// keying the tile store is computed here, once per stored image.
-  void add_image(std::uint32_t id,
-                 std::shared_ptr<const wavelet::Pyramid> pyramid);
-  /// Same, with the content hash precomputed by the caller (the world's
-  /// pyramid memo caches it alongside the pyramid, so profiling sweeps do
-  /// not rehash the same coefficients per world).
+  /// Register a pre-decomposed (possibly shared) pyramid under its
+  /// content hash, the tile-store key prefix.  The caller computes the hash
+  /// (the world's pyramid memo caches it alongside the pyramid, so
+  /// profiling sweeps do not rehash the same coefficients per world).
   void add_image(std::uint32_t id,
                  std::shared_ptr<const wavelet::Pyramid> pyramid,
                  const util::Hash128& content_hash);
@@ -196,7 +191,6 @@ class VizServer {
   /// Per-session protocol violations answered with kError (plus control
   /// messages for unknown sessions, which are dropped with a log line).
   std::uint64_t protocol_errors() const { return protocol_errors_; }
-  std::size_t open_sessions() const AVF_EXCLUDES(sessions_mutex_);
 
  private:
   struct StoredImage {

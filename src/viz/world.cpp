@@ -127,21 +127,13 @@ PyramidEntry cached_pyramid_entry(int size, std::uint64_t seed, int levels) {
   return memo.get(image, size, seed, levels);
 }
 
-std::shared_ptr<const wavelet::Pyramid> cached_pyramid(int size,
-                                                       std::uint64_t seed,
-                                                       int levels) {
-  return cached_pyramid_entry(size, seed, levels).pyramid;
-}
-
 VizWorld::VizWorld(const WorldSetup& setup) : setup_(setup) {
   if (setup.client_count < 1) {
     throw std::invalid_argument("viz world: client_count must be >= 1");
   }
   net_ = std::make_unique<sim::Network>(sim_);
-  sim::Host& client_host =
-      net_->add_host("client", setup.client_speed, setup.memory_bytes);
-  sim::Host& server_host =
-      net_->add_host("server", setup.server_speed, setup.memory_bytes);
+  sim::Host& client_host = net_->add_host("client", setup.client_speed);
+  sim::Host& server_host = net_->add_host("server", setup.server_speed);
   link_ = &net_->connect(client_host, server_host, setup.link_bandwidth_bps,
                          setup.link_latency_s);
 

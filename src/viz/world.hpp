@@ -32,12 +32,9 @@ namespace avf::viz {
 /// and the notify-server-compression transition.
 const tunable::AppSpec& viz_app_spec();
 
-/// Deterministic synthetic image / pyramid, memoized process-wide (the
-/// "images stored in the server").
+/// Deterministic synthetic image, memoized process-wide (the "images
+/// stored in the server").
 const wavelet::Image& cached_image(int size, std::uint64_t seed);
-std::shared_ptr<const wavelet::Pyramid> cached_pyramid(int size,
-                                                       std::uint64_t seed,
-                                                       int levels);
 
 /// A memoized pyramid together with its content hash (the tile-store key
 /// prefix).  The hash is computed once per (size, seed, levels) and cached
@@ -57,7 +54,6 @@ struct WorldSetup {
   // Hosts (speeds in ops/s; the 450 Mops default = the paper's PII-450).
   double client_speed = 450e6;
   double server_speed = 450e6;
-  std::uint64_t memory_bytes = 128ull << 20;
 
   // Link: 100 Mbps LAN with a small switch latency by default; experiments
   // vary the *available* bandwidth by resetting the link bandwidth.

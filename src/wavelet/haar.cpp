@@ -182,14 +182,6 @@ const Band& Pyramid::detail(int k, Orientation o) const {
   return details_[k - 1][static_cast<int>(o)];
 }
 
-Band& Pyramid::detail(int k, Orientation o) {
-  if (k < 1 || k > levels_) {
-    throw std::out_of_range(util::format("detail level {} not in [1,{}]", k,
-                                         levels_));
-  }
-  return details_[k - 1][static_cast<int>(o)];
-}
-
 Image Pyramid::reconstruct(int level) const {
   if (level < 0 || level > levels_) {
     throw std::out_of_range(
@@ -241,14 +233,6 @@ Image Pyramid::reconstruct(int level) const {
     }
   }
   return img;
-}
-
-std::size_t Pyramid::coefficients_up_to(int level) const {
-  std::size_t n = ll_.count();
-  for (int k = 1; k <= level; ++k) {
-    n += 3 * detail(k, Orientation::kLH).count();
-  }
-  return n;
 }
 
 }  // namespace avf::wavelet

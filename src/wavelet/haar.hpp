@@ -32,7 +32,6 @@ struct Band {
   std::int16_t& at(int x, int y) {
     return coeffs[static_cast<std::size_t>(y) * width + x];
   }
-  std::size_t count() const { return coeffs.size(); }
 };
 
 enum class Orientation { kLH = 0, kHL = 1, kHH = 2 };
@@ -59,15 +58,11 @@ class Pyramid {
   Band& ll() { return ll_; }
   /// Detail band for reconstruction level `k` in [1, levels].
   const Band& detail(int k, Orientation o) const;
-  Band& detail(int k, Orientation o);
 
   /// Reconstruct the image at resolution `level` (0..levels).  With every
   /// coefficient present this is exact; with a partial pyramid (progressive
   /// reception) missing details are treated as zero.
   Image reconstruct(int level) const;
-
-  /// Total coefficients needed to display resolution `level`.
-  std::size_t coefficients_up_to(int level) const;
 
  private:
   int width_ = 0;

@@ -16,19 +16,6 @@ Image::Image(int width, int height) : width_(width), height_(height) {
   pixels_.assign(static_cast<std::size_t>(width) * height, 0);
 }
 
-double Image::mean_abs_diff(const Image& other) const {
-  if (width_ != other.width_ || height_ != other.height_) {
-    throw std::invalid_argument("mean_abs_diff: dimension mismatch");
-  }
-  if (pixels_.empty()) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < pixels_.size(); ++i) {
-    sum += std::abs(static_cast<int>(pixels_[i]) -
-                    static_cast<int>(other.pixels_[i]));
-  }
-  return sum / static_cast<double>(pixels_.size());
-}
-
 Image Image::synthetic(int width, int height, std::uint64_t seed) {
   // Checked before any draw: a zero size would reach next_below(0), a
   // division by zero.
@@ -127,25 +114,6 @@ Image Image::synthetic(int width, int height, std::uint64_t seed) {
     }
   });
   return img;
-}
-
-Image Image::downsample(int factor) const {
-  if (factor <= 0 || width_ % factor != 0 || height_ % factor != 0) {
-    throw std::invalid_argument("downsample: factor must divide dimensions");
-  }
-  Image out(width_ / factor, height_ / factor);
-  for (int y = 0; y < out.height(); ++y) {
-    for (int x = 0; x < out.width(); ++x) {
-      int sum = 0;
-      for (int dy = 0; dy < factor; ++dy) {
-        for (int dx = 0; dx < factor; ++dx) {
-          sum += at(x * factor + dx, y * factor + dy);
-        }
-      }
-      out.at(x, y) = static_cast<std::uint8_t>(sum / (factor * factor));
-    }
-  }
-  return out;
 }
 
 }  // namespace avf::wavelet

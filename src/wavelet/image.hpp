@@ -44,19 +44,12 @@ class Image {
 
   bool operator==(const Image&) const = default;
 
-  /// Mean absolute difference against another image of equal dimensions.
-  double mean_abs_diff(const Image& other) const;
-
   /// Deterministic synthetic test image.  Throws std::invalid_argument
   /// when width or height is below 1.  Rows are built in bands of about
   /// 2^16 pixels through util::parallel_for: on a pool hired for the call,
   /// or inline on the calling thread when the image is one band or the
   /// caller is itself a pool worker.
   static Image synthetic(int width, int height, std::uint64_t seed);
-
-  /// Downsample by pixel-block averaging to (width/f, height/f); `f` must
-  /// divide both dimensions.  Reference for multi-resolution tests.
-  Image downsample(int factor) const;
 
  private:
   int width_ = 0;

@@ -166,14 +166,6 @@ Bytes ProgressiveEncoder::encode_region(const Region& region, int level) {
   return serialize_tiles(take_region_tiles(region, level));
 }
 
-std::size_t ProgressiveEncoder::total_tiles(int level) const {
-  std::size_t n = 0;
-  for (int b = 0; b < band_count(pyramid_.levels()); ++b) {
-    if (band_in_level(b, level)) n += sent_[b].size();
-  }
-  return n;
-}
-
 bool ProgressiveEncoder::fully_sent(int level) const {
   for (int b = 0; b < band_count(pyramid_.levels()); ++b) {
     if (!band_in_level(b, level)) continue;

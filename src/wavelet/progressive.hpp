@@ -84,9 +84,6 @@ class ProgressiveEncoder {
 
   std::size_t tiles_sent() const { return tiles_sent_; }
 
-  /// Total tiles across bands used by `level`.
-  std::size_t total_tiles(int level) const;
-
   int tile_size() const { return tile_; }
 
  private:

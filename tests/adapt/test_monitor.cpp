@@ -83,7 +83,8 @@ TEST(Monitor, EstimatesFallBackToBaseline) {
   agent.set_baseline({0.9, 500e3});
   sim.schedule(0.1, [&] { agent.observe("cpu_share", 0.4); });
   sim.run();
-  auto estimates = agent.estimates();
+  std::vector<double> estimates;
+  agent.estimates_into(estimates);
   EXPECT_DOUBLE_EQ(estimates[0], 0.4);
   EXPECT_DOUBLE_EQ(estimates[1], 500e3);  // no net samples yet
 }

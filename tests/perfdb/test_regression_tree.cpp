@@ -7,10 +7,22 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "util/fmt.hpp"
 
 namespace avf::perfdb {
 namespace {
+
+/// One line per split of `tree.split_trace()`: "n<node> f<axis><=<threshold>".
+std::string trace_string(const RegressionTree& tree) {
+  std::string out;
+  for (const RegressionTree::SplitRecord& s : tree.split_trace()) {
+    out += util::format("n{} f{}<={}\n", s.node, s.axis, s.threshold);
+  }
+  return out;
+}
 
 RegressionTree::Options shallow() {
   RegressionTree::Options options;
@@ -38,7 +50,6 @@ TEST(RegressionTree, ConstantValuesStayASingleLeaf) {
   EXPECT_TRUE(tree.split_trace().empty());
   EXPECT_EQ(tree.leaves().size(), 1u);
   EXPECT_EQ(tree.predict({3.0}), 4.25);
-  EXPECT_EQ(tree.leaf_variance({3.0}), 0.0);
 }
 
 TEST(RegressionTree, LearnsAStepFunctionExactly) {
@@ -50,7 +61,7 @@ TEST(RegressionTree, LearnsAStepFunctionExactly) {
   RegressionTree tree;
   RegressionTree::Options options;  // min_leaf = 2
   tree.fit(samples, options);
-  EXPECT_EQ(tree.trace_string(), "n0 f0<=1.5\n");
+  EXPECT_EQ(trace_string(tree), "n0 f0<=1.5\n");
   EXPECT_EQ(tree.predict({0.5}), 0.0);
   EXPECT_EQ(tree.predict({2.5}), 10.0);
   EXPECT_EQ(tree.predict({-5.0}), 0.0);   // constant extrapolation
@@ -74,7 +85,7 @@ TEST(RegressionTree, GoldenSplitSequenceIsPinned) {
   tree.fit(two_axis_samples(), RegressionTree::Options{});
   // Pre-order: root splits on the big step, then each side isolates the
   // parity bit.  Any change to the split scan shows up here first.
-  EXPECT_EQ(tree.trace_string(),
+  EXPECT_EQ(trace_string(tree),
             "n0 f0<=3.5\n"
             "n1 f1<=0.5\n"
             "n4 f1<=0.5\n");
@@ -90,7 +101,7 @@ TEST(RegressionTree, RefitIsIdentical) {
   RegressionTree a, b;
   a.fit(two_axis_samples(), RegressionTree::Options{});
   b.fit(two_axis_samples(), RegressionTree::Options{});
-  EXPECT_EQ(a.trace_string(), b.trace_string());
+  EXPECT_EQ(trace_string(a), trace_string(b));
   ASSERT_EQ(a.leaves().size(), b.leaves().size());
   for (std::size_t i = 0; i < a.leaves().size(); ++i) {
     EXPECT_EQ(a.leaves()[i].node, b.leaves()[i].node);
@@ -119,7 +130,7 @@ TEST(RegressionTree, MinLeafAndDepthStopSplitting) {
   options.min_leaf = 4;  // parity split would leave children of 2
   RegressionTree tree;
   tree.fit(samples, options);
-  EXPECT_EQ(tree.trace_string(), "n0 f0<=3.5\n");
+  EXPECT_EQ(trace_string(tree), "n0 f0<=3.5\n");
 
   options.min_leaf = 1;
   options.max_depth = 0;  // root is already at max depth
@@ -143,7 +154,6 @@ TEST(RegressionTree, FeatureSizeMismatchThrows) {
   RegressionTree tree;
   tree.fit(two_axis_samples(), RegressionTree::Options{});
   EXPECT_THROW(tree.predict({1.0}), std::invalid_argument);
-  EXPECT_THROW(tree.leaf_variance({1.0, 2.0, 3.0}), std::invalid_argument);
 }
 
 TEST(AdaptiveModelTest, FeatureLayoutIsParamsThenAxes) {

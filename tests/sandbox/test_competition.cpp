@@ -1,12 +1,10 @@
 // Competition and policing tests: multiple sandboxed applications sharing
 // one host — the paper's claim that "we can run several virtual machines on
-// the same physical host, without them interfering with each other", plus
-// admission-driven share allocation.
+// the same physical host, without them interfering with each other".
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "sandbox/admission.hpp"
 #include "sandbox/sandbox.hpp"
 #include "sim/host.hpp"
 #include "sim/simulator.hpp"
@@ -25,7 +23,7 @@ TEST(Competition, UnderloadedSandboxesDoNotInterfere) {
   for (auto mode :
        {CpuEnforcement::kFluid, CpuEnforcement::kQuantized}) {
     sim::Simulator sim;
-    sim::Host host(sim, "h", kSpeed, 128u << 20);
+    sim::Host host(sim, "h", kSpeed);
     std::vector<double> shares{0.5, 0.3, 0.15};
     std::vector<std::unique_ptr<Sandbox>> boxes;
     std::vector<double> done(shares.size(), -1.0);
@@ -61,7 +59,7 @@ TEST(Competition, OversubscriptionSplitsByWeight) {
   // Two fluid sandboxes with caps 0.8 + 0.8 oversubscribe the host; the
   // water-filler splits capacity by weight (= share here), not caps.
   sim::Simulator sim;
-  sim::Host host(sim, "h", kSpeed, 128u << 20);
+  sim::Host host(sim, "h", kSpeed);
   Sandbox::Options opts;
   opts.cpu_share = 0.8;
   Sandbox a(host, "a", opts), b(host, "b", opts);
@@ -87,7 +85,7 @@ TEST(Competition, PolicingPreventsOveruse) {
   // idle — the "applications must not be allowed to use more than their
   // share" requirement of §6.2.
   sim::Simulator sim;
-  sim::Host host(sim, "h", kSpeed, 128u << 20);
+  sim::Host host(sim, "h", kSpeed);
   Sandbox::Options opts;
   opts.cpu_share = 0.25;
   Sandbox box(host, "greedy", opts);
@@ -101,55 +99,11 @@ TEST(Competition, PolicingPreventsOveruse) {
   EXPECT_NEAR(done, 4.0, 1e-9);  // not faster than its 25%
 }
 
-TEST(Competition, AdmissionDrivenProvisioning) {
-  // End-to-end §6.2 flow: admit applications against a threshold, create a
-  // sandbox per admitted app with the granted share, verify each achieves
-  // its reservation while a rejected app never runs.
-  sim::Simulator sim;
-  sim::Host host(sim, "h", kSpeed, 128u << 20);
-  AdmissionController admission(0.9, 1e9, 1ull << 30);
-
-  struct App {
-    double share;
-    Admission ticket;
-    std::unique_ptr<Sandbox> box;
-    double done = -1.0;
-  };
-  std::vector<App> apps;
-  for (double share : {0.5, 0.3, 0.2}) {  // third exceeds the 0.9 threshold
-    App app;
-    app.share = share;
-    app.ticket = admission.try_admit({.cpu_share = share});
-    if (app.ticket.valid()) {
-      Sandbox::Options opts;
-      opts.cpu_share = share;
-      app.box = std::make_unique<Sandbox>(host, "app", opts);
-    }
-    apps.push_back(std::move(app));
-  }
-  ASSERT_TRUE(apps[0].ticket.valid());
-  ASSERT_TRUE(apps[1].ticket.valid());
-  EXPECT_FALSE(apps[2].ticket.valid());
-
-  auto proc = [](App* app, sim::Simulator* s) -> Task<> {
-    co_await app->box->compute(kSpeed * app->share * 3.0);
-    app->done = s->now();
-  };
-  for (App& app : apps) {
-    if (!app.box) continue;
-    sim.spawn(proc(&app, &sim));
-  }
-  sim.run();
-  EXPECT_NEAR(apps[0].done, 3.0, 1e-9);
-  EXPECT_NEAR(apps[1].done, 3.0, 1e-9);
-  EXPECT_EQ(apps[2].done, -1.0);
-}
-
 TEST(Competition, QuantizedSandboxesConvergeTogether) {
   // Two quantized sandboxes (closed-loop enforcement) sharing a host both
   // converge to their configured averages.
   sim::Simulator sim;
-  sim::Host host(sim, "h", kSpeed, 128u << 20);
+  sim::Host host(sim, "h", kSpeed);
   Sandbox::Options a_opts, b_opts;
   a_opts.cpu_share = 0.6;
   a_opts.cpu_enforcement = CpuEnforcement::kQuantized;

@@ -17,8 +17,8 @@ using sim::Task;
 
 struct Rig {
   sim::Simulator sim;
-  sim::Host host{sim, "h", 450e6, 128u << 20};
-  sim::Host peer{sim, "srv", 450e6, 128u << 20};
+  sim::Host host{sim, "h", 450e6};
+  sim::Host peer{sim, "srv", 450e6};
   sim::Link link{sim, "l", 12.5e6, 0.0};  // fast LAN, no latency
   sim::Channel ch{link};
 };

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "sandbox/schedule.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -17,7 +20,7 @@ constexpr double kSpeed = 450e6;  // "Pentium II 450"-class host
 
 struct Rig {
   sim::Simulator sim;
-  sim::Host host{sim, "h", kSpeed, 128u << 20};
+  sim::Host host{sim, "h", kSpeed};
 };
 
 /// Time to run `ops` under a sandbox configured by `opts`.
@@ -127,7 +130,7 @@ TEST(SandboxQuantized, UtilizationJitterIsBounded) {
 
 TEST(SandboxNet, BandwidthCapThrottlesEndpoint) {
   Rig rig;
-  sim::Host other(rig.sim, "srv", kSpeed, 128u << 20);
+  sim::Host other(rig.sim, "srv", kSpeed);
   sim::Link link(rig.sim, "l", util::mbps(12.5), 0.0);
   sim::Channel ch(link);
   Sandbox::Options opts;
@@ -168,30 +171,33 @@ TEST(SandboxNet, BandwidthChangeMidTransfer) {
   EXPECT_NEAR(sent, 5.5, 1e-6);
 }
 
-TEST(SandboxMemory, CapAppliesToReservations) {
-  Rig rig;
-  Sandbox::Options opts;
-  opts.memory_bytes = 1000;
-  Sandbox box(rig.host, "app", opts);
-  auto a = box.try_reserve_memory(800);
-  EXPECT_TRUE(a.valid());
-  auto b = box.try_reserve_memory(300);
-  EXPECT_FALSE(b.valid());
-  box.set_memory_limit(std::nullopt);
-  auto c = box.try_reserve_memory(300);
-  EXPECT_TRUE(c.valid());
-}
-
+// Every limit is checked with a negated comparison, so NaN, which fails
+// every comparison, is rejected too; a zero rate would make a kDelayed send
+// wait needed / 0.
 TEST(Sandbox, RejectsInvalidConfig) {
   Rig rig;
-  Sandbox::Options opts;
-  opts.cpu_share = 0.0;
-  EXPECT_THROW(Sandbox(rig.host, "x", opts), std::invalid_argument);
-  opts.cpu_share = 1.5;
-  EXPECT_THROW(Sandbox(rig.host, "x", opts), std::invalid_argument);
-  opts.cpu_share = 0.5;
-  opts.quantum = 0.0;
-  EXPECT_THROW(Sandbox(rig.host, "x", opts), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Sandbox::Options& opts : std::vector<Sandbox::Options>{
+           {.cpu_share = 0.0},
+           {.cpu_share = 1.5},
+           {.cpu_share = nan},
+           {.net_bandwidth_bps = 0.0},
+           {.net_bandwidth_bps = -5.0},
+           {.net_bandwidth_bps = nan},
+           {.quantum = 0.0},
+           {.quantum = nan},
+           {.net_burst_window = nan},
+       }) {
+    EXPECT_THROW(Sandbox(rig.host, "x", opts), std::invalid_argument);
+  }
+
+  Sandbox box(rig.host, "app", {.net_bandwidth_bps = 1000.0});
+  for (double bps : {0.0, -5.0, nan}) {
+    EXPECT_THROW(box.set_net_bandwidth(bps), std::invalid_argument) << bps;
+  }
+  EXPECT_THROW(box.set_cpu_share(nan), std::invalid_argument);
+  EXPECT_EQ(box.net_bandwidth(), 1000.0);
+  EXPECT_EQ(box.cpu_share(), 1.0);
 }
 
 TEST(SandboxSchedule, AppliesTimedChanges) {
@@ -233,7 +239,7 @@ TEST_P(EmulationFidelity, ShareEmulatesSlowerMachine) {
   double emulated = timed_compute(testbed, opts, kSpeed * 3.0);
 
   sim::Simulator sim2;
-  sim::Host slow(sim2, "slow", kSpeed * ratio, 128u << 20);
+  sim::Host slow(sim2, "slow", kSpeed * ratio);
   Sandbox::Options full;
   Sandbox box(slow, "app", full);
   double physical = -1.0;

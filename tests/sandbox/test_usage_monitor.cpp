@@ -14,7 +14,7 @@ using sim::Task;
 
 TEST(UsageMonitor, TracksFluidShare) {
   sim::Simulator sim;
-  sim::Host host(sim, "h", 100e6, 1u << 20);
+  sim::Host host(sim, "h", 100e6);
   Sandbox::Options opts;
   opts.cpu_share = 0.6;
   Sandbox box(host, "app", opts);
@@ -35,7 +35,7 @@ TEST(UsageMonitor, TracksFluidShare) {
 TEST(UsageMonitor, SeesShareSteps) {
   // The Figure 3(a) scenario in miniature: 80% -> 40% -> 60%.
   sim::Simulator sim;
-  sim::Host host(sim, "h", 100e6, 1u << 20);
+  sim::Host host(sim, "h", 100e6);
   Sandbox::Options opts;
   opts.cpu_share = 0.8;
   Sandbox box(host, "app", opts);
@@ -53,7 +53,7 @@ TEST(UsageMonitor, SeesShareSteps) {
 
 TEST(UsageMonitor, IdleProcessReadsZero) {
   sim::Simulator sim;
-  sim::Host host(sim, "h", 100e6, 1u << 20);
+  sim::Host host(sim, "h", 100e6);
   Sandbox::Options opts;
   Sandbox box(host, "app", opts);
   UsageMonitor mon(sim, host.cpu(), box.owner(), 0.5);
@@ -66,7 +66,7 @@ TEST(UsageMonitor, IdleProcessReadsZero) {
 
 TEST(UsageMonitor, StartIsIdempotentAndStopHalts) {
   sim::Simulator sim;
-  sim::Host host(sim, "h", 100e6, 1u << 20);
+  sim::Host host(sim, "h", 100e6);
   UsageMonitor mon(sim, host.cpu(), 1, 0.5);
   mon.start();
   mon.start();
@@ -80,7 +80,7 @@ TEST(UsageMonitor, StartIsIdempotentAndStopHalts) {
 
 TEST(UsageMonitor, RejectsBadInterval) {
   sim::Simulator sim;
-  sim::Host host(sim, "h", 100e6, 1u << 20);
+  sim::Host host(sim, "h", 100e6);
   EXPECT_THROW(UsageMonitor(sim, host.cpu(), 1, 0.0), std::invalid_argument);
 }
 

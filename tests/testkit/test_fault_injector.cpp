@@ -22,8 +22,8 @@ constexpr double kNominalBw = 1e6;
 struct World {
   sim::Simulator sim;
   sim::Network net{sim};
-  sim::Host& client = net.add_host("client", 450e6, 64ull << 20);
-  sim::Host& server = net.add_host("server", 450e6, 64ull << 20);
+  sim::Host& client = net.add_host("client", 450e6);
+  sim::Host& server = net.add_host("server", 450e6);
   sim::Link& link = net.connect(client, server, kNominalBw, 0.005);
   sim::Channel& channel = net.open_channel(link);
   sandbox::Sandbox victim{client, "victim", {}};

@@ -154,8 +154,8 @@ TEST(AdaptationEvents, BestEffortLegalOnlyWhenNothingSatisfies) {
 struct AccuracyRig {
   sim::Simulator sim;
   sim::Network net{sim};
-  sim::Host& a = net.add_host("a", 450e6, 64ull << 20);
-  sim::Host& b = net.add_host("b", 450e6, 64ull << 20);
+  sim::Host& a = net.add_host("a", 450e6);
+  sim::Host& b = net.add_host("b", 450e6);
   sim::Link& link = net.connect(a, b, 1e6, 0.005);
   adapt::MonitoringAgent monitor{sim,
                                  {"cpu_share", "net_bps"},
@@ -227,8 +227,8 @@ TEST(MonitorAccuracy, BandwidthProbeSkippedDuringMailboxDisturbance) {
 struct ReconvergeRig {
   sim::Simulator sim;
   sim::Network net{sim};
-  sim::Host& a = net.add_host("a", 450e6, 64ull << 20);
-  sim::Host& b = net.add_host("b", 450e6, 64ull << 20);
+  sim::Host& a = net.add_host("a", 450e6);
+  sim::Host& b = net.add_host("b", 450e6);
   sim::Link& link = net.connect(a, b, 1e6, 0.005);
   tunable::AppSpec spec = make_spec();
   perfdb::PerfDatabase db = make_db();

@@ -22,31 +22,6 @@ TEST(AppSpec, BasicDeclarations) {
   EXPECT_THROW(spec.add_resource_axis("cpu_share"), std::invalid_argument);
 }
 
-TEST(AppSpec, TaskGuardsFilterActiveTasks) {
-  AppSpec spec = make_spec();
-  spec.add_task(TaskSpec{.name = "always",
-                         .params = {"mode"},
-                         .resources = {},
-                         .metrics = {"latency"},
-                         .guard = nullptr});
-  spec.add_task(TaskSpec{
-      .name = "mode1-only",
-      .params = {"mode"},
-      .resources = {},
-      .metrics = {},
-      .guard = [](const ConfigPoint& p) { return p.get("mode") == 1; }});
-
-  ConfigPoint mode0;
-  mode0.set("mode", 0);
-  auto active0 = spec.active_tasks(mode0);
-  ASSERT_EQ(active0.size(), 1u);
-  EXPECT_EQ(active0[0]->name, "always");
-
-  ConfigPoint mode1;
-  mode1.set("mode", 1);
-  EXPECT_EQ(spec.active_tasks(mode1).size(), 2u);
-}
-
 TEST(AppSpec, TransitionsStored) {
   AppSpec spec = make_spec();
   int fired = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "wavelet/image_oracles.hpp"
+
 namespace avf::wavelet {
 namespace {
 
@@ -52,9 +54,9 @@ TEST(Pyramid, CoarseLevelsApproximateDownsampling) {
   Pyramid pyr(img, 3);
   // Level 2 = half resolution; Haar averaging is close to block averaging.
   Image level2 = pyr.reconstruct(2);
-  Image ref = img.downsample(2);
+  Image ref = oracle::downsample(img, 2);
   EXPECT_EQ(level2.width(), ref.width());
-  EXPECT_LT(level2.mean_abs_diff(ref), 2.0);
+  EXPECT_LT(oracle::mean_abs_diff(level2, ref), 2.0);
 }
 
 TEST(Pyramid, ConstantImageHasZeroDetails) {
@@ -77,14 +79,6 @@ TEST(Pyramid, EmptyPyramidReconstructsBlack) {
   for (int y = 0; y < 64; ++y) {
     for (int x = 0; x < 64; ++x) EXPECT_EQ(img.at(x, y), 0);
   }
-}
-
-TEST(Pyramid, CoefficientsUpToCounts) {
-  Pyramid pyr(64, 64, 2);
-  // LL 16x16 = 256; level1 details 3*256 = 768; level2 3*1024 = 3072.
-  EXPECT_EQ(pyr.coefficients_up_to(0), 256u);
-  EXPECT_EQ(pyr.coefficients_up_to(1), 1024u);
-  EXPECT_EQ(pyr.coefficients_up_to(2), 4096u);
 }
 
 TEST(Pyramid, ReconstructRangeChecks) {
