@@ -1,5 +1,6 @@
 // Micro-benchmarks: synthetic image generation, wavelet pyramid
-// construction, reconstruction, and progressive tile encoding.
+// construction, reconstruction, and progressive tile encoding and decoding
+// (full, partial-level, and into a reused decoder).
 #include <benchmark/benchmark.h>
 
 #define AVF_BENCH_HAS_GBENCH
@@ -72,6 +73,39 @@ void BM_ProgressiveDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProgressiveDecode)->Arg(256)->Arg(1024);
+
+// The common client case: a region that stops below the top level.  Only
+// the bands up to level 2 of the 4-level 1024² pyramid are allocated.
+void BM_ProgressiveDecodePartial(benchmark::State& state) {
+  wavelet::Pyramid pyr(viz::cached_image(1024, 7), 4);
+  wavelet::ProgressiveEncoder enc(pyr, 16);
+  wavelet::Bytes payload = enc.encode_region({512, 512, 1024}, 2);
+  for (auto _ : state) {
+    wavelet::ProgressiveDecoder dec(1024, 1024, 4, 16);
+    auto result = dec.apply(payload);
+    benchmark::DoNotOptimize(result.coefficients);
+    benchmark::DoNotOptimize(dec.pyramid().ll().coeffs.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ProgressiveDecodePartial);
+
+// One decoder per client: reset() between images keeps the bands' capacity.
+void BM_ProgressiveDecodeReused(benchmark::State& state) {
+  int size = static_cast<int>(state.range(0));
+  wavelet::Pyramid pyr(viz::cached_image(size, 7), 4);
+  wavelet::ProgressiveEncoder enc(pyr, 16);
+  wavelet::Bytes payload = enc.encode_region({size / 2, size / 2, size}, 4);
+  wavelet::ProgressiveDecoder dec(size, size, 4, 16);
+  for (auto _ : state) {
+    dec.reset();
+    auto result = dec.apply(payload);
+    benchmark::DoNotOptimize(result.coefficients);
+    benchmark::DoNotOptimize(dec.pyramid().ll().coeffs.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ProgressiveDecodeReused)->Arg(256)->Arg(1024);
 
 }  // namespace
 

@@ -3,7 +3,8 @@
 // containers and the testkit's request/reply messages.
 //
 // put_u16/put_u32 append an integer LSB-first whatever the host byte order,
-// and load_u16 reads one back from bytes the caller has already checked.
+// and load_u16 reads one back from bytes the caller has already checked;
+// store_i16s/load_i16s do the same for a row of i16 values in one step.
 // ByteReader is a bounds-checked cursor over a byte span; every read goes
 // through take(), so a format that reads through it cannot run past its
 // input.  A failed read throws std::runtime_error("<format>: truncated")
@@ -35,6 +36,26 @@ inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
 /// for bulk reads from a span ByteReader::take already bounds-checked.
 inline std::uint16_t load_u16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>(p[0] | p[1] << 8);
+}
+
+/// Row forms for i16 arrays: store_i16s writes the `n` values at `src` to
+/// `dst` (2n writable bytes) LSB-first, and load_i16s reads them back.
+/// Plain loops, not memcpy: the compiler turns them into vector moves,
+/// where a memcpy of a short row became a slow `rep movs`.
+inline void store_i16s(std::uint8_t* dst, const std::int16_t* src,
+                       std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    auto v = static_cast<std::uint16_t>(src[i]);
+    dst[2 * i] = static_cast<std::uint8_t>(v);
+    dst[2 * i + 1] = static_cast<std::uint8_t>(v >> 8);
+  }
+}
+
+inline void load_i16s(std::int16_t* dst, const std::uint8_t* src,
+                      std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = static_cast<std::int16_t>(load_u16(src + 2 * i));
+  }
 }
 
 class ByteReader {

@@ -79,8 +79,14 @@ sim::Task<VizClient::ImageStats> VizClient::fetch_image(
         options_.session_id));
   }
 
-  wavelet::ProgressiveDecoder decoder(ack.width, ack.height, ack.levels,
-                                      options_.tile_size);
+  if (decoder_ && decoder_->pyramid().full_width() == ack.width &&
+      decoder_->pyramid().full_height() == ack.height &&
+      decoder_->pyramid().levels() == ack.levels) {
+    decoder_->reset();
+  } else {
+    decoder_.emplace(ack.width, ack.height, ack.levels, options_.tile_size);
+  }
+  wavelet::ProgressiveDecoder& decoder = *decoder_;
   int cx = options_.fovea_cx >= 0 ? options_.fovea_cx : ack.width / 2;
   int cy = options_.fovea_cy >= 0 ? options_.fovea_cy : ack.height / 2;
   int half = 0;

@@ -93,6 +93,12 @@ class VizClient {
   /// Currently active configuration (steered or fixed).
   const tunable::ConfigPoint& config() const;
 
+  /// The decoder of the last image fetched, holding what it received;
+  /// throws std::bad_optional_access before the first image.
+  const wavelet::ProgressiveDecoder& decoder() const {
+    return decoder_.value();
+  }
+
  private:
   sandbox::Sandbox& box_;
   sim::Endpoint& endpoint_;
@@ -105,6 +111,9 @@ class VizClient {
   Options options_;
   tunable::ConfigPoint fixed_config_;
   std::vector<ImageStats> history_;
+  // One decoder for every image: reset between images of one geometry, so
+  // the bands keep the capacity the last image allocated.
+  std::optional<wavelet::ProgressiveDecoder> decoder_;
 };
 
 }  // namespace avf::viz

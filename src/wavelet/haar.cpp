@@ -104,12 +104,19 @@ void inverse_step(std::int32_t* work, int stride, int w, int h,
   }
 }
 
-Band make_band(int w, int h) {
-  Band b;
-  b.width = w;
-  b.height = h;
-  b.coeffs.assign(static_cast<std::size_t>(w) * h, 0);
-  return b;
+/// Copy `band` into `frame` (row stride `stride`) with its top-left
+/// coefficient at column `x0`, row `y0`.  An unallocated band reads as
+/// zero, and so does the frame there: reconstruction writes no band's
+/// window before it lays the band in, so the copy is skipped.
+void place(const Band& band, std::int32_t* frame, int stride, int x0,
+           int y0) {
+  if (band.coeffs.empty()) return;
+  for (int y = 0; y < band.height; ++y) {
+    const std::int16_t* src =
+        band.coeffs.data() + static_cast<std::size_t>(y) * band.width;
+    std::copy(src, src + band.width,
+              frame + static_cast<std::size_t>(y0 + y) * stride + x0);
+  }
 }
 
 }  // namespace
@@ -117,20 +124,22 @@ Band make_band(int w, int h) {
 Pyramid::Pyramid(int width, int height, int levels)
     : width_(width), height_(height), levels_(levels) {
   check_geometry(width, height, levels);
-  ll_ = make_band(width >> levels, height >> levels);
+  ll_.width = width >> levels;
+  ll_.height = height >> levels;
   details_.resize(static_cast<std::size_t>(levels));
   for (int k = 1; k <= levels; ++k) {
-    int bw = width >> (levels - k + 1);
-    int bh = height >> (levels - k + 1);
-    details_[k - 1] = {make_band(bw, bh), make_band(bw, bh),
-                       make_band(bw, bh)};
+    for (Band& band : details_[k - 1]) {
+      band.width = width >> (levels - k + 1);
+      band.height = height >> (levels - k + 1);
+    }
   }
 }
 
 Pyramid::Pyramid(const Image& image, int levels)
     : Pyramid(image.width(), image.height(), levels) {
   // Full forward transform in an int32 working frame, then split quadrants
-  // into bands.  One scratch buffer serves every level's lifting step.
+  // into bands, each allocated once.  One scratch buffer serves every
+  // level's lifting step.
   std::vector<std::int32_t> work(
       static_cast<std::size_t>(width_) * height_);
   std::vector<std::int32_t> scratch(work.size());
@@ -146,6 +155,9 @@ Pyramid::Pyramid(const Image& image, int levels)
     Band& hl = details_[k - 1][static_cast<int>(Orientation::kHL)];
     Band& hh = details_[k - 1][static_cast<int>(Orientation::kHH)];
     const int half_w = w / 2, half_h = h / 2;
+    for (Band* band : {&lh, &hl, &hh}) {
+      band->coeffs.resize(static_cast<std::size_t>(half_w) * half_h);
+    }
     for (int y = 0; y < half_h; ++y) {
       const std::int32_t* top =
           work.data() + static_cast<std::size_t>(y) * width_;
@@ -166,6 +178,7 @@ Pyramid::Pyramid(const Image& image, int levels)
     w /= 2;
     h /= 2;
   }
+  ll_.coeffs.resize(static_cast<std::size_t>(w) * h);
   for (int y = 0; y < h; ++y) {
     const std::int32_t* src =
         work.data() + static_cast<std::size_t>(y) * width_;
@@ -191,37 +204,15 @@ Image Pyramid::reconstruct(int level) const {
   int out_h = height_at(level);
   std::vector<std::int32_t> work(static_cast<std::size_t>(out_w) * out_h);
   std::vector<std::int32_t> scratch(work.size());
-  // Seed with LL.
-  for (int y = 0; y < ll_.height; ++y) {
-    const std::int16_t* src =
-        ll_.coeffs.data() + static_cast<std::size_t>(y) * ll_.width;
-    std::int32_t* dst = work.data() + static_cast<std::size_t>(y) * out_w;
-    for (int x = 0; x < ll_.width; ++x) dst[x] = src[x];
-  }
+  place(ll_, work.data(), out_w, 0, 0);
   for (int k = 1; k <= level; ++k) {
     const Band& lh = detail(k, Orientation::kLH);
-    const Band& hl = detail(k, Orientation::kHL);
-    const Band& hh = detail(k, Orientation::kHH);
-    int w = lh.width * 2, h = lh.height * 2;
-    const int half_w = lh.width, half_h = lh.height;
     // Lay detail quadrants next to the current LL region in the frame.
-    for (int y = 0; y < half_h; ++y) {
-      std::int32_t* top = work.data() + static_cast<std::size_t>(y) * out_w;
-      std::int32_t* bot =
-          work.data() + static_cast<std::size_t>(half_h + y) * out_w;
-      const std::int16_t* hl_row =
-          hl.coeffs.data() + static_cast<std::size_t>(y) * half_w;
-      const std::int16_t* lh_row =
-          lh.coeffs.data() + static_cast<std::size_t>(y) * half_w;
-      const std::int16_t* hh_row =
-          hh.coeffs.data() + static_cast<std::size_t>(y) * half_w;
-      for (int x = 0; x < half_w; ++x) {
-        top[half_w + x] = hl_row[x];
-        bot[x] = lh_row[x];
-        bot[half_w + x] = hh_row[x];
-      }
-    }
-    inverse_step(work.data(), out_w, w, h, scratch.data());
+    const int half_w = lh.width, half_h = lh.height;
+    place(detail(k, Orientation::kHL), work.data(), out_w, half_w, 0);
+    place(lh, work.data(), out_w, 0, half_h);
+    place(detail(k, Orientation::kHH), work.data(), out_w, half_w, half_h);
+    inverse_step(work.data(), out_w, 2 * half_w, 2 * half_h, scratch.data());
   }
   Image img(out_w, out_h);
   for (int y = 0; y < out_h; ++y) {

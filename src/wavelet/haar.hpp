@@ -13,6 +13,7 @@
 //                    level k image of size (N>>(L-k)).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -20,7 +21,9 @@
 
 namespace avf::wavelet {
 
-/// One coefficient band.
+/// One coefficient band.  Band invariant: `coeffs` holds width * height
+/// values row-major, or is empty, and an empty band reads as all zero.
+/// at() needs the coefficients.
 struct Band {
   int width = 0;
   int height = 0;
@@ -42,8 +45,10 @@ class Pyramid {
   /// divisible by 2^levels.
   Pyramid(const Image& image, int levels);
 
-  /// Construct an empty (all-zero) pyramid with the given geometry — the
-  /// client-side receive buffer for progressive decoding.
+  /// An empty pyramid: geometry only.  Every band records its width and
+  /// height and holds no coefficients, so it reads as all zero (the band
+  /// invariant) — the client-side receive buffer for progressive decoding,
+  /// which allocates a band when its first tile lands.
   Pyramid(int width, int height, int levels);
 
   int levels() const { return levels_; }
@@ -61,7 +66,7 @@ class Pyramid {
 
   /// Reconstruct the image at resolution `level` (0..levels).  With every
   /// coefficient present this is exact; with a partial pyramid (progressive
-  /// reception) missing details are treated as zero.
+  /// reception) missing coefficients, and unallocated bands, read as zero.
   Image reconstruct(int level) const;
 
  private:
@@ -70,7 +75,7 @@ class Pyramid {
   int levels_ = 0;
   Band ll_;
   // details_[k-1][orientation]
-  std::vector<std::vector<Band>> details_;
+  std::vector<std::array<Band, 3>> details_;
 };
 
 }  // namespace avf::wavelet

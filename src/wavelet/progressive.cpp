@@ -80,7 +80,11 @@ util::Hash128 pyramid_content_hash(const Pyramid& pyramid) {
     h.update_u32(static_cast<std::uint32_t>(band.width));
     h.update_u32(static_cast<std::uint32_t>(band.height));
     // Coefficients fold LSB-first via the typed update, keeping the digest
-    // identical on any host endianness.
+    // identical on any host endianness.  An unallocated band folds its
+    // zeros, so it digests exactly as an allocated all-zero band.
+    if (band.coeffs.empty()) {
+      for (int i = 0; i < band.width * band.height; ++i) h.update_u16(0);
+    }
     for (std::int16_t c : band.coeffs) {
       h.update_u16(static_cast<std::uint16_t>(c));
     }
@@ -141,7 +145,16 @@ Bytes ProgressiveEncoder::serialize_tiles(
   if (tiles.size() > 0xFFFF) {
     throw std::runtime_error("too many tiles in one reply");
   }
+  // The exact reply size first: the reply is allocated once, and each
+  // tile row is written in one step.
+  std::size_t size = 2;
+  for (const TileRef& t : tiles) {
+    const Band& band = band_by_id(pyramid_, t.band);
+    size += 7 + std::size_t{2} * std::min(tile_, band.width - t.tx * tile_) *
+                    std::min(tile_, band.height - t.ty * tile_);
+  }
   Bytes out;
+  out.reserve(size);
   util::put_u16(out, static_cast<std::uint16_t>(tiles.size()));
   for (const TileRef& t : tiles) {
     const Band& band = band_by_id(pyramid_, t.band);
@@ -153,10 +166,15 @@ Bytes ProgressiveEncoder::serialize_tiles(
     util::put_u16(out, t.ty);
     out.push_back(static_cast<std::uint8_t>(w));
     out.push_back(static_cast<std::uint8_t>(h));
-    for (int y = y0; y < y0 + h; ++y) {
-      for (int x = x0; x < x0 + w; ++x) {
-        util::put_u16(out, static_cast<std::uint16_t>(band.at(x, y)));
-      }
+    const auto n = static_cast<std::size_t>(w);
+    const std::size_t start = out.size();
+    out.resize(start + 2 * n * h);  // zero, as an unallocated band reads
+    if (band.coeffs.empty()) continue;
+    std::uint8_t* at = out.data() + start;
+    const std::int16_t* row =
+        &band.coeffs[static_cast<std::size_t>(y0) * band.width + x0];
+    for (int y = 0; y < h; ++y, row += band.width, at += 2 * n) {
+      util::store_i16s(at, row, n);
     }
   }
   return out;
@@ -193,6 +211,14 @@ ProgressiveDecoder::ProgressiveDecoder(int width, int height, int levels,
   }
 }
 
+void ProgressiveDecoder::reset() {
+  for (int b = 0; b < band_count(pyramid_.levels()); ++b) {
+    band_by_id(pyramid_, b).coeffs.clear();  // keeps the capacity
+    std::fill(received_[b].begin(), received_[b].end(), false);
+  }
+  coefficients_ = 0;
+}
+
 ProgressiveDecoder::ApplyResult ProgressiveDecoder::apply(
     std::span<const std::uint8_t> payload) {
   ApplyResult result;
@@ -211,19 +237,24 @@ ProgressiveDecoder::ApplyResult ProgressiveDecoder::apply(
     Band& band = band_by_id(pyramid_, b);
     int x0 = tx * tile_;
     int y0 = ty * tile_;
-    // x0 < width as well: an empty (w = 0) tile just past the band edge
-    // would otherwise index past the received-tile map.
-    if (x0 >= band.width || y0 >= band.height || x0 + w > band.width ||
-        y0 + h > band.height) {
-      throw std::runtime_error("progressive: tile out of bounds");
+    // A tile is exactly its grid cell, cut at the band edge: the sizes
+    // the encoder writes.  A larger one would overwrite the cells beside
+    // it while marking only its own received, and a cell at or past the
+    // edge has no slot in the received-tile map.
+    if (x0 >= band.width || y0 >= band.height ||
+        w != std::min(tile_, band.width - x0) ||
+        h != std::min(tile_, band.height - y0)) {
+      throw std::runtime_error("progressive: tile is not a grid cell");
     }
     // One bounds check for the whole tile, then rows of i16 LSB-first.
     const std::uint8_t* src = in.take(std::size_t{2} * w * h).data();
+    // A band is allocated when its first tile lands (the band invariant:
+    // until then it reads as all zero).
+    if (band.coeffs.empty()) {
+      band.coeffs.resize(static_cast<std::size_t>(band.width) * band.height);
+    }
     for (int y = 0; y < h; ++y, src += 2 * w) {
-      std::int16_t* row = &band.at(x0, y0 + y);
-      for (int x = 0; x < w; ++x) {
-        row[x] = static_cast<std::int16_t>(util::load_u16(src + 2 * x));
-      }
+      util::load_i16s(&band.at(x0, y0 + y), src, static_cast<std::size_t>(w));
     }
     int tiles_x = tiles_across(band.width, tile_);
     received_[b][static_cast<std::size_t>(ty) * tiles_x + tx] = true;

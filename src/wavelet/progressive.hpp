@@ -6,16 +6,21 @@
 // Each band is divided into fixed-size coefficient tiles; the encoder keeps
 // per-session sent-state and serializes only the tiles that (a) intersect
 // the requested foveal square mapped into band coordinates and (b) have not
-// been sent yet.  The decoder accumulates tiles into an initially-zero
-// pyramid and can reconstruct a best-effort image at any time.
+// been sent yet.  The decoder accumulates tiles into an empty pyramid,
+// whose bands hold no coefficients and read as all zero until their first
+// tile lands (the band invariant, haar.hpp), so a client pays only for the
+// bands it receives.  It can reconstruct a best-effort image at any time.
 //
 // Payload format (little-endian, read and written through util/bytes.hpp):
 //   u16 tile_count
 //   repeated: u8 band_id | u16 tile_x | u16 tile_y | u8 w | u8 h |
 //             w*h x i16 coefficients, row-major
-// band_id 0 = LL; 1 + 3*(k-1) + orientation for detail level k.  The
-// decoder checks each tile header against the band and then takes the
-// tile's 2*w*h coefficient bytes with one bounds check.
+// band_id 0 = LL; 1 + 3*(k-1) + orientation for detail level k.  A tile is
+// one cell of its band's tile grid: it starts at (tile_x, tile_y) * tile
+// inside the band, and w = min(tile, band width - x0), h = min(tile, band
+// height - y0), so only cells at the right and bottom edges are short.
+// The decoder rejects any other header, then takes the tile's 2*w*h
+// coefficient bytes with one bounds check.
 #pragma once
 
 #include <cstdint>
@@ -103,11 +108,16 @@ class ProgressiveDecoder {
     std::size_t coefficients = 0;
   };
 
-  /// Integrate a payload produced by ProgressiveEncoder::encode_region.
-  /// Throws std::runtime_error on malformed input (truncated, trailing
-  /// bytes, a bad band id or a tile outside its band); tiles before the
-  /// malformed one stay applied.
+  /// Integrate a payload produced by ProgressiveEncoder::encode_region,
+  /// allocating each band when its first tile lands.  Throws
+  /// std::runtime_error on malformed input (truncated, trailing bytes, a
+  /// bad band id or a tile that is not a cell of its band's grid); tiles
+  /// before the malformed one stay applied.
   ApplyResult apply(std::span<const std::uint8_t> payload);
+
+  /// Forget every received tile, as a fresh decoder of the same geometry
+  /// would, but keep each band's capacity for the next image.
+  void reset();
 
   const Pyramid& pyramid() const { return pyramid_; }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -30,6 +31,18 @@ TEST(ByteReader, PutIsLsbFirst) {
   EXPECT_EQ(out, (Bytes{0x34, 0x12, 0xEF, 0xCD, 0xAB, 0x89}));
   EXPECT_EQ(load_u16(out.data()), 0x1234);
   EXPECT_EQ(load_u16(out.data() + 4), 0x89AB);
+}
+
+TEST(ByteReader, RowFormsMatchPutU16) {
+  const std::int16_t row[] = {0x1234, -1, -32768, 0x7FFF, 0};
+  Bytes via_put;
+  for (std::int16_t v : row) put_u16(via_put, static_cast<std::uint16_t>(v));
+  Bytes stored(via_put.size());
+  store_i16s(stored.data(), row, 5);
+  EXPECT_EQ(stored, via_put);
+  std::int16_t back[5] = {};
+  load_i16s(back, stored.data(), 5);
+  EXPECT_TRUE(std::equal(row, row + 5, back));
 }
 
 TEST(ByteReader, RoundTripsWhatPutWrites) {

@@ -151,6 +151,23 @@ TEST(Progressive, EmptyTilePastBandEdgeThrows) {
   }
 }
 
+TEST(Progressive, TileThatIsNotItsGridCellThrows) {
+  // Band 0 of a 64² 2-level pyramid is 16x16, four 8x8 cells.  A 16x16
+  // tile at (0, 0) fits inside the band but would overwrite all four cells
+  // while marking one received; a 4x8 tile is short of a cell that is not
+  // at the band edge, and an 8x9 one reaches into the cell below.  The
+  // encoder writes none of them.
+  for (auto [w, h] : {std::pair{16, 16}, std::pair{4, 8}, std::pair{8, 9}}) {
+    Bytes payload = {1, 0, 0, 0, 0, 0, 0, static_cast<std::uint8_t>(w),
+                     static_cast<std::uint8_t>(h)};
+    payload.resize(payload.size() + std::size_t{2} * w * h, 1);
+    ProgressiveDecoder dec(64, 64, 2, 8);
+    EXPECT_THROW(dec.apply(payload), std::runtime_error) << w << "x" << h;
+    EXPECT_EQ(dec.coverage(0), 0.0);
+    EXPECT_EQ(dec.coefficients_received(), 0u);
+  }
+}
+
 TEST(Progressive, MutatedPayloadsApplyOrThrow) {
   // Seeded mutations of real payloads: each must apply or throw
   // std::runtime_error, never index out of bounds (sanitizer builds).
@@ -247,6 +264,89 @@ TEST(Progressive, TakeRegionTilesMarksSent) {
   // even though serialize_tiles never ran.
   EXPECT_TRUE(rig.enc.take_region_tiles(r, 2).empty());
   EXPECT_TRUE(rig.enc.encode_region(r, 2).empty());
+}
+
+// -- lazy bands and decoder reuse ----------------------------------------
+
+/// Band b's coefficients, or nullptr while it is unallocated.
+const std::int16_t* band_data(const ProgressiveDecoder& dec, int b) {
+  const Band& band = progdetail::band_by_id(dec.pyramid(), b);
+  return band.coeffs.empty() ? nullptr : band.coeffs.data();
+}
+
+TEST(ProgressiveLazy, FreshDecoderIsGeometryOnlyAndReadsZero) {
+  ProgressiveDecoder dec(120, 88, 3, 8);
+  for (int b = 0; b < progdetail::band_count(3); ++b) {
+    const Band& band = progdetail::band_by_id(dec.pyramid(), b);
+    EXPECT_GT(band.width * band.height, 0);
+    EXPECT_EQ(band_data(dec, b), nullptr) << "band " << b;
+  }
+  for (int level = 0; level <= 3; ++level) {
+    Image zero(dec.pyramid().width_at(level), dec.pyramid().height_at(level));
+    EXPECT_EQ(dec.reconstruct(level), zero) << "level " << level;
+  }
+  // The digest folds an unallocated band's zeros: it equals an allocated
+  // all-zero pyramid's, and the value pinned before bands were lazy.
+  EXPECT_EQ(pyramid_content_hash(dec.pyramid()),
+            pyramid_content_hash(Pyramid(Image(120, 88), 3)));
+  util::Hash128 h = pyramid_content_hash(dec.pyramid());
+  EXPECT_EQ(h.hi, 0x02e36a442ae518cdULL);
+  EXPECT_EQ(h.lo, 0x597ccaa2e70c31a9ULL);
+}
+
+TEST(ProgressiveLazy, ZeroWidthTileAllocatesNothing) {
+  Bytes payload = {1, 0, 0, 0, 0, 0, 0, 0, 0};  // band 0, cell (0, 0), 0x0
+  ProgressiveDecoder dec(64, 64, 2, 8);
+  EXPECT_THROW(dec.apply(payload), std::runtime_error);
+  EXPECT_EQ(band_data(dec, 0), nullptr);
+  EXPECT_EQ(dec.coverage(0), 0.0);
+}
+
+TEST(ProgressiveLazy, OnlyBandsThatReceiveTilesAreAllocated) {
+  Rig rig;
+  rig.dec.apply(rig.enc.encode_region(Region{64, 64, 16}, 1));
+  for (int b = 0; b < progdetail::band_count(3); ++b) {
+    EXPECT_EQ(band_data(rig.dec, b) != nullptr,
+              progdetail::band_in_level(b, 1))
+        << "band " << b;
+  }
+}
+
+TEST(ProgressiveLazy, ResetDecoderMatchesAFreshOnePerImage) {
+  // Image A sends everything; image B only a level-2 corner, so a band A
+  // filled and B never touches must read zero again after reset().
+  Image a = Image::synthetic(128, 128, 41);
+  Image b = Image::synthetic(128, 128, 42);
+  Pyramid pa(a, 3), pb(b, 3);
+  std::vector<std::pair<const Pyramid*, std::vector<std::pair<Region, int>>>>
+      images = {{&pa, {{{64, 64, 24}, 2}, {{64, 64, 128}, 3}}},
+                {&pb, {{{100, 20, 16}, 1}, {{100, 20, 40}, 2}}}};
+  ProgressiveDecoder reused(128, 128, 3, 8);
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    if (i > 0) reused.reset();
+    ProgressiveDecoder fresh(128, 128, 3, 8);
+    ProgressiveEncoder enc(*images[i].first, 8);
+    for (auto [region, level] : images[i].second) {
+      Bytes payload = enc.encode_region(region, level);
+      ProgressiveDecoder::ApplyResult r1 = reused.apply(payload);
+      ProgressiveDecoder::ApplyResult r2 = fresh.apply(payload);
+      EXPECT_EQ(r1.tiles, r2.tiles);
+      EXPECT_EQ(r1.coefficients, r2.coefficients);
+    }
+    for (int level = 0; level <= 3; ++level) {
+      EXPECT_EQ(reused.reconstruct(level), fresh.reconstruct(level))
+          << "image " << i << " level " << level;
+      EXPECT_EQ(reused.coverage(level), fresh.coverage(level));
+    }
+    EXPECT_EQ(reused.coefficients_received(), fresh.coefficients_received());
+    EXPECT_EQ(pyramid_content_hash(reused.pyramid()),
+              pyramid_content_hash(fresh.pyramid()));
+  }
+  // B reached level 2 only: its level-3 bands, which A filled, are empty.
+  for (int band = progdetail::band_count(2); band < progdetail::band_count(3);
+       ++band) {
+    EXPECT_EQ(band_data(reused, band), nullptr) << "band " << band;
+  }
 }
 
 // -- golden wire bytes ---------------------------------------------------
