@@ -15,7 +15,8 @@ int main() {
                        "(55 <-> 100 KBps every 12 s)");
   const perfdb::PerfDatabase& db = bench::figure_database();
 
-  viz::WorldSetup setup = bench::standard_setup();
+  viz::ServerCaches caches;
+  viz::WorldSetup setup = bench::standard_setup(caches);
   setup.image_count = 8;
   setup.link_bandwidth_bps = 100e3;
   viz::ResourceSchedule schedule;

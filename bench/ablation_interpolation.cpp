@@ -27,8 +27,9 @@ int main() {
   util::TextTable table({"cpu %", "bw (KBps)", "actual (s)", "interp (s)",
                          "nearest (s)", "interp err %", "nearest err %"});
   double sum_interp = 0.0, sum_nearest = 0.0;
+  viz::ServerCaches caches;
   for (const Probe& p : probes) {
-    viz::WorldSetup setup = bench::standard_setup();
+    viz::WorldSetup setup = bench::standard_setup(caches);
     setup.image_count = 1;
     setup.client_cpu_share = p.cpu;
     setup.link_bandwidth_bps = p.bw;

@@ -21,7 +21,8 @@ int main() {
     if (c.get("dR") != 80) db.erase_config(c);
   }
 
-  viz::WorldSetup setup = bench::standard_setup();
+  viz::ServerCaches caches;
+  viz::WorldSetup setup = bench::standard_setup(caches);
   viz::ResourceSchedule schedule;
   schedule.link_bandwidth = {{10.0, 50e3}};
   adapt::UserPreference pref = adapt::minimize("transmit_time");

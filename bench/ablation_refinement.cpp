@@ -17,7 +17,8 @@ int main() {
                        "prediction error vs refinement rounds, starting "
                        "from a coarse 3x3 grid");
 
-  viz::WorldSetup base = bench::standard_setup();
+  viz::ServerCaches caches;
+  viz::WorldSetup base = bench::standard_setup(caches);
   base.image_count = 1;
   tunable::ConfigPoint probe_config = bench::viz_config(160, 1, 4);
 

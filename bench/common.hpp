@@ -51,9 +51,10 @@ inline const perfdb::PerfDatabase& figure_database() {
 }
 
 /// Standard full-scale world (paper §7.1: two PII-450s, 100 Mbps Ethernet,
-/// ten 1024x1024 images).
-inline viz::WorldSetup standard_setup() {
+/// ten 1024x1024 images), serving through the caller's `caches`.
+inline viz::WorldSetup standard_setup(viz::ServerCaches& caches) {
   viz::WorldSetup setup;
+  caches.attach(setup);
   return setup;
 }
 

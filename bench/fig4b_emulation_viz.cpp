@@ -22,23 +22,23 @@ constexpr double kBaseSpeed = 450e6;
 // The paper saw the testbed within 8% of the physical machines.
 constexpr double kMaxDiffPct = 8.0;
 
-viz::WorldSetup base_setup() {
-  viz::WorldSetup setup = bench::standard_setup();
+viz::WorldSetup base_setup(viz::ServerCaches& caches) {
+  viz::WorldSetup setup = bench::standard_setup(caches);
   setup.image_count = 1;
   setup.server_net_bps = 1e6;  // paper: server testbed limited to 1 MBps
   return setup;
 }
 
-double run_physical(double client_speed) {
-  viz::WorldSetup setup = base_setup();
+double run_physical(viz::ServerCaches& caches, double client_speed) {
+  viz::WorldSetup setup = base_setup(caches);
   setup.client_speed = client_speed;
   return viz::run_fixed_session(setup, bench::viz_config(160, 1, 4))
       .images[0]
       .transmit_time;
 }
 
-double run_testbed(double share) {
-  viz::WorldSetup setup = base_setup();
+double run_testbed(viz::ServerCaches& caches, double share) {
+  viz::WorldSetup setup = base_setup(caches);
   setup.client_cpu_share = share;
   setup.enforcement = sandbox::CpuEnforcement::kQuantized;
   return viz::run_fixed_session(setup, bench::viz_config(160, 1, 4))
@@ -53,7 +53,8 @@ int main() {
                        "active visualization: physical machines vs testbed "
                        "emulation (server limited to 1 MBps)");
 
-  double base_time = run_physical(kBaseSpeed);
+  viz::ServerCaches caches;
+  double base_time = run_physical(caches, kBaseSpeed);
   util::TextTable table({"machine", "physical (s)", "testbed (s)", "diff %",
                          "naive stretch (s)"});
   double max_diff = 0.0;
@@ -61,8 +62,8 @@ int main() {
   for (auto [name, speed] : {std::pair{"PII-450", 450e6},
                              std::pair{"PII-333", 333e6},
                              std::pair{"PPro-200", 200e6}}) {
-    double physical = run_physical(speed);
-    double emulated = run_testbed(speed / kBaseSpeed);
+    double physical = run_physical(caches, speed);
+    double emulated = run_testbed(caches, speed / kBaseSpeed);
     double diff = 100.0 * std::abs(emulated - physical) / physical;
     double naive = base_time * kBaseSpeed / speed;
     max_diff = std::max(max_diff, diff);

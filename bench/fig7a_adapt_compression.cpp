@@ -16,7 +16,8 @@ int main() {
                        "KBps after four images (paper: t = 25 s)");
   const perfdb::PerfDatabase& db = bench::figure_database();
 
-  viz::WorldSetup setup = bench::standard_setup();
+  viz::ServerCaches caches;
+  viz::WorldSetup setup = bench::standard_setup(caches);
   viz::ResourceSchedule schedule;
   // The paper drops bandwidth at t=25 s, after 4 of its ~6 s images; our
   // images take ~2.5 s, so the proportional point is t=10 s.

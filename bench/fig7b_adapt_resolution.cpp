@@ -26,7 +26,8 @@ int main() {
     if (c.get("c") != 1 || c.get("dR") != 160) db.erase_config(c);
   }
 
-  viz::WorldSetup setup = bench::standard_setup();
+  viz::ServerCaches caches;
+  viz::WorldSetup setup = bench::standard_setup(caches);
   setup.client_cpu_share = 0.9;
   setup.link_bandwidth_bps = 500e3;
   viz::ResourceSchedule schedule;

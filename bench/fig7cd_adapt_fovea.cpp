@@ -18,7 +18,8 @@ int main() {
                        "at t = 40 s");
   const perfdb::PerfDatabase& db = bench::figure_database();
 
-  viz::WorldSetup setup = bench::standard_setup();
+  viz::ServerCaches caches;
+  viz::WorldSetup setup = bench::standard_setup(caches);
   setup.client_cpu_share = 0.9;
   setup.link_bandwidth_bps = 500e3;
   viz::ResourceSchedule schedule;

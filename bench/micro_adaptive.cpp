@@ -40,9 +40,10 @@ const std::vector<double> kCpuGrid{0.15, 0.4, 0.7, 1.0};
 const std::vector<double> kBwGrid{25e3, 100e3, 400e3, 1000e3};
 constexpr std::uint64_t kSeed = 1;
 
-viz::WorldSetup small_world() {
+viz::WorldSetup small_world(viz::ServerCaches& caches) {
   viz::WorldSetup setup;
   setup.image_size = 128;
+  caches.attach(setup);
   return setup;
 }
 
@@ -98,7 +99,8 @@ Score score_against_oracle(const PerfDatabase& db, const PerfDatabase& oracle) {
 }  // namespace
 
 int main() {
-  const viz::WorldSetup setup = small_world();
+  viz::ServerCaches caches;
+  const viz::WorldSetup setup = small_world(caches);
   const std::size_t cells =
       viz::viz_app_spec().space().enumerate().size() * kCpuGrid.size() *
       kBwGrid.size();

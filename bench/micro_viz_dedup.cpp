@@ -2,15 +2,15 @@
 // catalog.
 //
 // The server stores 8 *distinct* pyramid objects carrying identical
-// content (WorldSetup::unique_image_contents = 1) and 64 concurrent
-// sessions foveate them.  The old pointer-keyed RegionEncodeCache pinned
-// one entry set per pyramid, so this catalog cost 8x one image's payload
-// bytes; the content-addressed store resolves all 8 images to one entry
-// set.  Measured contracts:
+// content (the bench registers them through VizServer::add_image) and 64
+// concurrent sessions foveate them.  The old pointer-keyed
+// RegionEncodeCache pinned one entry set per pyramid, so this catalog cost
+// 8x one image's payload bytes; the content-addressed store resolves all 8
+// images to one entry set.  Measured contracts:
 //
-//  1. Dedup payoff: resident store bytes under identity keying
-//     (Options::identity_keyed_regions, the old behavior) divided by
-//     resident bytes under content keying >= AVF_VIZ_MIN_DEDUP (default
+//  1. Dedup payoff: resident store bytes under identity keying (each
+//     image registered under a hash of its id, the old behavior) divided
+//     by resident bytes under content keying >= AVF_VIZ_MIN_DEDUP (default
 //     4; 0 disables).  With 8 duplicate images the expected ratio is ~8x
 //     on region payloads, diluted only by the (already content-keyed)
 //     compressed chunks.
@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "util/hash.hpp"
 #include "viz/caches.hpp"
 #include "viz/tile_store.hpp"
 #include "viz/world.hpp"
@@ -50,6 +51,7 @@ using viz::CompressedChunkCache;
 using viz::CompressedSizeCache;
 using viz::MultiSessionResult;
 using viz::RegionEncodeCache;
+using viz::ServerCaches;
 using viz::TileStore;
 using viz::VizWorld;
 using viz::WorldSetup;
@@ -63,9 +65,6 @@ WorldSetup dedup_setup(int sessions) {
   setup.image_size = 256;
   setup.levels = 3;
   setup.image_count = kImages;
-  // Every image id carries the same content, as its own freshly decomposed
-  // pyramid object — pointer identity cannot dedup this catalog.
-  setup.unique_image_contents = 1;
   // Same under-subscription caps as micro_viz_scale: the aggregate stays
   // below link capacity so per-flow rates are stable across client counts.
   setup.client_net_bps = setup.link_bandwidth_bps / 256.0;
@@ -79,12 +78,44 @@ struct RunStats {
   std::uint64_t events = 0;
 };
 
-/// One fixed-configuration run of every client in a caller-owned world, so
-/// the simulator's event count can be read afterwards.
-RunStats run_case(const WorldSetup& setup, const tunable::ConfigPoint& cfg) {
+/// How the duplicate catalog keys its region entries: by the content
+/// hash, or by a hash of the image id — the old pin-per-pyramid baseline,
+/// where identical content stored under distinct ids caches separately.
+enum class Keying { kContent, kIdentity };
+
+util::Hash128 identity_key(std::uint32_t id) {
+  util::Hasher128 h(/*seed=*/0x69646e74ULL);  // "idnt"
+  h.update_u32(id);
+  return h.finish();
+}
+
+/// Re-register every image id of `world` with the content of the
+/// setup's first image, each as its own freshly decomposed Pyramid:
+/// pointer identity cannot dedup this catalog, content addressing can.
+void add_duplicate_catalog(VizWorld& world, Keying keying) {
+  const WorldSetup& setup = world.setup();
+  const viz::PyramidEntry entry = viz::cached_pyramid_entry(
+      setup.image_size, setup.image_seed, setup.levels);
+  for (int i = 0; i < setup.image_count; ++i) {
+    const auto id = static_cast<std::uint32_t>(i);
+    world.server().add_image(
+        id,
+        std::make_shared<const wavelet::Pyramid>(
+            viz::cached_image(setup.image_size, setup.image_seed),
+            setup.levels),
+        keying == Keying::kContent ? entry.content_hash : identity_key(id));
+  }
+}
+
+/// One fixed-configuration run of every client in a caller-owned world
+/// over the duplicate catalog, so the simulator's event count can be read
+/// afterwards.
+RunStats run_case(const WorldSetup& setup, const tunable::ConfigPoint& cfg,
+                  Keying keying = Keying::kContent) {
   auto start = std::chrono::steady_clock::now();
 
   VizWorld world(setup);
+  add_duplicate_catalog(world, keying);
   for (int i = 0; i < setup.client_count; ++i) {
     world.make_client_at(static_cast<std::size_t>(i), cfg);
   }
@@ -151,13 +182,9 @@ int main() {
 
   // -- content-addressed run (the new behavior) ---------------------------
   WorldSetup content_setup = dedup_setup(kSessions);
-  CompressedSizeCache content_sizes;
-  TileStore content_store;
-  RegionEncodeCache content_regions(content_store);
-  CompressedChunkCache content_chunks(content_store);
-  content_setup.server_options.size_cache = &content_sizes;
-  content_setup.server_options.region_cache = &content_regions;
-  content_setup.server_options.chunk_cache = &content_chunks;
+  ServerCaches content_caches;
+  content_caches.attach(content_setup);
+  const TileStore& content_store = content_caches.store;
 
   RunStats content = run_case(content_setup, cfg);
   std::uint64_t content_fp = viz::result_fingerprint(content.result);
@@ -175,14 +202,10 @@ int main() {
 
   // -- determinism: identical world replayed ------------------------------
   {
-    CompressedSizeCache sizes;
-    TileStore store;
-    RegionEncodeCache regions(store);
-    CompressedChunkCache chunks(store);
+    ServerCaches caches;
     WorldSetup setup = dedup_setup(kSessions);
-    setup.server_options.size_cache = &sizes;
-    setup.server_options.region_cache = &regions;
-    setup.server_options.chunk_cache = &chunks;
+    caches.attach(setup);
+    const TileStore& store = caches.store;
     RunStats replay = run_case(setup, cfg);
     bool deterministic = viz::result_fingerprint(replay.result) == content_fp;
     report("replay", replay, store);
@@ -198,16 +221,11 @@ int main() {
   // -- identity-keyed baseline (the old pin-per-pyramid behavior) ---------
   std::size_t identity_resident = 0;
   {
-    CompressedSizeCache sizes;
-    TileStore store;
-    RegionEncodeCache regions(store);
-    CompressedChunkCache chunks(store);
+    ServerCaches caches;
     WorldSetup setup = dedup_setup(kSessions);
-    setup.server_options.size_cache = &sizes;
-    setup.server_options.region_cache = &regions;
-    setup.server_options.chunk_cache = &chunks;
-    setup.server_options.identity_keyed_regions = true;
-    RunStats identity = run_case(setup, cfg);
+    caches.attach(setup);
+    const TileStore& store = caches.store;
+    RunStats identity = run_case(setup, cfg, Keying::kIdentity);
     identity_resident = store.bytes_resident();
     report("identity", identity, store);
     bool same_trace = viz::result_fingerprint(identity.result) == content_fp;
@@ -255,10 +273,7 @@ int main() {
 
   // -- no-cache baseline: byte-identical payloads -------------------------
   {
-    WorldSetup naive = dedup_setup(kSessions);
-    naive.server_options.size_cache = nullptr;
-    naive.server_options.region_cache = nullptr;
-    naive.server_options.chunk_cache = nullptr;
+    WorldSetup naive = dedup_setup(kSessions);  // no caches attached
     RunStats nocache = run_case(naive, cfg);
     std::printf("%-18s %12.2f %12" PRIu64 "\n", "nocache", nocache.wall_ms,
                 nocache.events);
@@ -281,15 +296,11 @@ int main() {
   // -- 1-session/1-image reference: one image's unique payload ------------
   std::size_t reference_resident = 0;
   {
-    CompressedSizeCache sizes;
-    TileStore store;
-    RegionEncodeCache regions(store);
-    CompressedChunkCache chunks(store);
+    ServerCaches caches;
     WorldSetup setup = dedup_setup(1);
     setup.image_count = 1;
-    setup.server_options.size_cache = &sizes;
-    setup.server_options.region_cache = &regions;
-    setup.server_options.chunk_cache = &chunks;
+    caches.attach(setup);
+    const TileStore& store = caches.store;
     RunStats reference = run_case(setup, cfg);
     reference_resident = store.bytes_resident();
     report("reference-1x1", reference, store);

@@ -45,11 +45,8 @@
 namespace {
 
 using namespace avf;
-using viz::CompressedChunkCache;
-using viz::CompressedSizeCache;
 using viz::MultiSessionResult;
-using viz::RegionEncodeCache;
-using viz::TileStore;
+using viz::ServerCaches;
 using viz::VizClient;
 using viz::VizWorld;
 using viz::WorldSetup;
@@ -270,16 +267,11 @@ int main() {
   MultiSessionResult cached_64;
 
   for (int n : client_counts) {
-    // Fresh local caches per run: counters attributable, no cross-run
+    // Fresh caches per client count: counters attributable, no cross-run
     // reuse inflating the numbers.
-    CompressedSizeCache size_cache;
-    TileStore store;  // one content-addressed store behind both layers
-    RegionEncodeCache region_cache(store);
-    CompressedChunkCache chunk_cache(store);
+    ServerCaches caches;
     WorldSetup setup = scale_setup(n);
-    setup.server_options.size_cache = &size_cache;
-    setup.server_options.region_cache = &region_cache;
-    setup.server_options.chunk_cache = &chunk_cache;
+    caches.attach(setup);
 
     RunStats run = run_case(setup, cfg);
     std::uint64_t fp = viz::result_fingerprint(run.result);
@@ -297,6 +289,7 @@ int main() {
       wall_per_client_128 = run.wall_ms / n;
     }
 
+    const viz::RegionEncodeCache& region_cache = caches.region;
     double region_total =
         static_cast<double>(region_cache.hits() + region_cache.misses());
     double hit_pct =
@@ -312,10 +305,10 @@ int main() {
     c.extra["region_hits"] = static_cast<double>(region_cache.hits());
     c.extra["region_misses"] = static_cast<double>(region_cache.misses());
     c.extra["region_evictions"] = static_cast<double>(region_cache.evictions());
-    c.extra["size_hits"] = static_cast<double>(size_cache.hits());
-    c.extra["size_misses"] = static_cast<double>(size_cache.misses());
-    c.extra["chunk_hits"] = static_cast<double>(chunk_cache.hits());
-    bench::add_tile_store_counters(c, store);
+    c.extra["size_hits"] = static_cast<double>(caches.size.hits());
+    c.extra["size_misses"] = static_cast<double>(caches.size.misses());
+    c.extra["chunk_hits"] = static_cast<double>(caches.chunk.hits());
+    bench::add_tile_store_counters(c, caches.store);
     cases.push_back(std::move(c));
 
     // The incremental-fluid contract: under-subscribed capped flows must
@@ -329,13 +322,11 @@ int main() {
     }
   }
 
-  // No-cache baseline at the gate point: every request re-serializes its
-  // region and really compresses (and clients really decompress).
+  // No-cache baseline at the gate point (no caches attached): every
+  // request re-serializes its region and really compresses (and clients
+  // really decompress).
   {
     WorldSetup naive = scale_setup(kGateClients);
-    naive.server_options.size_cache = nullptr;
-    naive.server_options.region_cache = nullptr;
-    naive.server_options.chunk_cache = nullptr;
     RunStats run = run_case(naive, cfg);
     std::printf("%-22s %12.2f %12" PRIu64 "\n", "naive/clients=64",
                 run.wall_ms, run.events);
@@ -376,14 +367,9 @@ int main() {
   const double max_wall_ratio = env_or("AVF_VIZ_MAX_WALL_RATIO", 4.0);
   int churn_clients = 0;
   for (int n : scale_counts) {
-    CompressedSizeCache size_cache;
-    TileStore store;  // one content-addressed store behind both layers
-    RegionEncodeCache region_cache(store);
-    CompressedChunkCache chunk_cache(store);
+    ServerCaches caches;
     WorldSetup setup = scale_setup(n);
-    setup.server_options.size_cache = &size_cache;
-    setup.server_options.region_cache = &region_cache;
-    setup.server_options.chunk_cache = &chunk_cache;
+    caches.attach(setup);
 
     RunStats run = run_case(setup, cfg);
     std::uint64_t fp = viz::result_fingerprint(run.result);
@@ -405,7 +391,7 @@ int main() {
         make_case("scale/clients=" + std::to_string(n), n, run,
                   deterministic);
     c.extra["wall_ratio_vs_128"] = ratio;
-    bench::add_tile_store_counters(c, store);
+    bench::add_tile_store_counters(c, caches.store);
     cases.push_back(std::move(c));
 
     if (!deterministic) {
@@ -445,14 +431,9 @@ int main() {
   // -- churn soak: staggered waves + link-flap fault schedule -------------
   if (churn_clients > 0) {
     int n = std::min(churn_clients, 1024);
-    CompressedSizeCache size_cache;
-    TileStore store;  // one content-addressed store behind both layers
-    RegionEncodeCache region_cache(store);
-    CompressedChunkCache chunk_cache(store);
+    ServerCaches caches;
     WorldSetup setup = scale_setup(n);
-    setup.server_options.size_cache = &size_cache;
-    setup.server_options.region_cache = &region_cache;
-    setup.server_options.chunk_cache = &chunk_cache;
+    caches.attach(setup);
 
     ChurnPlan plan;
     plan.waves = 8;
@@ -492,7 +473,7 @@ int main() {
         "churn/clients=" + std::to_string(n), n, run, deterministic);
     c.extra["churn_waves"] = plan.waves;
     c.extra["churn_wave_gap_s"] = plan.wave_gap;
-    bench::add_tile_store_counters(c, store);
+    bench::add_tile_store_counters(c, caches.store);
     cases.push_back(std::move(c));
   }
 

@@ -20,6 +20,9 @@ int main() {
   setup.image_size = 512;
   setup.image_count = 12;
   setup.link_bandwidth_bps = 500e3;
+  // Server caches shared by every world the profile and the session build.
+  viz::ServerCaches caches;
+  caches.attach(setup);
 
   std::cout << "== step 1: profile every configuration in the testbed ==\n";
   perfdb::PerfDatabase db = viz::build_viz_database(

@@ -21,6 +21,8 @@ using namespace avf;
 int main() {
   viz::WorldSetup setup;
   setup.image_size = 512;
+  viz::ServerCaches caches;  // shared by every world of the sweep
+  caches.attach(setup);
   std::cout << "building a profile of the visualization app "
                "(4x4 resource grid, 18 configurations)...\n";
   perfdb::PerfDatabase db = viz::build_viz_database(

@@ -1,6 +1,5 @@
 #include "adapt/scheduler.hpp"
 
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,18 +12,10 @@ using tunable::QosVector;
 
 namespace {
 
-using util::fnv1a64;
-
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  h = fnv1a64(s.data(), s.size(), h);
-  // Length separator: distinguishes {"ab","c"} from {"a","bc"}.
-  std::uint64_t n = s.size();
-  return fnv1a64(&n, sizeof(n), h);
-}
-
-std::uint64_t fnv1a_f64(std::uint64_t h, double x) {
-  std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
-  return fnv1a64(&bits, sizeof(bits), h);
+/// A string folds as its bytes, then its length: the length separator
+/// distinguishes {"ab","c"} from {"a","bc"}.
+void fold_str(util::Fnv1aFold& f, const std::string& s) {
+  f.bytes(s.data(), s.size()).u64(s.size());
 }
 
 // Everything that shapes the decision function besides the database and the
@@ -32,25 +23,22 @@ std::uint64_t fnv1a_f64(std::uint64_t h, double x) {
 // directions — declaration sites excluded) and the scheduler options.
 std::uint64_t fingerprint_selector(const PreferenceList& prefs,
                                    const ResourceScheduler::Options& opts) {
-  std::uint64_t count = prefs.size();
-  std::uint64_t h = fnv1a64(&count, sizeof(count));
+  util::Fnv1aFold h;
+  h.u64(prefs.size());
   for (const UserPreference& p : prefs) {
-    h = fnv1a_str(h, p.name);
-    std::uint64_t nc = p.constraints.size();
-    h = fnv1a64(&nc, sizeof(nc), h);
+    fold_str(h, p.name);
+    h.u64(p.constraints.size());
     for (const MetricRange& r : p.constraints) {
-      h = fnv1a_str(h, r.metric);
-      h = fnv1a_f64(h, r.min);
-      h = fnv1a_f64(h, r.max);
+      fold_str(h, r.metric);
+      h.f64(r.min).f64(r.max);
     }
-    h = fnv1a_str(h, p.objective_metric);
+    fold_str(h, p.objective_metric);
     unsigned char maximize = p.maximize ? 1 : 0;
-    h = fnv1a64(&maximize, sizeof(maximize), h);
+    h.bytes(&maximize, sizeof(maximize));
   }
   int lookup = static_cast<int>(opts.lookup);
-  h = fnv1a64(&lookup, sizeof(lookup), h);
-  h = fnv1a_f64(h, opts.switch_hysteresis);
-  return h;
+  h.bytes(&lookup, sizeof(lookup)).f64(opts.switch_hysteresis);
+  return h.h;
 }
 
 }  // namespace

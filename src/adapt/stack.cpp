@@ -8,13 +8,6 @@ namespace avf::adapt {
 
 namespace {
 
-ResourceScheduler::Options with_cache(
-    const AdaptationStack::Options& options) {
-  ResourceScheduler::Options scheduler = options.scheduler;
-  scheduler.decision_cache = options.decision_cache;
-  return scheduler;
-}
-
 /// The initial selection the steering agent starts from.
 tunable::ConfigPoint initial_decision(const ResourceScheduler& scheduler,
                                       const std::vector<double>& resources) {
@@ -33,7 +26,7 @@ AdaptationStack::AdaptationStack(sim::Simulator& sim,
                                  PreferenceList preferences,
                                  const std::vector<double>& initial_resources,
                                  const Options& options)
-    : scheduler(db, std::move(preferences), with_cache(options)),
+    : scheduler(db, std::move(preferences), options.scheduler),
       monitor(sim, spec.resource_axes(), options.monitor),
       steering(spec, initial_decision(scheduler, initial_resources)),
       controller(sim, scheduler, monitor, steering, options.controller),

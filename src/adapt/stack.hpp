@@ -7,11 +7,9 @@
 // depend on this order.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "adapt/controller.hpp"
-#include "adapt/decision_cache.hpp"
 #include "adapt/monitor.hpp"
 #include "adapt/preferences.hpp"
 #include "adapt/scheduler.hpp"
@@ -27,10 +25,6 @@ struct AdaptationStack {
     MonitoringAgent::Options monitor{};
     ResourceScheduler::Options scheduler{};
     AdaptationController::Options controller{};
-    /// Shared decision memo; replaces scheduler.decision_cache (null = the
-    /// scheduler evaluates the candidate set itself).  Decisions, and so
-    /// whole sessions, are byte-identical to a run without the cache.
-    std::shared_ptr<DecisionCache> decision_cache;
   };
 
   /// Build and start the stack for `spec` against `db`, configured for the

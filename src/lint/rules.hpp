@@ -60,6 +60,7 @@ inline constexpr std::string_view kSrcWallClock = "src.wall-clock";
 inline constexpr std::string_view kSrcNondetRandom = "src.nondet-random";
 inline constexpr std::string_view kSrcRawMutex = "src.raw-mutex";
 inline constexpr std::string_view kSrcFloatAccum = "src.float-accum";
+inline constexpr std::string_view kSrcMutableStatic = "src.mutable-static";
 inline constexpr std::string_view kSrcUnknownRule = "src.unknown-rule";
 inline constexpr std::string_view kSrcBadSuppression =
     "src.bad-suppression";

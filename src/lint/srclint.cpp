@@ -430,6 +430,94 @@ void scan_float_accum(std::string_view code, const LineMap& lines,
   }
 }
 
+/// True when the `{` at `open` begins a namespace or class body rather than
+/// code (a function body, lambda, control block or braced initializer):
+/// the statement before it, after any preprocessor line, access label or
+/// template header, starts with namespace/class/struct/union/enum or is
+/// `extern "C"`.
+bool opens_type_scope(std::string_view code, std::size_t open) {
+  std::string_view before = code.substr(0, open);
+  std::size_t start = before.find_last_of(";{}");
+  std::string_view head =
+      trim(before.substr(start == std::string_view::npos ? 0 : start + 1));
+  for (bool stripped = true; stripped;) {
+    stripped = false;
+    if (head.starts_with('#')) {
+      std::size_t eol = head.find('\n');
+      head = eol == std::string_view::npos ? "" : trim(head.substr(eol));
+      stripped = true;
+    }
+    for (std::string_view label : {std::string_view("public:"),
+                                   std::string_view("protected:"),
+                                   std::string_view("private:")}) {
+      if (head.starts_with(label)) {
+        head = trim(head.substr(label.size()));
+        stripped = true;
+      }
+    }
+    std::size_t i = head.find('<');
+    if (head.starts_with("template") && i != std::string_view::npos) {
+      int depth = 0;
+      for (; i < head.size(); ++i) {
+        if (head[i] == '<') ++depth;
+        if (head[i] == '>' && --depth == 0) break;
+      }
+      head = trim(head.substr(std::min(i + 1, head.size())));
+      stripped = true;
+    }
+  }
+  std::size_t word_end = 0;
+  while (word_end < head.size() && is_word(head[word_end])) ++word_end;
+  std::string_view first = head.substr(0, word_end);
+  return first == "namespace" || first == "class" || first == "struct" ||
+         first == "union" || first == "enum" || first == "extern";
+}
+
+/// `static` variables that are neither const nor constexpr: state that
+/// every world built in the process shares.  A declaration after `static`
+/// ends at the first `;`, `{`, or top-level `=` or `(`; it is a variable
+/// unless it names `const`/`constexpr`/`operator` or is a `(` declarator
+/// in a namespace or class body (a function).  At block scope `static`
+/// always declares a variable, so `static T x(args);` there is flagged.
+void scan_mutable_statics(std::string_view code, const LineMap& lines,
+                          std::vector<Finding>& findings) {
+  const std::vector<std::size_t> statics = find_token(code, "static");
+  std::vector<bool> scopes;  // open braces: true = namespace/class body
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < code.size() && next < statics.size(); ++i) {
+    if (code[i] == '{') scopes.push_back(opens_type_scope(code, i));
+    if (code[i] == '}' && !scopes.empty()) scopes.pop_back();
+    if (i != statics[next]) continue;
+    ++next;
+    const bool type_scope = scopes.empty() || scopes.back();
+    std::size_t end = i + 6;
+    int angle = 0;
+    for (; end < code.size(); ++end) {
+      char c = code[end];
+      if (c == '<') ++angle;
+      if (c == '>') --angle;
+      if (c == ';' || c == '{' || (angle == 0 && (c == '=' || c == '('))) {
+        break;
+      }
+    }
+    if (end >= code.size()) continue;
+    std::string_view decl = code.substr(i + 6, end - i - 6);
+    if (contains_token(decl, "const") || contains_token(decl, "constexpr") ||
+        contains_token(decl, "operator")) {
+      continue;
+    }
+    if (code[end] == '(' && type_scope) continue;  // a function
+    std::size_t name_end = decl.size();
+    while (name_end > 0 && !is_word(decl[name_end - 1])) --name_end;
+    findings.push_back(
+        {rules::kSrcMutableStatic, lines.line_of(i),
+         util::format("mutable static '{}': process-wide state shared by "
+                      "every world a sweep builds; give it an owner that "
+                      "is passed in, or make it const",
+                      word_before(decl, name_end))});
+  }
+}
+
 bool starts_with_any(std::string_view path,
                      std::initializer_list<std::string_view> prefixes) {
   for (std::string_view prefix : prefixes) {
@@ -440,7 +528,7 @@ bool starts_with_any(std::string_view path,
 
 /// Per-rule path scoping (paths are repo-relative, forward slashes).
 bool rule_applies(std::string_view rule, std::string_view path) {
-  if (rule == rules::kSrcUnorderedIter) {
+  if (rule == rules::kSrcUnorderedIter || rule == rules::kSrcMutableStatic) {
     return starts_with_any(path, {"src/sim/", "src/viz/", "src/adapt/",
                                   "src/perfdb/", "src/testkit/"});
   }
@@ -493,6 +581,9 @@ const std::vector<SrcRule>& srclint_rules() {
       {rules::kSrcFloatAccum, Severity::kWarning, true,
        "floating-point loop accumulation in src/sim/ without the Neumaier "
        "helpers"},
+      {rules::kSrcMutableStatic, Severity::kWarning, true,
+       "non-const static variable in a trace-affecting module "
+       "(src/{sim,viz,adapt,perfdb,testkit})"},
       {rules::kSrcUnknownRule, Severity::kError, false,
        "suppression directive names an unknown rule"},
       {rules::kSrcBadSuppression, Severity::kError, false,
@@ -593,6 +684,9 @@ Report srclint_file(std::string_view path, std::string_view contents,
   }
   if (rule_applies(rules::kSrcFloatAccum, path)) {
     scan_float_accum(stripped.code, lines, float_names, findings);
+  }
+  if (rule_applies(rules::kSrcMutableStatic, path)) {
+    scan_mutable_statics(stripped.code, lines, findings);
   }
 
   // Stable output order: by line, then catalog order.

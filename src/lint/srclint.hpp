@@ -30,6 +30,10 @@
 //                            depends on summation order; use the Neumaier
 //                            CompensatedSum helper or justify why the order
 //                            is pinned
+//   src.mutable-static       a `static` variable that is neither const nor
+//                            constexpr in a trace-affecting module — state
+//                            every world of a process shares; caches and
+//                            memos belong to an owner that passes them in
 //
 // A finding is suppressed by a directive on the offending line or the line
 // directly above:

@@ -1,7 +1,5 @@
 #include "testkit/fleet.hpp"
 
-#include <bit>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -19,17 +17,9 @@ namespace avf::testkit {
 
 namespace {
 
-void fnv1a_u64(std::uint64_t& h, std::uint64_t v) {
-  h = util::fnv1a64(&v, sizeof(v), h);
-}
-
-void fnv1a_f64(std::uint64_t& h, double v) {
-  fnv1a_u64(h, std::bit_cast<std::uint64_t>(v));
-}
-
-void fnv1a_str(std::uint64_t& h, const std::string& s) {
-  fnv1a_u64(h, s.size());
-  h = util::fnv1a64(s.data(), s.size(), h);
+/// A string folds as its length, then its bytes.
+void fold_str(util::Fnv1aFold& f, const std::string& s) {
+  f.u64(s.size()).bytes(s.data(), s.size());
 }
 
 /// One session's complete adaptation stack.  It is built at the session's
@@ -104,9 +94,9 @@ void start_session(FleetState& st, std::size_t idx) {
       adapt::AdaptationStack::Options{
           .monitor = st.opt.monitor,
           .scheduler = {.lookup = perfdb::Lookup::kInterpolate,
-                        .switch_hysteresis = st.opt.switch_hysteresis},
-          .controller = controller,
-          .decision_cache = st.opt.decision_cache});
+                        .switch_hysteresis = st.opt.switch_hysteresis,
+                        .decision_cache = st.opt.decision_cache},
+          .controller = controller});
   s.cpu_axis = s.stack->monitor.axis_id("cpu_share");
   s.net_axis = s.stack->monitor.axis_id("net_bps");
 
@@ -244,7 +234,7 @@ FleetResult run_fleet(const FleetOptions& options) {
 
   FleetResult result;
   result.sessions = n;
-  std::uint64_t h = util::kFnv1aOffset;
+  util::Fnv1aFold h;
   for (const Session& s : st.sessions) {
     result.tasks += s.tasks;
     result.checks += s.stack->controller.checks();
@@ -253,20 +243,19 @@ FleetResult run_fleet(const FleetOptions& options) {
     const auto& events = s.stack->controller.adaptations();
     result.adaptations += events.size();
 
-    fnv1a_str(h, s.stack->initial_config.key());
-    fnv1a_u64(h, events.size());
+    fold_str(h, s.stack->initial_config.key());
+    h.u64(events.size());
     for (const auto& e : events) {
-      fnv1a_f64(h, e.time);
-      fnv1a_str(h, e.from.key());
-      fnv1a_str(h, e.to.key());
-      fnv1a_u64(h, e.preference_index);
-      fnv1a_u64(h, e.estimates.size());
-      for (double v : e.estimates) fnv1a_f64(h, v);
+      h.f64(e.time);
+      fold_str(h, e.from.key());
+      fold_str(h, e.to.key());
+      h.u64(e.preference_index).u64(e.estimates.size());
+      for (double v : e.estimates) h.f64(v);
     }
-    fnv1a_str(h, s.stack->steering.active().key());
-    fnv1a_u64(h, s.tasks);
+    fold_str(h, s.stack->steering.active().key());
+    h.u64(s.tasks);
   }
-  result.decision_fingerprint = h;
+  result.decision_fingerprint = h.h;
   if (options.decision_cache) result.cache = options.decision_cache->stats();
   result.total_time = st.sim.now();
   return result;

@@ -1,6 +1,7 @@
 // Seeded, deterministic 128-bit content hashing for the content-addressed
 // stores (viz::TileStore keys, pyramid content fingerprints), plus the
-// plain 64-bit FNV-1a used by fingerprints and cache keys.
+// plain 64-bit FNV-1a, and the field folder over it, used by fingerprints
+// and cache keys.
 //
 // Two independent FNV-1a-style 64-bit lanes run over the same byte stream
 // with different offsets and odd multipliers, then each lane is finalized
@@ -24,6 +25,7 @@
 // debug-time guard for the remaining possibility.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -46,6 +48,21 @@ inline std::uint64_t fnv1a64(const void* data, std::size_t n,
   }
   return h;
 }
+
+/// Folds fields into a running fnv1a64 state, one field at a time: the
+/// fingerprints chain u64 counts, f64 bit patterns and raw bytes through it.
+/// Each caller fixes its own field order (a string's length before or
+/// after its bytes), which is part of that fingerprint's value.
+struct Fnv1aFold {
+  std::uint64_t h = kFnv1aOffset;
+
+  Fnv1aFold& bytes(const void* data, std::size_t n) {
+    h = fnv1a64(data, n, h);
+    return *this;
+  }
+  Fnv1aFold& u64(std::uint64_t v) { return bytes(&v, sizeof(v)); }
+  Fnv1aFold& f64(double v) { return u64(std::bit_cast<std::uint64_t>(v)); }
+};
 
 /// 128-bit digest.  Ordered so it can key ordered containers in tests;
 /// unordered containers should hash with `lo` (already avalanche-mixed).

@@ -4,22 +4,24 @@ namespace avf::viz {
 
 namespace {
 
-// Domain seeds keep the two key spaces disjoint inside a shared store even
+// Domain seeds keep the key spaces disjoint inside a shared store even
 // when their input byte streams coincide.
 constexpr std::uint64_t kRegionSeed = 0x7265676eULL;  // "regn"
 constexpr std::uint64_t kChunkSeed = 0x63686e6bULL;   // "chnk"
+constexpr std::uint64_t kSizeSeed = 0x73697a65ULL;    // "size"
 
 }  // namespace
 
-RegionEncodeCache::RegionEncodeCache()
-    : owned_store_(std::make_unique<TileStore>()), store_(owned_store_.get()) {}
+CacheLayer::CacheLayer(TileStore::Options options)
+    : owned_store_(std::make_unique<TileStore>(options)),
+      store_(owned_store_.get()) {}
 
 std::shared_ptr<const util::Blob> RegionEncodeCache::encode(
     const util::Hash128& pyramid_content,
     const wavelet::ProgressiveEncoder& encoder,
     std::span<const wavelet::TileRef> tiles, std::uint64_t origin_tag) {
   // Incremental key derivation: no per-request buffer, no copy of the tile
-  // list — the hot-path fix for the old std::string key.
+  // list.
   util::Hasher128 h(kRegionSeed);
   h.update_u64(pyramid_content.hi);
   h.update_u64(pyramid_content.lo);
@@ -32,40 +34,57 @@ std::shared_ptr<const util::Blob> RegionEncodeCache::encode(
   // Serialization happens outside any lock (inside the store's build
   // callback): two threads may race to fill the same key, in which case
   // both produce byte-identical payloads and the first insert wins.
-  TileStore::Lookup result = store_->get_or_build(
-      h.finish(), origin_tag, [&] { return encoder.serialize_tiles(tiles); });
-  (result.hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-  if (result.collision) collisions_.fetch_add(1, std::memory_order_relaxed);
-  return result.payload;
+  return get_or_build(h.finish(), origin_tag,
+                      [&] { return encoder.serialize_tiles(tiles); });
 }
-
-RegionEncodeCache& RegionEncodeCache::global() {
-  static RegionEncodeCache cache(TileStore::global());
-  return cache;
-}
-
-CompressedChunkCache::CompressedChunkCache()
-    : owned_store_(std::make_unique<TileStore>()), store_(owned_store_.get()) {}
 
 std::shared_ptr<const util::Blob> CompressedChunkCache::compress(
     codec::CodecId id, codec::BytesView raw, std::uint64_t origin_tag) {
-  // Hash the raw bytes in place: one read-only pass replaces the old
-  // key-string allocation that copied the whole chunk per lookup.
+  // Hash the raw bytes in place: one read-only pass, no key buffer.
   util::Hasher128 h(kChunkSeed);
   h.update_u8(static_cast<std::uint8_t>(id));
   h.update_u64(raw.size());
   h.update(raw.data(), raw.size());
-  TileStore::Lookup result = store_->get_or_build(
-      h.finish(), origin_tag,
-      [&] { return codec::codec_for(id).compress(raw); });
-  (result.hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-  if (result.collision) collisions_.fetch_add(1, std::memory_order_relaxed);
-  return result.payload;
+  return get_or_build(h.finish(), origin_tag,
+                      [&] { return codec::codec_for(id).compress(raw); });
 }
 
-CompressedChunkCache& CompressedChunkCache::global() {
-  static CompressedChunkCache cache(TileStore::global());
-  return cache;
+CompressedSizeCache::CompressedSizeCache()
+    : CacheLayer(TileStore::Options{.byte_budget = 8 * kMaxPrivateEntries}) {}
+
+TileStore::Key CompressedSizeCache::key(codec::CodecId id,
+                                        std::uint64_t raw_size,
+                                        std::uint64_t raw_fnv1a) {
+  util::Hasher128 h(kSizeSeed);
+  h.update_u8(static_cast<std::uint8_t>(id));
+  h.update_u64(raw_size);
+  h.update_u64(raw_fnv1a);
+  return h.finish();
+}
+
+std::size_t CompressedSizeCache::compressed_size(codec::CodecId id,
+                                                 const util::Blob& raw,
+                                                 CompressedChunkCache* chunks,
+                                                 std::uint64_t origin_tag) {
+  // The entry is the size as 8 bytes, least significant first.
+  auto measure = [&] {
+    const std::uint64_t size =
+        chunks != nullptr ? chunks->compress(id, raw, origin_tag)->size()
+                          : codec::codec_for(id).compress(raw).size();
+    TileStore::Payload entry(8);
+    for (std::size_t i = 0; i < 8; ++i) {
+      entry[i] = static_cast<std::uint8_t>(size >> (8 * i));
+    }
+    return entry;
+  };
+  const TileStore::BlobPtr entry = get_or_build(
+      key(id, raw.size(), raw.fnv1a64(util::kFnv1aOffset)), origin_tag,
+      measure);
+  std::uint64_t size = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    size |= std::uint64_t{entry->data()[i]} << (8 * i);
+  }
+  return static_cast<std::size_t>(size);
 }
 
 }  // namespace avf::viz

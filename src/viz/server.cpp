@@ -3,136 +3,9 @@
 #include <stdexcept>
 
 #include "util/fmt.hpp"
-#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace avf::viz {
-
-namespace {
-
-/// Baseline keying for Options::identity_keyed_regions: a per-image-id hash
-/// stands in for the content hash, so identical content stored under
-/// distinct image ids caches separately — the old pin-per-pyramid behavior
-/// the dedup benchmarks measure against.
-util::Hash128 identity_region_key(std::uint32_t id) {
-  util::Hasher128 h(/*seed=*/0x69646e74ULL);  // "idnt"
-  h.update_u32(id);
-  return h.finish();
-}
-
-}  // namespace
-
-CompressedSizeCache::CompressedSizeCache(std::size_t max_entries)
-    : max_entries_(max_entries),
-      // Sharding only helps once every shard can hold a useful number of
-      // entries; tightly bounded caches keep the exact single-FIFO
-      // semantics the eviction tests pin down.
-      shard_count_(max_entries >= kMaxShards * kMaxShards ? kMaxShards : 1),
-      shard_max_(max_entries / shard_count_) {}
-
-std::uint64_t CompressedSizeCache::fingerprint(codec::BytesView payload) {
-  // Mix in the length to disambiguate prefix collisions.
-  return util::fnv1a64(payload.data(), payload.size()) ^ payload.size();
-}
-
-std::uint64_t CompressedSizeCache::fingerprint(const util::Blob& payload) {
-  return payload.fnv1a64(util::kFnv1aOffset) ^ payload.size();
-}
-
-CompressedSizeCache::Shard& CompressedSizeCache::shard_for(
-    std::uint64_t fp) const {
-  // Shard on high bits: the map hash mixes the low bits, so reusing them
-  // for shard selection would correlate shard and bucket.
-  return shards_[(fp >> 59) % shard_count_];
-}
-
-std::optional<std::size_t> CompressedSizeCache::lookup(
-    codec::CodecId id, codec::BytesView payload) const {
-  return lookup(id, fingerprint(payload));
-}
-
-std::optional<std::size_t> CompressedSizeCache::lookup(
-    codec::CodecId id, std::uint64_t fp) const {
-  Shard& shard = shard_for(fp);
-  util::MutexLock lock(shard.mutex);
-  auto it = shard.sizes.find(Key{fp, id});
-  if (it == shard.sizes.end()) {
-    ++shard.misses;
-    return std::nullopt;
-  }
-  ++shard.hits;
-  return it->second;
-}
-
-void CompressedSizeCache::store(codec::CodecId id, codec::BytesView payload,
-                                std::size_t size) {
-  store(id, fingerprint(payload), size);
-}
-
-void CompressedSizeCache::store(codec::CodecId id, std::uint64_t fp,
-                                std::size_t size) {
-  if (max_entries_ == 0) return;
-  Shard& shard = shard_for(fp);
-  util::MutexLock lock(shard.mutex);
-  Key key{fp, id};
-  auto [it, inserted] = shard.sizes.insert_or_assign(key, size);
-  (void)it;
-  if (!inserted) return;  // overwrite keeps the original queue position
-  shard.insertion_order.push_back(key);
-  while (shard.sizes.size() > shard_max_) {
-    shard.sizes.erase(shard.insertion_order.front());
-    shard.insertion_order.pop_front();
-    ++shard.evictions;
-  }
-}
-
-CompressedSizeCache::ShardCounters CompressedSizeCache::Shard::counters()
-    const {
-  util::MutexLock lock(mutex);
-  ShardCounters c;
-  c.entries = sizes.size();
-  c.hits = hits;
-  c.misses = misses;
-  c.evictions = evictions;
-  return c;
-}
-
-std::size_t CompressedSizeCache::size() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    total += shards_[s].counters().entries;
-  }
-  return total;
-}
-
-std::size_t CompressedSizeCache::hits() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    total += shards_[s].counters().hits;
-  }
-  return total;
-}
-
-std::size_t CompressedSizeCache::misses() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    total += shards_[s].counters().misses;
-  }
-  return total;
-}
-
-std::size_t CompressedSizeCache::evictions() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    total += shards_[s].counters().evictions;
-  }
-  return total;
-}
-
-CompressedSizeCache& CompressedSizeCache::global() {
-  static CompressedSizeCache cache;
-  return cache;
-}
 
 VizServer::VizServer(sandbox::Sandbox& box, sim::Endpoint& endpoint)
     : VizServer(box, endpoint, Options{}) {}
@@ -147,9 +20,7 @@ void VizServer::add_image(std::uint32_t id,
   StoredImage stored;
   stored.levels = pyramid->levels();
   stored.pyramid = std::move(pyramid);
-  stored.content_hash = options_.identity_keyed_regions
-                            ? identity_region_key(id)
-                            : content_hash;
+  stored.content_hash = content_hash;
   images_[id] = std::move(stored);
 }
 
@@ -322,31 +193,15 @@ sim::Task<> VizServer::handle_request(sim::Endpoint& endpoint,
   // Compression: always charge the codec's CPU cost; use the size cache to
   // avoid redoing byte-identical compressions (timing is unchanged).
   co_await box_.compute(codec.compress_ops(raw.size()));
-  std::optional<std::size_t> cached;
-  std::uint64_t raw_fingerprint = 0;
   if (options_.size_cache != nullptr) {
-    // O(1) after the first request for this payload (the Blob memoizes its
-    // hash); the same fingerprint keys the store on miss.
-    raw_fingerprint = CompressedSizeCache::fingerprint(raw);
-    cached = options_.size_cache->lookup(session.codec, raw_fingerprint);
-  }
-  if (cached) {
+    // Ship raw with the compressed size as wire size, so the client can
+    // skip the real decompression too.  The key is O(1) after the first
+    // request for this payload (the Blob memoizes its hash).
     reply.premeasured = true;
-    reply.wire_len = static_cast<std::uint32_t>(*cached);
-    reply.body = std::move(raw_shared);
-  } else if (options_.size_cache != nullptr) {
-    std::size_t compressed_size =
-        options_.chunk_cache != nullptr
-            ? options_.chunk_cache
-                  ->compress(session.codec, raw, session.image_id)
-                  ->size()
-            : codec.compress(raw).size();
-    options_.size_cache->store(session.codec, raw_fingerprint,
-                               compressed_size);
-    // Ship raw with overridden wire size so the client can skip the real
-    // decompression too; the cache now knows the size for future runs.
-    reply.premeasured = true;
-    reply.wire_len = static_cast<std::uint32_t>(compressed_size);
+    reply.wire_len = static_cast<std::uint32_t>(
+        options_.size_cache->compressed_size(session.codec, raw,
+                                             options_.chunk_cache,
+                                             session.image_id));
     reply.body = std::move(raw_shared);
   } else {
     // Fidelity mode: the reply carries genuine compressed bytes.  The

@@ -116,7 +116,7 @@ TileStore::ShardCounters TileStore::Shard::counters() const {
 }
 
 // Aggregate counters are sums of per-shard-consistent snapshots, not a
-// single instant across shards (same contract as CompressedSizeCache).
+// single instant across shards.
 std::size_t TileStore::bytes_resident() const {
   std::size_t total = 0;
   for (std::size_t s = 0; s < shard_count_; ++s) {
@@ -195,25 +195,6 @@ std::uint64_t TileStore::collisions() const {
     total += shards_[s].counters().collisions;
   }
   return total;
-}
-
-void TileStore::clear() {
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    Shard& shard = shards_[s];
-    util::MutexLock lock(shard.mutex);
-    shard.entries.clear();
-    shard.ring.clear();
-    shard.hand = 0;
-    shard.bytes = 0;
-    shard.hits = shard.misses = shard.evictions = 0;
-    shard.bytes_deduped = shard.bytes_evicted = 0;
-    shard.cross_origin_hits = shard.collisions = 0;
-  }
-}
-
-TileStore& TileStore::global() {
-  static TileStore store;
-  return store;
 }
 
 }  // namespace avf::viz

@@ -1,15 +1,19 @@
-// Process-wide content-addressed payload store for the Active Visualization
-// server (cromfs-style: hash once, share filesystem-wide).
+// Content-addressed payload store for the Active Visualization server
+// (cromfs-style: hash once, share store-wide).
 //
 // Every cacheable server payload — serialized wavelet-tile regions,
-// compressed chunks — is keyed by a deterministic seeded 128-bit content
-// hash (util::Hasher128) and stored exactly once, shared across *all*
-// images, pyramids, and sessions.  This is what makes server memory scale
-// with unique content rather than client or image count: two catalog
-// images containing the same tiles resolve to the same entries, whereas
-// the previous RegionEncodeCache keyed on pyramid *pointer* and pinned one
-// pyramid per entry, so identical content stored as distinct images was
-// duplicated per image.
+// compressed chunks, compressed sizes — is keyed by a deterministic seeded
+// 128-bit content hash (util::Hasher128) and stored exactly once, shared
+// across every image, pyramid, session and world that uses the store.
+// This is what makes server memory scale with unique content rather than
+// client or image count: two catalog images containing the same tiles
+// resolve to the same entries, whereas the previous RegionEncodeCache
+// keyed on pyramid *pointer* and pinned one pyramid per entry, so
+// identical content stored as distinct images was duplicated per image.
+//
+// A store has one owner (a cache layer's private store, or a ServerCaches
+// bundle) and lives exactly as long as it: there is no shared instance,
+// and an owner that wants a fresh store drops the old one.
 //
 // Contracts (shared with the thin cache layers in viz/caches.hpp):
 //
@@ -22,7 +26,7 @@
 //    very pointer into the reply message body (sim::Message::body), so the
 //    bytes travel from the store to the client's decoder without a copy,
 //    and the Blob's memoized FNV-1a continuation serves every request's
-//    size-cache key and the client's payload hash in O(1) after the first.
+//    size-layer key and the client's payload hash in O(1) after the first.
 //  - Pinned hits: lookups return shared_ptr pins; eviction drops the store
 //    reference but an in-flight reply's pin keeps the bytes alive until the
 //    client has read them (the session-reopen lesson, applied to payloads).
@@ -132,11 +136,6 @@ class TileStore {
   std::size_t byte_budget() const { return options_.byte_budget; }
   bool verify_on_hit() const { return options_.verify_on_hit; }
   std::size_t shard_count() const { return shard_count_; }
-
-  void clear();
-
-  /// Shared process-wide instance (the default backing of the viz caches).
-  static TileStore& global();
 
  private:
   struct Entry {

@@ -74,22 +74,35 @@ struct WorldSetup {
   int levels = 4;
   std::uint64_t image_seed = 2026;
   int image_count = 10;
-  /// When > 0, the catalog holds image_count *distinct* pyramid objects
-  /// whose contents repeat every unique_image_contents images (image i is
-  /// synthesized from seed image_seed + i % unique_image_contents).  This
-  /// models a server storing duplicate data under different names: pointer
-  /// identity cannot dedup it, content addressing can (the dedup
-  /// benchmarks measure exactly this gap).  0 — the default — keeps the
-  /// historical path where each image id gets the process-wide shared
-  /// pyramid for its own seed.
-  int unique_image_contents = 0;
 
+  /// Cache pointers default to null (no caches); ServerCaches::attach
+  /// points them at a bundle the caller owns.
   VizServer::Options server_options{};
   VizClient::Options client_options{};
 };
 
-/// Options of one adaptive client's run-time stack (monitor, scheduler,
-/// controller, shared decision cache); see adapt/stack.hpp.
+/// The server-side caches of whoever runs a batch of worlds: a size layer
+/// on its own store, and one TileStore shared by the region and chunk
+/// layers.  Attached to every world of the batch (a parallel sweep
+/// included: every layer is thread-safe), it lets the worlds reuse each
+/// other's encode and compress work, and its counters belong to the batch.
+/// It must outlive the worlds it is attached to.
+struct ServerCaches {
+  CompressedSizeCache size;
+  TileStore store;
+  RegionEncodeCache region{store};
+  CompressedChunkCache chunk{store};
+
+  void attach(WorldSetup& setup) {
+    setup.server_options.size_cache = &size;
+    setup.server_options.region_cache = &region;
+    setup.server_options.chunk_cache = &chunk;
+  }
+};
+
+/// Options of one adaptive client's run-time stack (monitor, scheduler
+/// with its optional shared decision cache, controller); see
+/// adapt/stack.hpp.
 using AdaptiveOptions = adapt::AdaptationStack::Options;
 
 /// One fully wired simulation universe: N client sandboxes, one server,
@@ -228,7 +241,7 @@ SessionResult run_adaptive_session(const WorldSetup& setup,
 /// Run `setup.client_count` adaptive clients concurrently, each with its
 /// own adaptation stack against the shared database — per-client
 /// adaptation under genuine multi-session contention.  A decision cache in
-/// `options` is shared by every client's scheduler.
+/// `options.scheduler` is shared by every client's scheduler.
 MultiSessionResult run_multi_adaptive_session(
     const WorldSetup& setup, const perfdb::PerfDatabase& db,
     const adapt::PreferenceList& preferences,
@@ -261,8 +274,9 @@ perfdb::PerfDatabase build_viz_database_adaptive(
     perfdb::AdaptiveModel* model_out = nullptr);
 
 /// The database used by the figure benchmarks: profiled once per process
-/// on the standard grid, never read from disk (a file cache would go stale
-/// silently whenever the cost model changes).
+/// on the standard grid, over a ServerCaches the sweep owns and drops, and
+/// never read from disk (a file cache would go stale silently whenever the
+/// cost model changes).
 const perfdb::PerfDatabase& standard_viz_database();
 
 }  // namespace avf::viz

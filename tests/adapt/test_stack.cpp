@@ -87,7 +87,7 @@ TEST(AdaptationStack, BringUpConfiguresAndStarts) {
   const tunable::AppSpec spec = make_spec();
   const PerfDatabase db = make_db();
   AdaptationStack::Options options;
-  options.decision_cache = std::make_shared<DecisionCache>();
+  options.scheduler.decision_cache = std::make_shared<DecisionCache>();
   AdaptationStack stack(sim, spec, db, {minimize("time")}, {1000.0}, options);
 
   EXPECT_EQ(stack.initial_config, cfg(0));
@@ -96,8 +96,10 @@ TEST(AdaptationStack, BringUpConfiguresAndStarts) {
   EXPECT_TRUE(stack.controller.running());
   // The cache is attached to the stack's scheduler, and the initial
   // selection plus configure()'s re-selection are one miss and one hit.
-  EXPECT_EQ(stack.scheduler.options().decision_cache, options.decision_cache);
-  const DecisionCache::Stats stats = options.decision_cache->stats();
+  EXPECT_EQ(stack.scheduler.options().decision_cache,
+            options.scheduler.decision_cache);
+  const DecisionCache::Stats stats =
+      options.scheduler.decision_cache->stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
 }

@@ -204,16 +204,78 @@ TEST(SrcLint, SuppressionTwoLinesAwayDoesNotApply) {
   EXPECT_TRUE(report.has_rule(rules::kSrcWallClock));
 }
 
+TEST(SrcLint, MutableStaticVariablesFlagged) {
+  Report report = srclint_file(
+      "src/viz/globals.cpp",
+      "static int counter = 0;\n"
+      "namespace {\n"
+      "static Cache cache;\n"
+      "}\n"
+      "Store& shared() {\n"
+      "  static Store store(Options{});\n"
+      "  static std::atomic<int> calls{0};\n"
+      "  return store;\n"
+      "}\n");
+  EXPECT_EQ(count_rule(report, rules::kSrcMutableStatic), 4u) << report.str();
+  EXPECT_EQ(report.diagnostics().size(), 4u);
+  EXPECT_FALSE(report.has_errors());
+}
+
+TEST(SrcLint, MutableStaticLexerCases) {
+  // None of these is a mutable static variable.
+  Report report = srclint_file(
+      "src/viz/not_globals.cpp",
+      "#include <map>\n"
+      "namespace avf {\n"
+      "static int forward_declared(int x);\n"
+      "}  // namespace avf\n"
+      "static_assert(sizeof(int) == 4);\n"
+      "static void helper(int x) { (void)static_cast<long>(x); }\n"
+      "static const int kLimit = 3;\n"
+      "static constexpr double kScale = 0.5;\n"
+      "struct Store {\n"
+      "  static Store& global();\n"
+      "  static std::map<int, int> make(std::function<void(int)> f);\n"
+      "  static constexpr std::size_t kShards = 16;\n"
+      "  static bool operator<(const Store&, const Store&);\n"
+      "};\n"
+      "const Spec& spec() {\n"
+      "  static const Spec s = [] { Spec t; return t; }();\n"
+      "  return s;\n"
+      "}\n"
+      "// static int in_a_comment;\n"
+      "const char* kText = \"static int in_a_string;\";\n");
+  EXPECT_TRUE(report.empty()) << report.str();
+}
+
+TEST(SrcLint, MutableStaticScopedToTraceAffectingModules) {
+  const std::string source =
+      "int next_id() { static int id = 0; return ++id; }\n";
+  EXPECT_TRUE(srclint_file("src/sim/ids.cpp", source)
+                  .has_rule(rules::kSrcMutableStatic));
+  EXPECT_FALSE(srclint_file("src/util/ids.cpp", source)
+                   .has_rule(rules::kSrcMutableStatic));
+  EXPECT_TRUE(srclint_file("src/sim/ids.cpp",
+                           "int next_id() {\n"
+                           "  // avf-srclint: allow(src.mutable-static ids "
+                           "only label log lines)\n"
+                           "  static int id = 0;\n"
+                           "  return ++id;\n"
+                           "}\n")
+                  .empty());
+}
+
 TEST(SrcLint, RuleCatalogIsStable) {
   const auto& catalog = srclint_rules();
-  ASSERT_EQ(catalog.size(), 7u);
+  ASSERT_EQ(catalog.size(), 8u);
   EXPECT_EQ(catalog[0].id, rules::kSrcUnorderedIter);
   EXPECT_EQ(catalog[1].id, rules::kSrcWallClock);
   EXPECT_EQ(catalog[2].id, rules::kSrcNondetRandom);
   EXPECT_EQ(catalog[3].id, rules::kSrcRawMutex);
   EXPECT_EQ(catalog[4].id, rules::kSrcFloatAccum);
-  EXPECT_EQ(catalog[5].id, rules::kSrcUnknownRule);
-  EXPECT_EQ(catalog[6].id, rules::kSrcBadSuppression);
+  EXPECT_EQ(catalog[5].id, rules::kSrcMutableStatic);
+  EXPECT_EQ(catalog[6].id, rules::kSrcUnknownRule);
+  EXPECT_EQ(catalog[7].id, rules::kSrcBadSuppression);
   for (const auto& rule : catalog) {
     bool meta = rule.id == rules::kSrcUnknownRule ||
                 rule.id == rules::kSrcBadSuppression;

@@ -12,7 +12,7 @@
 
 #include "util/hash.hpp"
 #include "util/rng.hpp"
-#include "viz/server.hpp"
+#include "viz/caches.hpp"
 
 namespace avf::util {
 namespace {
@@ -123,16 +123,23 @@ TEST(Blob, ConcurrentFirstCallsAgree) {
 }
 
 TEST(Blob, SizeCacheFingerprintMatchesBlobContinuation) {
+  // The size layer keys a payload by its FNV-1a digest from the Blob's
+  // memo; that digest must be the byte loop's, so a Blob and the bytes it
+  // holds name one entry.
   SplitMix64 rng(0x66707269ULL);  // "fpri"
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{513},
                         std::size_t{4097}}) {
     std::vector<std::uint8_t> bytes = random_bytes(rng, n);
+    const std::uint64_t expected = fnv1a64(bytes.data(), n);
     Blob blob(bytes);
-    const std::uint64_t expected = blob.fnv1a64(kFnv1aOffset) ^ n;
-    EXPECT_EQ(viz::CompressedSizeCache::fingerprint(
-                  std::span<const std::uint8_t>(bytes)),
-              expected);
-    EXPECT_EQ(viz::CompressedSizeCache::fingerprint(blob), expected);
+    EXPECT_EQ(blob.fnv1a64(kFnv1aOffset), expected);
+    viz::CompressedSizeCache sizes;
+    (void)sizes.compressed_size(codec::CodecId::kNone, blob, nullptr);
+    EXPECT_NE(sizes.store().find(
+                  viz::CompressedSizeCache::key(codec::CodecId::kNone, n,
+                                                expected),
+                  0),
+              nullptr);
   }
 }
 

@@ -13,19 +13,22 @@ namespace {
 
 using tunable::ConfigPoint;
 
-WorldSetup small_setup() {
+/// The miniature world, serving through `caches`.
+WorldSetup small_setup(ServerCaches& caches) {
   WorldSetup setup;
   setup.image_size = 256;
   setup.levels = 4;
   setup.image_count = 6;
   setup.link_bandwidth_bps = 500e3;
+  caches.attach(setup);
   return setup;
 }
 
 /// Small profile of the miniature world, shared across tests in this file.
 const perfdb::PerfDatabase& small_db() {
   static const perfdb::PerfDatabase db = [] {
-    WorldSetup base = small_setup();
+    ServerCaches caches;
+    WorldSetup base = small_setup(caches);
     return build_viz_database(base, {0.1, 0.4, 0.9, 1.0},
                               {25e3, 50e3, 250e3, 500e3});
   }();
@@ -81,7 +84,8 @@ TEST(VizProfile, PruneKeepsCrossoverConfigs) {
 }
 
 TEST(VizAdapt, Experiment1SwitchesCompressionOnBandwidthDrop) {
-  WorldSetup setup = small_setup();
+  ServerCaches caches;
+  WorldSetup setup = small_setup(caches);
   setup.image_count = 10;  // leave several images after the drop
   adapt::UserPreference pref = adapt::minimize("transmit_time");
   pref.constraints.push_back({.metric = "resolution", .min = 4.0});
@@ -100,7 +104,8 @@ TEST(VizAdapt, Experiment1SwitchesCompressionOnBandwidthDrop) {
 }
 
 TEST(VizAdapt, Experiment2DegradesResolutionUnderDeadline) {
-  WorldSetup setup = small_setup();
+  ServerCaches caches;
+  WorldSetup setup = small_setup(caches);
   setup.client_cpu_share = 0.9;
   setup.link_bandwidth_bps = 250e3;
   // Deadline chosen between the level-4 times at 90% and 40% CPU so the
@@ -134,7 +139,8 @@ TEST(VizAdapt, Experiment2DegradesResolutionUnderDeadline) {
 }
 
 TEST(VizAdapt, AdaptiveBeatsWorseStaticUnderChange) {
-  WorldSetup setup = small_setup();
+  ServerCaches caches;
+  WorldSetup setup = small_setup(caches);
   setup.image_count = 10;
   adapt::UserPreference pref = adapt::minimize("transmit_time");
   pref.constraints.push_back({.metric = "resolution", .min = 4.0});
@@ -154,13 +160,15 @@ TEST(VizAdapt, AdaptiveBeatsWorseStaticUnderChange) {
 TEST(VizAdapt, EmptyDatabaseThrows) {
   const perfdb::PerfDatabase empty(viz_app_spec().resource_axes(),
                                    viz_app_spec().metrics());
-  EXPECT_THROW(run_adaptive_session(small_setup(), empty,
+  ServerCaches caches;
+  EXPECT_THROW(run_adaptive_session(small_setup(caches), empty,
                                     {adapt::minimize("transmit_time")}),
                std::runtime_error);
 }
 
 TEST(VizAdapt, NoAdaptationUnderSteadyResources) {
-  WorldSetup setup = small_setup();
+  ServerCaches caches;
+  WorldSetup setup = small_setup(caches);
   setup.image_count = 4;
   adapt::UserPreference pref = adapt::minimize("transmit_time");
   SessionResult result = run_adaptive_session(setup, small_db(), {pref});

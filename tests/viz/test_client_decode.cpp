@@ -59,10 +59,11 @@ class ClientDecode
 TEST_P(ClientDecode, FinalPyramidEqualsTheServersUpToTheResolution) {
   auto [codec, premeasured] = GetParam();
   WorldSetup setup = small_setup();
-  // Without the size cache every reply is really compressed and really
-  // decompressed (fidelity mode); with it replies are premeasured and the
+  // Without a size cache every reply is really compressed and really
+  // decompressed (fidelity mode); with one replies are premeasured and the
   // client decodes the server's shared payload in place.
-  if (!premeasured) setup.server_options.size_cache = nullptr;
+  CompressedSizeCache sizes;
+  if (premeasured) setup.server_options.size_cache = &sizes;
   VizWorld world(setup);
   world.make_client(cfg(160, codec, 3));
   SessionResult result = std::move(run_world(world).clients.front());

@@ -41,8 +41,12 @@ class MultiClientDeterminism : public ::testing::TestWithParam<int> {};
 TEST_P(MultiClientDeterminism, SameSeedSameFingerprint) {
   const int n = GetParam();
   ConfigPoint config = cfg(160, 1, 3);
-  MultiSessionResult first = run_multi_fixed_session(small_setup(n), config);
-  MultiSessionResult second = run_multi_fixed_session(small_setup(n), config);
+  // One bundle for both runs: the second replays against warm caches.
+  ServerCaches caches;
+  WorldSetup setup = small_setup(n);
+  caches.attach(setup);
+  MultiSessionResult first = run_multi_fixed_session(setup, config);
+  MultiSessionResult second = run_multi_fixed_session(setup, config);
 
   ASSERT_EQ(first.clients.size(), static_cast<std::size_t>(n));
   for (const SessionResult& client : first.clients) {
@@ -60,8 +64,7 @@ INSTANTIATE_TEST_SUITE_P(ClientCounts, MultiClientDeterminism,
 TEST(MultiClient, CachedMatchesUncachedByteForByte) {
   ConfigPoint config = cfg(160, 1, 3);
 
-  // Cached run: fresh local caches so counters are attributable to this
-  // world alone (the global() instances are shared process-wide).
+  // Cached run: each layer on a private store of its own.
   CompressedSizeCache size_cache;
   RegionEncodeCache region_cache;
   CompressedChunkCache chunk_cache;
@@ -71,11 +74,9 @@ TEST(MultiClient, CachedMatchesUncachedByteForByte) {
   cached.server_options.chunk_cache = &chunk_cache;
   MultiSessionResult with_caches = run_multi_fixed_session(cached, config);
 
-  // Uncached run: every request re-serializes and really compresses.
+  // Uncached run (no caches is the default): every request re-serializes
+  // and really compresses.
   WorldSetup naive = small_setup(4);
-  naive.server_options.size_cache = nullptr;
-  naive.server_options.region_cache = nullptr;
-  naive.server_options.chunk_cache = nullptr;
   MultiSessionResult without = run_multi_fixed_session(naive, config);
 
   // Four clients fetching the same images from identical sent-states means
@@ -100,14 +101,49 @@ TEST(MultiClient, CachedMatchesUncachedByteForByte) {
   EXPECT_EQ(result_fingerprint(with_caches), result_fingerprint(without));
 }
 
+TEST(ServerCaches, OptionsHoldNoCacheByDefault) {
+  const VizServer::Options options{};
+  EXPECT_EQ(options.size_cache, nullptr);
+  EXPECT_EQ(options.region_cache, nullptr);
+  EXPECT_EQ(options.chunk_cache, nullptr);
+  const WorldSetup setup{};
+  EXPECT_EQ(setup.server_options.size_cache, nullptr);
+  EXPECT_EQ(setup.server_options.region_cache, nullptr);
+  EXPECT_EQ(setup.server_options.chunk_cache, nullptr);
+}
+
+TEST(ServerCaches, AttachedRunMatchesARunWithoutCaches) {
+  ConfigPoint config = cfg(160, 2, 3);
+  ServerCaches caches;
+  WorldSetup cached = small_setup(4);
+  caches.attach(cached);
+  EXPECT_EQ(cached.server_options.size_cache, &caches.size);
+  EXPECT_EQ(cached.server_options.region_cache, &caches.region);
+  EXPECT_EQ(cached.server_options.chunk_cache, &caches.chunk);
+  // The size layer has a store of its own; region and chunk share one.
+  EXPECT_NE(&caches.size.store(), &caches.store);
+  EXPECT_EQ(&caches.region.store(), &caches.store);
+  EXPECT_EQ(&caches.chunk.store(), &caches.store);
+
+  MultiSessionResult with_caches = run_multi_fixed_session(cached, config);
+  MultiSessionResult without =
+      run_multi_fixed_session(small_setup(4), config);
+  EXPECT_EQ(result_fingerprint(with_caches), result_fingerprint(without));
+  EXPECT_DOUBLE_EQ(with_caches.total_time, without.total_time);
+  // The bundle did the work: sizes measured through the chunk layer once
+  // per distinct payload, then served from the size layer.
+  EXPECT_GT(caches.region.hits(), 0u);
+  EXPECT_GT(caches.size.hits(), 0u);
+  EXPECT_EQ(caches.chunk.misses(), caches.size.misses());
+}
+
 TEST(MultiClient, InterleavedSessionsShareRegionEncodes) {
   // With premeasured replies disabled the server ships genuine compressed
   // bytes, exercising the chunk cache across interleaved sessions too.
   ConfigPoint config = cfg(160, 1, 3);
   RegionEncodeCache region_cache;
   CompressedChunkCache chunk_cache;
-  WorldSetup setup = small_setup(4);
-  setup.server_options.size_cache = nullptr;  // fidelity mode
+  WorldSetup setup = small_setup(4);  // no size cache: fidelity mode
   setup.server_options.region_cache = &region_cache;
   setup.server_options.chunk_cache = &chunk_cache;
 
@@ -133,14 +169,17 @@ TEST(MultiClient, AdaptiveMultiSessionIsDeterministic) {
   // Tiny profile: enough for the scheduler to pick configurations; the
   // paper-scale trends are covered by test_adaptation.cpp.  Four pyramid
   // levels so every configuration in the spec (l up to 4) is servable.
+  ServerCaches caches;
   WorldSetup profile_setup = small_setup(1);
   profile_setup.levels = 4;
-  static const perfdb::PerfDatabase db =
+  caches.attach(profile_setup);
+  const perfdb::PerfDatabase db =
       build_viz_database(profile_setup, {0.5, 1.0}, {250e3, 12.5e6});
   adapt::PreferenceList prefs = {adapt::minimize("transmit_time")};
 
   WorldSetup setup = small_setup(4);
   setup.levels = 4;
+  caches.attach(setup);
   MultiSessionResult first = run_multi_adaptive_session(setup, db, prefs);
   MultiSessionResult second = run_multi_adaptive_session(setup, db, prefs);
 

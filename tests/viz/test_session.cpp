@@ -121,15 +121,17 @@ TEST(VizSession, SizeCacheDoesNotChangeTiming) {
   // compressed and really decompressed; the simulated times must be
   // identical to the cached run (the cache is a pure CPU-time optimization
   // of the *experiment harness*, not of the simulated application).
+  ServerCaches caches;
   WorldSetup cached = small_setup();
+  caches.attach(cached);
   WorldSetup uncached = small_setup();
-  uncached.server_options.size_cache = nullptr;
   SessionResult a = run_fixed_session(cached, cfg(160, 2, 4));
   SessionResult b = run_fixed_session(uncached, cfg(160, 2, 4));
   ASSERT_EQ(a.images.size(), b.images.size());
   EXPECT_NEAR(a.images[0].transmit_time, b.images[0].transmit_time, 1e-9);
   EXPECT_EQ(a.images[0].wire_bytes, b.images[0].wire_bytes);
   EXPECT_EQ(a.images[0].rounds, b.images[0].rounds);
+  EXPECT_GT(caches.size.misses(), 0u);  // the cached run really premeasured
 }
 
 TEST(VizSession, BandwidthStepMidSessionSlowsLaterImages) {

@@ -39,9 +39,16 @@ WorldSetup pin_setup(int clients) {
 
 /// Small profile of the pin world: every configuration at two CPU shares
 /// and two bandwidths, enough for the schedules below to force adaptation.
+/// The sweep runs over caches of its own.  The fixed pins run without any
+/// (fidelity mode), the adaptive ones with a bundle; either traces
+/// identically.
 const perfdb::PerfDatabase& pin_db() {
-  static const perfdb::PerfDatabase db =
-      build_viz_database(pin_setup(1), {0.2, 1.0}, {25e3, 500e3});
+  static const perfdb::PerfDatabase db = [] {
+    ServerCaches caches;
+    WorldSetup setup = pin_setup(1);
+    caches.attach(setup);
+    return build_viz_database(setup, {0.2, 1.0}, {25e3, 500e3});
+  }();
   return db;
 }
 
@@ -81,8 +88,11 @@ TEST(SessionPins, MultiFixedSession) {
 }
 
 TEST(SessionPins, AdaptiveSessionUnderCpuAndLinkSteps) {
+  ServerCaches caches;
+  WorldSetup setup = pin_setup(1);
+  caches.attach(setup);
   SessionResult session = run_adaptive_session(
-      pin_setup(1), pin_db(), pin_preferences(), pin_schedule());
+      setup, pin_db(), pin_preferences(), pin_schedule());
   EXPECT_EQ(session.adaptations.size(), 1u);
   MultiSessionResult r = as_multi(std::move(session));
   EXPECT_EQ(result_fingerprint(r), 17098040421869986921ull);
@@ -91,13 +101,17 @@ TEST(SessionPins, AdaptiveSessionUnderCpuAndLinkSteps) {
 
 TEST(SessionPins, MultiAdaptiveSessionWithSharedDecisionCache) {
   AdaptiveOptions options;
-  options.decision_cache = std::make_shared<adapt::DecisionCache>();
+  options.scheduler.decision_cache = std::make_shared<adapt::DecisionCache>();
+  ServerCaches caches;
+  WorldSetup setup = pin_setup(4);
+  caches.attach(setup);
   MultiSessionResult r = run_multi_adaptive_session(
-      pin_setup(4), pin_db(), pin_preferences(), pin_schedule(), options);
+      setup, pin_db(), pin_preferences(), pin_schedule(), options);
   ASSERT_EQ(r.clients.size(), 4u);
   EXPECT_EQ(result_fingerprint(r), 1828252929619909022ull);
   EXPECT_EQ(adaptation_fingerprint(r), 9033978726131494211ull);
-  const adapt::DecisionCache::Stats stats = options.decision_cache->stats();
+  const adapt::DecisionCache::Stats stats =
+      options.scheduler.decision_cache->stats();
   EXPECT_EQ(stats.hits, 11u);
   EXPECT_EQ(stats.misses, 6u);
   EXPECT_EQ(stats.evictions, 0u);

@@ -1,164 +1,158 @@
-// Regression tests for CompressedSizeCache keying and bounding.
+// CompressedSizeCache, the size layer over the TileStore: the compressed
+// size of (codec, content) as an 8-byte store entry.
 //
 // The seed implementation mixed the codec id into a single integer key as
 // fingerprint * 0x100000001b3 + id, which collides whenever two payload
 // fingerprints differ by a multiple of the prime's modular inverse — the
-// cache then silently returns the wrong codec's size.  It also grew the
-// process-wide singleton without bound.
-#include "viz/server.hpp"
-
+// cache then silently returned the wrong codec's size.  The layer now folds
+// codec id, length and FNV-1a digest into a 128-bit key as separate fields.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
+
+#include "codec/codec.hpp"
+#include "util/blob.hpp"
+#include "util/hash.hpp"
+#include "viz/caches.hpp"
+#include "viz/tile_store.hpp"
+#include "wavelet/progressive.hpp"
 
 namespace avf::viz {
 namespace {
 
-using codec::Bytes;
 using codec::CodecId;
+
+util::Blob repetitive_payload() {
+  std::vector<std::uint8_t> bytes(4096);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>((i / 7) % 5);
+  }
+  return util::Blob(std::move(bytes));
+}
 
 TEST(SizeCache, DistinguishesCodecsForSamePayload) {
   CompressedSizeCache cache;
-  Bytes payload{1, 2, 3, 4, 5};
-  cache.store(CodecId::kNone, payload, 100);
-  cache.store(CodecId::kLzw, payload, 42);
-  cache.store(CodecId::kBwt, payload, 7);
-  EXPECT_EQ(cache.lookup(CodecId::kNone, payload), 100u);
-  EXPECT_EQ(cache.lookup(CodecId::kLzw, payload), 42u);
-  EXPECT_EQ(cache.lookup(CodecId::kBwt, payload), 7u);
+  const util::Blob payload = repetitive_payload();
+  for (CodecId id : {CodecId::kNone, CodecId::kLzw, CodecId::kBwt}) {
+    EXPECT_EQ(cache.compressed_size(id, payload, nullptr),
+              codec::codec_for(id).compress(payload).size());
+  }
+  // One entry per codec, and each codec keeps being served its own size.
+  EXPECT_EQ(cache.size(), 3u);
+  for (CodecId id : {CodecId::kNone, CodecId::kLzw, CodecId::kBwt}) {
+    EXPECT_EQ(cache.compressed_size(id, payload, nullptr),
+              codec::codec_for(id).compress(payload).size());
+  }
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 3u);
 }
 
 TEST(SizeCache, CrossCodecFingerprintCollisionResolved) {
-  // Construct the exact collision the seed keying suffered from: with
+  // The exact collision the seed keying suffered from: with
   //   old_key(f, id) = f * P + id,  P = 0x100000001b3 (odd, so invertible
   //   mod 2^64 with inverse Pinv = 0xce965057aff6957b),
   // the fingerprints f and f + Pinv collide across codec ids 1 and 0:
   //   (f + Pinv) * P + 0 == f * P + 1  (mod 2^64).
-  // Keyed on the (fingerprint, codec) pair, both entries must coexist.
   constexpr std::uint64_t kPrime = 0x100000001b3ULL;
   constexpr std::uint64_t kPrimeInverse = 0xce965057aff6957bULL;
   static_assert(kPrime * kPrimeInverse == 1ULL, "inverse mod 2^64");
 
   std::uint64_t f1 = 0xdeadbeefcafef00dULL;
   std::uint64_t f2 = f1 + kPrimeInverse;
-  // Demonstrate the old single-integer keys really were equal.
   ASSERT_EQ(f1 * kPrime + static_cast<std::uint64_t>(CodecId::kLzw),
             f2 * kPrime + static_cast<std::uint64_t>(CodecId::kNone));
+  EXPECT_NE(CompressedSizeCache::key(CodecId::kLzw, 64, f1),
+            CompressedSizeCache::key(CodecId::kNone, 64, f2));
 
+  // And the layer stores its entry under exactly that key.
   CompressedSizeCache cache;
-  cache.store(CodecId::kLzw, f1, 1111);
-  cache.store(CodecId::kNone, f2, 2222);
-  EXPECT_EQ(cache.lookup(CodecId::kLzw, f1), 1111u);
-  EXPECT_EQ(cache.lookup(CodecId::kNone, f2), 2222u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(SizeCache, BoundedWithFifoEviction) {
-  CompressedSizeCache cache(4);
-  for (std::uint64_t f = 0; f < 10; ++f) {
-    cache.store(CodecId::kLzw, f, static_cast<std::size_t>(f));
-    EXPECT_LE(cache.size(), 4u);
+  const util::Blob payload = repetitive_payload();
+  const std::size_t size = cache.compressed_size(CodecId::kLzw, payload,
+                                                 nullptr);
+  TileStore::BlobPtr entry = cache.store().find(
+      CompressedSizeCache::key(CodecId::kLzw, payload.size(),
+                               payload.fnv1a64(util::kFnv1aOffset)),
+      0);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_EQ(entry->size(), 8u);
+  std::uint64_t stored = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    stored |= std::uint64_t{entry->data()[i]} << (8 * i);
   }
-  EXPECT_EQ(cache.evictions(), 6u);
-  // Oldest entries evicted, newest retained.
-  EXPECT_FALSE(cache.lookup(CodecId::kLzw, std::uint64_t{0}).has_value());
-  EXPECT_EQ(cache.lookup(CodecId::kLzw, std::uint64_t{9}), 9u);
-}
-
-TEST(SizeCache, OverwriteDoesNotDuplicateQueueEntries) {
-  CompressedSizeCache cache(2);
-  for (int round = 0; round < 50; ++round) {
-    cache.store(CodecId::kLzw, std::uint64_t{1}, 10);
-    cache.store(CodecId::kLzw, std::uint64_t{2}, 20);
-  }
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_EQ(cache.lookup(CodecId::kLzw, std::uint64_t{1}), 10u);
-  EXPECT_EQ(cache.lookup(CodecId::kLzw, std::uint64_t{2}), 20u);
+  EXPECT_EQ(stored, size);
 }
 
 TEST(SizeCache, CountsHitsAndMisses) {
   CompressedSizeCache cache;
-  Bytes payload{9, 9, 9};
-  EXPECT_FALSE(cache.lookup(CodecId::kLzw, payload).has_value());
-  cache.store(CodecId::kLzw, payload, 3);
-  EXPECT_TRUE(cache.lookup(CodecId::kLzw, payload).has_value());
+  const util::Blob payload = repetitive_payload();
+  const util::Blob same_bytes(payload.bytes());  // a second Blob, one key
+  const std::size_t first = cache.compressed_size(CodecId::kLzw, payload,
+                                                  nullptr);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.compressed_size(CodecId::kLzw, same_bytes, nullptr), first);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-TEST(SizeCache, ProductionSizeIsSharded) {
-  CompressedSizeCache cache;  // default 1<<16 entries
-  EXPECT_EQ(cache.shard_count(), 16u);
-  // Counters and size() aggregate across shards.
-  for (std::uint64_t fp = 0; fp < 64; ++fp) {
-    std::uint64_t spread = fp << 58;  // hit different shards via high bits
-    cache.store(codec::CodecId::kLzw, spread, 100 + fp);
+TEST(SizeCache, PrivateStoreHoldsABoundedEntryCount) {
+  // Each size entry is an 8-byte payload in a ~2 KiB Blob, so a private
+  // store is bounded in entries, not in the payload bytes of a region store.
+  CompressedSizeCache cache;
+  for (std::uint32_t i = 0; i <= CompressedSizeCache::kMaxPrivateEntries;
+       ++i) {
+    const util::Blob payload(std::vector<std::uint8_t>{
+        static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i >> 8)});
+    (void)cache.compressed_size(CodecId::kNone, payload, nullptr);
   }
-  EXPECT_EQ(cache.size(), 64u);
-  for (std::uint64_t fp = 0; fp < 64; ++fp) {
-    auto got = cache.lookup(codec::CodecId::kLzw, fp << 58);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, 100 + fp);
-  }
-  EXPECT_EQ(cache.hits(), 64u);
-  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.size(), CompressedSizeCache::kMaxPrivateEntries);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.misses(), CompressedSizeCache::kMaxPrivateEntries + 1);
 }
 
-TEST(SizeCache, SmallCacheCollapsesToOneShard) {
-  // Tight bounds keep the exact single-FIFO semantics the eviction tests
-  // above pin down.
-  CompressedSizeCache cache(8);
-  EXPECT_EQ(cache.shard_count(), 1u);
+TEST(SizeCache, MissCompressesThroughTheChunkLayer) {
+  CompressedSizeCache sizes;
+  CompressedChunkCache chunks;
+  const util::Blob payload = repetitive_payload();
+  const std::size_t size =
+      sizes.compressed_size(CodecId::kBwt, payload, &chunks);
+  EXPECT_EQ(chunks.misses(), 1u);
+  EXPECT_EQ(chunks.compress(CodecId::kBwt, payload)->size(), size);
+  // A size hit does no codec work at all.
+  EXPECT_EQ(sizes.compressed_size(CodecId::kBwt, payload, &chunks), size);
+  EXPECT_EQ(chunks.hits(), 1u);
+  EXPECT_EQ(chunks.misses(), 1u);
 }
 
-TEST(SizeCache, ShardThresholdBoundaryAt256Entries) {
-  // The split happens at exactly kMaxShards^2 = 256 entries: 255 stays a
-  // single exact FIFO, 256 shards 16 ways with a per-shard bound of 16.
-  CompressedSizeCache below(255);
-  EXPECT_EQ(below.shard_count(), 1u);
-  CompressedSizeCache at(256);
-  EXPECT_EQ(at.shard_count(), 16u);
+TEST(SizeCache, SharedStoreNeverServesARegionEntryAsASize) {
+  // Size and region layers in one store, fed the same bytes: distinct
+  // domain seeds keep every lookup on its own layer's entries.
+  TileStore store;
+  CompressedSizeCache sizes(store);
+  RegionEncodeCache regions(store);
+  auto pyramid = std::make_shared<const wavelet::Pyramid>(
+      wavelet::Image::synthetic(64, 64, 5), 2);
+  const util::Hash128 content = wavelet::pyramid_content_hash(*pyramid);
+  wavelet::ProgressiveEncoder encoder(*pyramid, 8);
+  std::vector<wavelet::TileRef> tiles =
+      encoder.take_region_tiles({32, 32, 16}, 2);
+  ASSERT_FALSE(tiles.empty());
 
-  // Below the boundary: global FIFO, exact capacity 255.  Entry 0 is the
-  // first victim no matter which shard its fingerprint would map to.
-  for (std::uint64_t fp = 0; fp < 255; ++fp) {
-    below.store(CodecId::kLzw, fp << 40, static_cast<std::size_t>(fp));
-  }
-  EXPECT_EQ(below.size(), 255u);
-  EXPECT_EQ(below.evictions(), 0u);
-  below.store(CodecId::kLzw, std::uint64_t{255} << 40, 255);
-  EXPECT_EQ(below.size(), 255u);
-  EXPECT_EQ(below.evictions(), 1u);
-  EXPECT_FALSE(below.lookup(CodecId::kLzw, std::uint64_t{0}).has_value());
-
-  // At the boundary: the bound is per shard (256 / 16 = 16).  Seventeen
-  // keys that all select shard 0 (high bits zero) evict within that shard
-  // even though the cache as a whole is nearly empty.
-  for (std::uint64_t fp = 1; fp <= 16; ++fp) {
-    at.store(CodecId::kLzw, fp, static_cast<std::size_t>(fp));
-  }
-  EXPECT_EQ(at.size(), 16u);
-  EXPECT_EQ(at.evictions(), 0u);
-  at.store(CodecId::kLzw, std::uint64_t{17}, 17);
-  EXPECT_EQ(at.size(), 16u);
-  EXPECT_EQ(at.evictions(), 1u);
-  EXPECT_FALSE(at.lookup(CodecId::kLzw, std::uint64_t{1}).has_value());
-  EXPECT_EQ(at.lookup(CodecId::kLzw, std::uint64_t{17}), 17u);
-}
-
-TEST(SizeCache, ShardedAggregateBoundHolds) {
-  CompressedSizeCache cache(256);  // 16 shards x 16 entries
-  EXPECT_EQ(cache.shard_count(), 16u);
-  for (std::uint64_t fp = 0; fp < 1024; ++fp) {
-    // Mix the low bits into the shard-selecting high bits so every shard
-    // sees traffic.
-    std::uint64_t key = fp | (fp << 55);
-    cache.store(codec::CodecId::kLzw, key, fp);
-  }
-  EXPECT_LE(cache.size(), 256u);
-  EXPECT_GT(cache.evictions(), 0u);
-  EXPECT_EQ(cache.size() + cache.evictions(), 1024u);
+  std::shared_ptr<const util::Blob> region =
+      regions.encode(content, encoder, tiles);
+  const std::size_t size =
+      sizes.compressed_size(CodecId::kLzw, *region, nullptr);
+  EXPECT_EQ(size, codec::codec_for(CodecId::kLzw).compress(*region).size());
+  EXPECT_EQ(sizes.misses(), 1u);
+  EXPECT_EQ(sizes.hits(), 0u);
+  EXPECT_EQ(store.unique_entries(), 2u);
+  // Each layer hits only its own entry.
+  EXPECT_EQ(regions.encode(content, encoder, tiles).get(), region.get());
+  EXPECT_EQ(sizes.compressed_size(CodecId::kLzw, *region, nullptr), size);
+  EXPECT_EQ(regions.hits(), 1u);
+  EXPECT_EQ(sizes.hits(), 1u);
+  EXPECT_EQ(store.unique_entries(), 2u);
 }
 
 }  // namespace

@@ -235,17 +235,6 @@ TEST(TileStore, ShardingThresholdMatchesBudget) {
   EXPECT_EQ(TileStore(small).shard_count(), 1u);
 }
 
-TEST(TileStore, ClearResetsEverything) {
-  TileStore store;
-  (void)store.get_or_build(key_of(1), 0, [] { return payload_of(10, 1); });
-  (void)store.get_or_build(key_of(1), 0, [] { return payload_of(10, 1); });
-  store.clear();
-  EXPECT_EQ(store.unique_entries(), 0u);
-  EXPECT_EQ(store.bytes_resident(), 0u);
-  EXPECT_EQ(store.hits(), 0u);
-  EXPECT_EQ(store.misses(), 0u);
-}
-
 // -- replies in flight pin the store's entry ------------------------------
 
 /// A one-client world whose region payloads live in `regions`' store; the

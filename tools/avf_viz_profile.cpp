@@ -58,6 +58,8 @@ int main(int argc, char** argv) {
   constexpr double kPositive = std::numeric_limits<double>::denorm_min();
   viz::WorldSetup setup;
   setup.image_size = 512;
+  viz::ServerCaches caches;  // shared by every world of the sweep
+  caches.attach(setup);
   std::vector<double> cpu_grid{0.1, 0.4, 0.7, 1.0};
   std::vector<double> bw_grid{25e3, 50e3, 250e3, 500e3};
   int refine = 0;
