@@ -1,45 +1,19 @@
 #include "adapt/decision_cache.hpp"
 
 #include <bit>
-#include <cmath>
 
 #include "util/hash.hpp"
 
 namespace avf::adapt {
 
-namespace {
-
-using util::fnv1a64;
-
-constexpr int kQuantBits = 20;  // ~1e-6 relative buckets
-
-/// Bucket of one coordinate at ~2^-20 relative precision.
-std::uint64_t quantize(double x) {
-  if (!std::isfinite(x)) return std::bit_cast<std::uint64_t>(x);
-  if (x == 0.0) return 0;
-  int exp = 0;
-  double mantissa = std::frexp(x, &exp);  // |mantissa| in [0.5, 1)
-  auto q = static_cast<std::int64_t>(
-      std::llround(mantissa * static_cast<double>(1 << kQuantBits)));
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(exp)) << 32) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(q));
-}
-
-}  // namespace
-
 std::uint64_t DecisionCache::hash_query(const Query& q) {
-  std::uint64_t h = fnv1a64(&q.db_uid, sizeof(q.db_uid));
-  h = fnv1a64(&q.selector_fingerprint, sizeof(q.selector_fingerprint), h);
-  unsigned char inc = q.has_incumbent ? 1 : 0;
-  h = fnv1a64(&inc, sizeof(inc), h);
-  h = fnv1a64(q.incumbent_key.data(), q.incumbent_key.size(), h);
-  // Quantized coordinates bucket the hash; exactness comes from the raw-bit
-  // verification in keys_match.
-  for (double x : *q.resources) {
-    std::uint64_t qx = quantize(x);
-    h = fnv1a64(&qx, sizeof(qx), h);
-  }
-  return h;
+  // The raw coordinate bits are hashed: they are what keys_match verifies,
+  // so two points share a slot only by a true 64-bit hash collision.
+  util::Fnv1aFold h;
+  h.u64(q.db_uid).u64(q.selector_fingerprint).u64(q.has_incumbent ? 1 : 0);
+  h.bytes(q.incumbent_key.data(), q.incumbent_key.size());
+  for (double x : *q.resources) h.f64(x);
+  return h.h;
 }
 
 bool DecisionCache::keys_match(const Entry& e, const Query& q) {

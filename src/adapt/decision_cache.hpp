@@ -9,11 +9,9 @@
 // the candidate set, every other session reuses the Decision.
 //
 // Correctness model — a hit is *exact*, never approximate:
-//   - Entries are bucketed by the quantized resource point (each
-//     coordinate rounded to ~2^-20 relative precision) purely as a
-//     hash key; on hit the entry verifies the raw IEEE-754 bit patterns of
-//     the query point, so a decision computed at a different raw point in
-//     the same bucket is a miss, not a stale answer.
+//   - Entries are keyed by a 64-bit hash of the whole query, resource
+//     coordinates as raw IEEE-754 bits; on hit the entry verifies those
+//     bits, so a hash collision is a miss, not a stale answer.
 //   - The key includes the database's process-unique uid and the attached
 //     scheduler's selector fingerprint (preferences + options), so
 //     schedulers with different specs or hysteresis never share entries.
@@ -117,7 +115,7 @@ class DecisionCache {
     bool has_incumbent = false;
     std::string incumbent_key;
     /// Raw IEEE-754 bits of the resource point the decision was computed
-    /// at — verified on hit so bucket aliasing can never serve a decision
+    /// at — verified on hit so a hash collision can never serve a decision
     /// for a different raw point.
     std::vector<std::uint64_t> raw_bits;
     std::optional<Decision> decision;

@@ -1,18 +1,11 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "util/fmt.hpp"
 
 namespace avf::sim {
-
-namespace {
-/// Smallest far-tier chunk a migration splits off.  Keeps tiny workloads in
-/// pure-heap behavior while letting big waves amortize the selection scan.
-constexpr std::size_t kMinMigration = 64;
-}  // namespace
 
 namespace detail {
 void report_detached_exception(Simulator& sim, std::exception_ptr e) {
@@ -43,46 +36,68 @@ Simulator::~Simulator() {
 }
 
 void EventHandle::cancel() {
+  // The lock keeps the record alive until the heap has let go of it; its
+  // callback, with the state it captures, dies when this returns.
   auto rec = rec_.lock();
-  if (!rec || rec->cancelled || rec->fired) return;
-  rec->cancelled = true;
-  rec->fn = nullptr;  // release captured state eagerly
-  if (rec->sim != nullptr) rec->sim->on_cancelled(*rec);
+  if (rec != nullptr && rec->heap_index >= 0) rec->sim->remove(*rec);
 }
 
 bool EventHandle::pending() const {
   auto rec = rec_.lock();
-  return rec != nullptr && !rec->cancelled && !rec->fired;
+  return rec != nullptr && rec->heap_index >= 0;
 }
 
-void Simulator::on_cancelled(EventHandle::Record& rec) {
-  if (rec.far_index >= 0) {
-    remove_far(rec);
-    return;
+void Simulator::remove(EventHandle::Record& rec) {
+  remove_at(static_cast<std::size_t>(rec.heap_index));
+}
+
+void Simulator::place(std::size_t i, Entry&& entry) {
+  entry.rec->heap_index = static_cast<std::int64_t>(i);
+  heap_[i] = std::move(entry);
+}
+
+void Simulator::sift_up(std::size_t i) {
+  Entry moving = std::move(heap_[i]);
+  while (i > 0) {
+    std::size_t parent = (i - 1) / 2;
+    if (!moving.fires_before(heap_[parent])) break;
+    place(i, std::move(heap_[parent]));
+    i = parent;
   }
-  // In the near heap: leave a tombstone, reclaim in bulk when they
-  // outnumber live entries.
-  ++near_cancelled_;
-  maybe_compact_near();
+  place(i, std::move(moving));
 }
 
-void Simulator::remove_far(EventHandle::Record& rec) {
-  std::size_t i = static_cast<std::size_t>(rec.far_index);
-  rec.far_index = -1;
-  if (i + 1 != far_.size()) {
-    far_[i] = std::move(far_.back());
-    far_[i]->far_index = static_cast<std::int64_t>(i);
+void Simulator::sift_down(std::size_t i) {
+  Entry moving = std::move(heap_[i]);
+  std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1].fires_before(heap_[child])) ++child;
+    if (!heap_[child].fires_before(moving)) break;
+    place(i, std::move(heap_[child]));
+    i = child;
   }
-  far_.pop_back();
-  ++far_removals_;
+  place(i, std::move(moving));
 }
 
-void Simulator::maybe_compact_near() {
-  if (near_cancelled_ * 2 <= near_.size()) return;
-  std::erase_if(near_, [](const NearEntry& e) { return e.rec->cancelled; });
-  std::make_heap(near_.begin(), near_.end(), FiresAfter{});
-  near_cancelled_ = 0;
-  ++compactions_;
+Simulator::Entry Simulator::remove_at(std::size_t i) {
+  Entry out = std::move(heap_[i]);
+  out.rec->heap_index = -1;
+  Entry last = std::move(heap_.back());
+  heap_.pop_back();
+  if (i < heap_.size()) {
+    // The last entry fills the hole and moves whichever way restores the
+    // order: up if it fires before the hole's parent, else down.
+    bool up = i > 0 && last.fires_before(heap_[(i - 1) / 2]);
+    place(i, std::move(last));
+    if (up) {
+      sift_up(i);
+    } else {
+      sift_down(i);
+    }
+  }
+  return out;
 }
 
 EventHandle Simulator::schedule(SimTime delay, std::function<void()> fn) {
@@ -100,71 +115,12 @@ EventHandle Simulator::schedule_at(SimTime when, std::function<void()> fn) {
   }
   auto rec = std::make_shared<EventHandle::Record>();
   rec->fn = std::move(fn);
-  rec->time = when;
-  rec->seq = next_seq_++;
   rec->sim = this;
   if (when > max_event_time_) max_event_time_ = when;
-  // New events carry a larger seq than any horizon pivot, so the key
-  // comparison against the horizon reduces to the time alone.
-  if (!far_is_everything_ && when < horizon_time_) {
-    near_.push_back(NearEntry{when, rec->seq, rec});
-    std::push_heap(near_.begin(), near_.end(), FiresAfter{});
-  } else {
-    rec->far_index = static_cast<std::int64_t>(far_.size());
-    far_.push_back(rec);
-  }
-  return EventHandle(rec);
-}
-
-void Simulator::prune_near_top() {
-  while (!near_.empty() && near_.front().rec->cancelled) {
-    std::pop_heap(near_.begin(), near_.end(), FiresAfter{});
-    near_.pop_back();
-    --near_cancelled_;
-  }
-}
-
-bool Simulator::ensure_next_live() {
-  for (;;) {
-    prune_near_top();
-    if (!near_.empty()) return true;
-    if (far_.empty()) return false;
-    migrate_from_far();  // far entries are never tombstones
-  }
-}
-
-void Simulator::migrate_from_far() {
-  auto key_less = [](const std::shared_ptr<EventHandle::Record>& a,
-                     const std::shared_ptr<EventHandle::Record>& b) {
-    if (a->time != b->time) return a->time < b->time;
-    return a->seq < b->seq;
-  };
-  std::size_t k =
-      std::min(far_.size(), std::max(kMinMigration, far_.size() / 4));
-  if (k < far_.size()) {
-    std::nth_element(far_.begin(),
-                     far_.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                     far_.end(), key_less);
-    horizon_time_ = far_[k - 1]->time;
-    horizon_seq_ = far_[k - 1]->seq;
-  } else {
-    auto max_it = std::max_element(far_.begin(), far_.end(), key_less);
-    horizon_time_ = (*max_it)->time;
-    horizon_seq_ = (*max_it)->seq;
-  }
-  far_is_everything_ = false;
-  near_.reserve(near_.size() + k);
-  for (std::size_t i = 0; i < k; ++i) {
-    far_[i]->far_index = -1;
-    SimTime t = far_[i]->time;
-    std::uint64_t s = far_[i]->seq;
-    near_.push_back(NearEntry{t, s, std::move(far_[i])});
-  }
-  far_.erase(far_.begin(), far_.begin() + static_cast<std::ptrdiff_t>(k));
-  for (std::size_t i = 0; i < far_.size(); ++i) {
-    far_[i]->far_index = static_cast<std::int64_t>(i);
-  }
-  std::make_heap(near_.begin(), near_.end(), FiresAfter{});
+  EventHandle handle(rec);
+  heap_.push_back(Entry{when, next_seq_++, std::move(rec)});
+  sift_up(heap_.size() - 1);
+  return handle;
 }
 
 void Simulator::spawn(Task<> task) {
@@ -178,16 +134,13 @@ void Simulator::record_exception(std::exception_ptr e) {
 }
 
 void Simulator::fire_next() {
-  std::pop_heap(near_.begin(), near_.end(), FiresAfter{});
-  NearEntry entry = std::move(near_.back());
-  near_.pop_back();
+  // The entry taken out holds the only strong reference to the record:
+  // cancel() during the callback is a no-op, and the callback's captured
+  // state dies with this scope.
+  Entry entry = remove_at(0);
   now_ = entry.time;
   ++events_processed_;
-  entry.rec->fired = true;  // cancel() during the callback is a no-op
-  // Move the callback out so state captured by it dies with this scope even
-  // if the record lingers in an EventHandle.
-  std::function<void()> fn = std::move(entry.rec->fn);
-  fn();
+  entry.rec->fn();
 }
 
 void Simulator::rethrow_if_failed() {
@@ -199,21 +152,20 @@ void Simulator::rethrow_if_failed() {
 }
 
 bool Simulator::step() {
-  if (!ensure_next_live()) return false;
+  if (heap_.empty()) return false;
   fire_next();
   rethrow_if_failed();
   return true;
 }
 
 void Simulator::run() {
-  while (ensure_next_live()) {
+  while (!heap_.empty()) {
     fire_next();
     rethrow_if_failed();
   }
-  // The old single-queue implementation popped every cancelled entry in
-  // time order, so a drained run left now() at the largest time ever
-  // scheduled — tombstones included.  Real removal skips those pops;
-  // restore the identical final clock explicitly.
+  // The seed queue popped every cancelled entry in time order, so a
+  // drained run left now() at the largest time ever scheduled, cancelled
+  // events included.  Removal skips those pops; keep that final clock.
   if (max_event_time_ > now_) now_ = max_event_time_;
 }
 
@@ -222,7 +174,7 @@ void Simulator::run_until(SimTime t) {
     throw std::invalid_argument(
         avf::util::format("run_until into the past: {} < now {}", t, now_));
   }
-  while (ensure_next_live() && near_.front().time <= t) {
+  while (!heap_.empty() && heap_.front().time <= t) {
     fire_next();
     rethrow_if_failed();
   }

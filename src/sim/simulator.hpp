@@ -6,17 +6,14 @@
 // event loop, never reentrantly, so process code observes plain sequential
 // semantics at each timestamp.
 //
-// The event queue is a two-tier ladder: a binary min-heap over the events
-// nearest in (time, seq) order and an unsorted "far" tier for everything
-// beyond the current horizon.  Scheduling into the far tier is O(1); when
-// the near heap drains, the next chunk of the far tier is split off with a
-// selection pass and heapified.  Cancellation is *real* removal: a far
-// event is swap-removed immediately, and a near event leaves a tombstone
-// that a compaction pass reclaims once tombstones outnumber live entries —
-// so the heavy cancel/reschedule traffic fluid resources generate can no
-// longer grow the queue without bound (the previous single priority_queue
-// kept every tombstone until its timestamp drained).  The (time, seq) fire
-// order is exactly the total order the old queue produced.
+// The event queue is one binary min-heap on (time, seq) whose records know
+// their heap slot, so cancellation is *real* removal in O(log n): the
+// cancelled entry swaps with the last one, which then sifts up or down.
+// The seed's single priority_queue cancelled by tombstone instead and kept
+// every dead entry until its timestamp drained, so the heavy
+// cancel/reschedule traffic of fluid resources grew the queue without
+// bound.  (time, seq) is a strict total order, so the fire order is exactly
+// the one that queue produced.
 #pragma once
 
 #include <coroutine>
@@ -44,13 +41,8 @@ class EventHandle {
 
   struct Record {
     std::function<void()> fn;
-    SimTime time = 0.0;
-    std::uint64_t seq = 0;
-    bool cancelled = false;
-    bool fired = false;
-    /// Position in the owning simulator's far tier; -1 while in the near
-    /// heap (or already popped).  Lets cancel() remove far events in O(1).
-    std::int64_t far_index = -1;
+    /// Slot in the owning simulator's heap; -1 once fired or cancelled.
+    std::int64_t heap_index = -1;
     Simulator* sim = nullptr;
   };
 
@@ -117,18 +109,13 @@ class Simulator {
   /// Number of events processed so far (for micro-benchmarks/tests).
   std::uint64_t events_processed() const { return events_processed_; }
 
-  /// Live (not cancelled) events currently queued.
-  std::size_t queued_events() const {
-    return near_.size() - near_cancelled_ + far_.size();
-  }
-  /// Physical queue entries, tombstones included.  Bounded relative to
-  /// queued_events() by the compaction rule: at most half of the near heap
-  /// is ever tombstones.
-  std::size_t queue_entries() const { return near_.size() + far_.size(); }
-  /// Near-heap tombstone reclamation passes run so far.
-  std::uint64_t compactions() const { return compactions_; }
-  /// Far-tier cancellations removed in O(1) without leaving a tombstone.
-  std::uint64_t far_removals() const { return far_removals_; }
+  /// Live (not cancelled, not fired) events currently queued.
+  std::size_t queued_events() const { return heap_.size(); }
+  /// Always 0: the heap removes a cancelled event at once, with no
+  /// tombstones to compact and no far tier.  Kept because avf_bench
+  /// reports both counts.
+  std::uint64_t compactions() const { return 0; }
+  std::uint64_t far_removals() const { return 0; }
 
   /// Allocate a fresh consumer identity for resource accounting.
   OwnerId new_owner_id() { return ++last_owner_id_; }
@@ -138,36 +125,28 @@ class Simulator {
   // Internal: a detached frame completed and is about to self-destroy.
   void detached_done(void* frame) noexcept { detached_.erase(frame); }
   // Internal: EventHandle::cancel() routes here for real removal.
-  void on_cancelled(EventHandle::Record& rec);
+  void remove(EventHandle::Record& rec);
 
  private:
-  struct NearEntry {
+  struct Entry {
     SimTime time;
     std::uint64_t seq;
     std::shared_ptr<EventHandle::Record> rec;
-  };
-  /// Min-heap comparator: true when `a` fires after `b`.
-  struct FiresAfter {
-    bool operator()(const NearEntry& a, const NearEntry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+
+    bool fires_before(const Entry& other) const {
+      if (time != other.time) return time < other.time;
+      return seq < other.seq;
     }
   };
 
-  /// Pop cancelled entries off the near-heap top.
-  void prune_near_top();
-  /// Make the next live event the near-heap top; false when drained.
-  bool ensure_next_live();
-  /// Split the nearest chunk of the far tier into the (empty) near heap
-  /// and advance the horizon to the largest migrated key.
-  void migrate_from_far();
-  /// Swap-remove a cancelled record from the far tier.
-  void remove_far(EventHandle::Record& rec);
-  /// Rebuild the near heap without tombstones once they outnumber live
-  /// entries (the >1/2 compaction rule).
-  void maybe_compact_near();
+  /// Move `entry` into slot `i` and record the slot in its record.
+  void place(std::size_t i, Entry&& entry);
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  /// Take slot `i` out of the heap and restore the heap order.
+  Entry remove_at(std::size_t i);
 
-  /// Fire the next event; the caller has checked ensure_next_live().
+  /// Fire the earliest event; the caller has checked the heap is not empty.
   void fire_next();
   void rethrow_if_failed();
 
@@ -176,22 +155,12 @@ class Simulator {
   std::uint64_t events_processed_ = 0;
   OwnerId last_owner_id_ = kNoOwner;
 
-  std::vector<NearEntry> near_;  // binary heap under FiresAfter
-  std::size_t near_cancelled_ = 0;
-  std::vector<std::shared_ptr<EventHandle::Record>> far_;
-  /// Events with key <= (horizon_time_, horizon_seq_) go near; the far
-  /// tier holds strictly greater keys only.
-  SimTime horizon_time_ = -1.0;  // before any valid time; see schedule_at
-  std::uint64_t horizon_seq_ = 0;
-  bool far_is_everything_ = true;  // no horizon picked yet
+  std::vector<Entry> heap_;  // binary min-heap on (time, seq)
 
   /// Largest time ever scheduled.  run() leaves now() here once drained —
-  /// the same final clock the old queue produced by popping every
-  /// tombstone in time order.
+  /// the final clock of the seed queue, which popped every cancelled
+  /// entry in time order.
   SimTime max_event_time_ = 0.0;
-
-  std::uint64_t compactions_ = 0;
-  std::uint64_t far_removals_ = 0;
 
   std::exception_ptr pending_exception_;
   // Live spawned frames (see ~Simulator), each tagged with its spawn

@@ -38,17 +38,15 @@
 //    mismatch is counted, the entry replaced, and the *rebuilt* (correct)
 //    payload returned, so even a collision cannot corrupt a trace.
 //  - Determinism: hashing is seeded and wall-clock-free; the store holds
-//    unordered maps for lookup only (never iterated — the CLOCK ring is an
+//    an unordered map for lookup only (never iterated — the CLOCK ring is an
 //    ordered vector), so no host-side state leaks into traces.
 //
-// Storage shards kMaxShards ways by key high bits once the byte budget is
-// large enough that each shard stays useful (>= kMinShardBudget each), so
-// many serve loops and parallel profiling sweeps do not serialize on one
-// mutex.  Small budgets (tests) collapse to one shard with exact CLOCK
-// semantics.
+// One util::Mutex guards the whole store: its map, its CLOCK ring and its
+// counters.  Builders run outside the lock, so the codec never serializes
+// callers; the lock covers a map probe, counter bumps and, on insert, the
+// eviction sweep.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -72,8 +70,6 @@ class TileStore {
   using BlobPtr = std::shared_ptr<const util::Blob>;
 
   static constexpr std::size_t kDefaultByteBudget = 64ull << 20;
-  static constexpr std::size_t kMaxShards = 16;
-  static constexpr std::size_t kMinShardBudget = 1ull << 20;
 
   struct Options {
     /// Resident payload-byte bound (0 = store nothing: build pass-through).
@@ -112,36 +108,37 @@ class TileStore {
   }
 
   /// Lookup half of get_or_build (counts a hit or a miss).
-  BlobPtr find(const Key& key, std::uint64_t origin_tag);
+  BlobPtr find(const Key& key, std::uint64_t origin_tag) AVF_EXCLUDES(mutex_);
   /// Insert half: stores `payload` (unless an entry raced in first, which
   /// wins) and evicts down to the byte budget.  Returns the stored pin.
-  BlobPtr insert(const Key& key, std::uint64_t origin_tag, Payload&& payload);
+  BlobPtr insert(const Key& key, std::uint64_t origin_tag, Payload&& payload)
+      AVF_EXCLUDES(mutex_);
 
-  // -- memory + dedup counters (aggregated across shards; each shard's
-  //    contribution is snapshotted under its own lock) -------------------
-  std::size_t bytes_resident() const;   ///< payload bytes currently stored
-  std::size_t unique_entries() const;   ///< distinct content entries
+  // -- memory + dedup counters ------------------------------------------
+  /// Payload bytes currently stored.
+  std::size_t bytes_resident() const AVF_EXCLUDES(mutex_);
+  /// Distinct content entries.
+  std::size_t unique_entries() const AVF_EXCLUDES(mutex_);
   /// Entries some holder besides the store still pins: a caller of
   /// find/get_or_build, or a reply in flight whose message body is the
   /// entry's Blob (until the client has decoded it).
-  std::size_t pinned_entries() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t evictions() const;
-  std::uint64_t bytes_deduped() const;  ///< cumulative hit payload bytes
-  std::uint64_t bytes_evicted() const;
-  std::uint64_t cross_origin_hits() const;
-  std::uint64_t collisions() const;
+  std::size_t pinned_entries() const AVF_EXCLUDES(mutex_);
+  std::uint64_t hits() const AVF_EXCLUDES(mutex_);
+  std::uint64_t misses() const AVF_EXCLUDES(mutex_);
+  std::uint64_t evictions() const AVF_EXCLUDES(mutex_);
+  /// Cumulative hit payload bytes.
+  std::uint64_t bytes_deduped() const AVF_EXCLUDES(mutex_);
+  std::uint64_t bytes_evicted() const AVF_EXCLUDES(mutex_);
+  std::uint64_t cross_origin_hits() const AVF_EXCLUDES(mutex_);
+  std::uint64_t collisions() const AVF_EXCLUDES(mutex_);
 
   std::size_t byte_budget() const { return options_.byte_budget; }
   bool verify_on_hit() const { return options_.verify_on_hit; }
-  std::size_t shard_count() const { return shard_count_; }
 
  private:
   struct Entry {
     BlobPtr payload;
     std::uint64_t origin_tag = 0;
-    std::size_t ring_slot = 0;
     bool referenced = true;  // CLOCK second-chance bit, set on hit
   };
   struct KeyHasher {
@@ -149,54 +146,29 @@ class TileStore {
       return static_cast<std::size_t>(k.lo);  // already avalanche-mixed
     }
   };
-  struct ShardCounters {
-    std::size_t bytes = 0;
-    std::size_t entries = 0;
-    std::size_t pinned = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t bytes_deduped = 0;
-    std::uint64_t bytes_evicted = 0;
-    std::uint64_t cross_origin_hits = 0;
-    std::uint64_t collisions = 0;
-  };
-  struct Shard {
-    mutable util::Mutex mutex;
-    std::unordered_map<Key, Entry, KeyHasher> entries AVF_GUARDED_BY(mutex);
-    /// CLOCK ring: insertion-ordered keys, swap-removed on eviction.  The
-    /// only structure ever iterated (ordered vector — the unordered map is
-    /// lookup-only, per src.unordered-iteration).
-    std::vector<Key> ring AVF_GUARDED_BY(mutex);
-    std::size_t hand AVF_GUARDED_BY(mutex) = 0;
-    std::size_t bytes AVF_GUARDED_BY(mutex) = 0;
-    std::uint64_t hits AVF_GUARDED_BY(mutex) = 0;
-    std::uint64_t misses AVF_GUARDED_BY(mutex) = 0;
-    std::uint64_t evictions AVF_GUARDED_BY(mutex) = 0;
-    std::uint64_t bytes_deduped AVF_GUARDED_BY(mutex) = 0;
-    std::uint64_t bytes_evicted AVF_GUARDED_BY(mutex) = 0;
-    std::uint64_t cross_origin_hits AVF_GUARDED_BY(mutex) = 0;
-    std::uint64_t collisions AVF_GUARDED_BY(mutex) = 0;
-
-    void evict_to_budget(std::size_t budget) AVF_REQUIRES(mutex);
-    ShardCounters counters() const AVF_EXCLUDES(mutex);
-  };
 
   /// Installs a *fresh* Blob for the rebuilt bytes, so no memoized hash
   /// of the replaced entry carries over.
   BlobPtr replace_after_collision(const Key& key, std::uint64_t tag,
-                                  Payload&& rebuilt);
-
-  Shard& shard_for(const Key& key) const {
-    // High bits pick the shard; the map hash uses the (mixed) low word, so
-    // shard choice and bucket choice stay decorrelated.
-    return shards_[(key.hi >> 59) % shard_count_];
-  }
+                                  Payload&& rebuilt) AVF_EXCLUDES(mutex_);
+  void evict_to_budget() AVF_REQUIRES(mutex_);
 
   Options options_;
-  std::size_t shard_count_;
-  std::size_t shard_budget_;
-  mutable std::array<Shard, kMaxShards> shards_;
+  mutable util::Mutex mutex_;
+  std::unordered_map<Key, Entry, KeyHasher> entries_ AVF_GUARDED_BY(mutex_);
+  /// CLOCK ring: insertion-ordered keys, swap-removed on eviction.  The
+  /// only structure ever iterated (ordered vector — the unordered map is
+  /// lookup-only, per src.unordered-iteration).
+  std::vector<Key> ring_ AVF_GUARDED_BY(mutex_);
+  std::size_t hand_ AVF_GUARDED_BY(mutex_) = 0;
+  std::size_t bytes_ AVF_GUARDED_BY(mutex_) = 0;
+  std::uint64_t hits_ AVF_GUARDED_BY(mutex_) = 0;
+  std::uint64_t misses_ AVF_GUARDED_BY(mutex_) = 0;
+  std::uint64_t evictions_ AVF_GUARDED_BY(mutex_) = 0;
+  std::uint64_t bytes_deduped_ AVF_GUARDED_BY(mutex_) = 0;
+  std::uint64_t bytes_evicted_ AVF_GUARDED_BY(mutex_) = 0;
+  std::uint64_t cross_origin_hits_ AVF_GUARDED_BY(mutex_) = 0;
+  std::uint64_t collisions_ AVF_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace avf::viz

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace avf::sim {
 namespace {
@@ -210,23 +215,20 @@ TEST(Simulator, AbandonedProcessesDestroyedInSpawnOrder) {
 }
 
 TEST(Simulator, MassCancellationKeepsQueueBoundedAndOrdered) {
-  // Regression for the ladder queue's tombstone handling: 100k
-  // schedule/cancel cycles must not accumulate dead entries (the seed
-  // implementation kept every cancelled event until its timestamp
-  // drained), and the survivors must still fire in exact (time, seq)
-  // order.
+  // 100k schedule/cancel cycles: a cancelled event leaves the queue at
+  // once (the seed implementation kept every cancelled event until its
+  // timestamp drained), so the queue holds exactly the live events after
+  // every round, and the survivors still fire in exact (time, seq) order.
   Simulator sim;
   std::vector<double> fired;
   std::vector<EventHandle> survivors;
-  std::size_t worst_overhead = 0;
   constexpr int kRounds = 100;
   constexpr int kPerRound = 1000;
   for (int round = 0; round < kRounds; ++round) {
     std::vector<EventHandle> handles;
     handles.reserve(kPerRound);
     for (int i = 0; i < kPerRound; ++i) {
-      // Mixed horizons so both the near heap and the far tier see
-      // cancellations.
+      // Mixed horizons: some events fire within the round, most later.
       double delay = (i % 97 + 1) * (i % 2 ? 0.001 : 1.0);
       double at = sim.now() + delay;
       handles.push_back(sim.schedule(delay, [&fired, at] {
@@ -240,24 +242,127 @@ TEST(Simulator, MassCancellationKeepsQueueBoundedAndOrdered) {
         survivors.push_back(handles[i]);
       }
     }
-    // Tombstones may never dominate: compaction keeps physical entries
-    // within 2x the live count (+1 for the in-flight rounding).
-    ASSERT_LE(sim.queue_entries(), 2 * sim.queued_events() + 1);
-    worst_overhead = std::max(worst_overhead, sim.queue_entries());
+    ASSERT_EQ(sim.queued_events(), survivors.size() - fired.size());
     sim.run_until(sim.now() + 0.005);
+    ASSERT_EQ(sim.queued_events(), survivors.size() - fired.size());
   }
-  EXPECT_GT(sim.compactions(), 0u);   // near-heap tombstone reclamation ran
-  EXPECT_GT(sim.far_removals(), 0u);  // far-tier O(1) removals ran
-  // 100k scheduled, 99k cancelled: the queue never held anywhere near the
-  // cancelled volume — only ~2x the 1000 surviving events.
-  EXPECT_LE(worst_overhead, 2u * kRounds * (kPerRound / 100) + 16u);
   sim.run();
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
   std::size_t still_pending = 0;
   for (EventHandle& h : survivors) still_pending += h.pending() ? 1 : 0;
   EXPECT_EQ(still_pending, 0u);
   EXPECT_EQ(fired.size(), survivors.size());
-  EXPECT_EQ(sim.queue_entries(), 0u);
+  EXPECT_EQ(sim.queued_events(), 0u);
+}
+
+/// A seeded random script run in lockstep against a std::set reference of
+/// the pending (time, id) keys, where ids count schedule calls.  Each event,
+/// as it fires, must be the reference minimum; its callback may cancel any
+/// handle or schedule more.  queued_events() is checked after every
+/// operation, every handle's pending() after every 16th.  Delays are quarter steps, one in four of them
+/// zero, so equal timestamps are common and every sum is exact.
+class QueueScript {
+ public:
+  explicit QueueScript(std::uint64_t seed) : rng_(seed) {}
+
+  void run(int ops) {
+    for (int op = 0; op < ops && !::testing::Test::HasFailure(); ++op) {
+      std::uint64_t kind = rng_.next_below(20);
+      if (kind < 9) {
+        schedule();
+      } else if (kind < 13) {
+        cancel_any();
+      } else if (kind < 17) {
+        ASSERT_EQ(sim_.step(), !pending_.empty());
+      } else {
+        // Short advances, zero included, keep 100-odd events queued.
+        SimTime t =
+            sim_.now() + 0.25 * static_cast<double>(rng_.next_below(3));
+        sim_.run_until(t);
+        ASSERT_EQ(sim_.now(), t);
+        ASSERT_TRUE(pending_.empty() || pending_.begin()->first > t);
+      }
+      ASSERT_EQ(sim_.queued_events(), pending_.size());
+      if (op % 16 == 0) check();
+    }
+    if (::testing::Test::HasFailure()) return;
+    SimTime start = sim_.now();
+    sim_.run();
+    EXPECT_TRUE(pending_.empty());
+    // The largest time ever scheduled, cancelled events included.
+    EXPECT_EQ(sim_.now(), std::max(start, max_time_));
+    EXPECT_EQ(sim_.events_processed(), fired_);
+    check();
+  }
+
+ private:
+  SimTime draw_delay() {
+    if (rng_.next_below(4) == 0) return 0.0;
+    return 0.25 * static_cast<double>(rng_.next_below(256));
+  }
+
+  void schedule() {
+    std::size_t id = handles_.size();
+    SimTime at = sim_.now() + draw_delay();
+    times_.push_back(at);
+    max_time_ = std::max(max_time_, at);
+    pending_.emplace(at, id);
+    auto fn = [this, id] { on_fire(id); };
+    handles_.push_back(rng_.next_below(2) == 0
+                           ? sim_.schedule(at - sim_.now(), fn)
+                           : sim_.schedule_at(at, fn));
+  }
+
+  /// Any handle: pending, fired or already cancelled.  Half the draws
+  /// come from the newest 256 handles, most of which are still pending.
+  void cancel_any() {
+    std::size_t n = handles_.size();
+    if (n == 0) return;
+    std::size_t recent = std::min<std::size_t>(n, 256);
+    std::size_t id = rng_.next_below(2) == 0
+                         ? rng_.next_below(n)
+                         : n - 1 - rng_.next_below(recent);
+    handles_[id].cancel();
+    ASSERT_FALSE(handles_[id].pending());
+    pending_.erase({times_[id], id});
+  }
+
+  void on_fire(std::size_t id) {
+    ASSERT_FALSE(pending_.empty());
+    ASSERT_EQ(pending_.begin()->second, id);
+    ASSERT_EQ(sim_.now(), times_[id]);
+    pending_.erase(pending_.begin());
+    ++fired_;
+    ASSERT_FALSE(handles_[id].pending());
+    std::uint64_t action = rng_.next_below(4);
+    if (action == 0) cancel_any();
+    if (action == 1) schedule();
+  }
+
+  /// Every handle's pending() against the reference.
+  void check() {
+    ASSERT_EQ(sim_.queued_events(), pending_.size());
+    for (std::size_t id = 0; id < handles_.size(); ++id) {
+      ASSERT_EQ(handles_[id].pending(), pending_.contains({times_[id], id}))
+          << "event " << id;
+    }
+  }
+
+  Simulator sim_;
+  util::SplitMix64 rng_;
+  std::set<std::pair<SimTime, std::size_t>> pending_;
+  std::vector<EventHandle> handles_;
+  std::vector<SimTime> times_;  // by id
+  std::uint64_t fired_ = 0;
+  SimTime max_time_ = 0.0;
+};
+
+TEST(Simulator, RandomScriptsMatchOrderedSetReference) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    QueueScript(seed).run(2000);
+    if (HasFailure()) return;
+  }
 }
 
 TEST(Simulator, CompletedSpawnedProcessesAreNotDoubleDestroyed) {

@@ -1,11 +1,14 @@
 // The content-addressed TileStore: hit/miss/dedup counters, byte-budgeted
 // second-chance (CLOCK) eviction, eviction-under-pin safety, the
-// verify_on_hit collision guard, the sharding threshold, and the pins a
-// premeasured reply holds on the store's entry while it is in flight.
+// verify_on_hit collision guard, exact counters under concurrent callers,
+// and the pins a premeasured reply holds on the store's entry while it is
+// in flight.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "util/hash.hpp"
@@ -228,11 +231,41 @@ TEST(TileStore, ZeroBudgetIsBuildPassThrough) {
   EXPECT_EQ(*a.payload, *b.payload);
 }
 
-TEST(TileStore, ShardingThresholdMatchesBudget) {
-  EXPECT_EQ(TileStore().shard_count(), TileStore::kMaxShards);
-  TileStore::Options small;
-  small.byte_budget = TileStore::kMaxShards * TileStore::kMinShardBudget - 1;
-  EXPECT_EQ(TileStore(small).shard_count(), 1u);
+TEST(TileStore, ConcurrentGetOrBuildKeepsExactCounts) {
+  // Four threads sweep one shared key set: every caller gets its builder's
+  // bytes, and every call counts as exactly one hit or one miss.  Two
+  // threads that both miss a key both build it; the first insert wins.
+  constexpr std::uint32_t kKeys = 256;
+  constexpr int kThreads = 4;
+  constexpr int kPasses = 8;
+  auto bytes_of = [](std::uint32_t i) {
+    return payload_of(32 + i % 61, static_cast<std::uint8_t>(i));
+  };
+  TileStore store;
+  std::atomic<int> wrong{0};
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int pass = 0; pass < kPasses; ++pass) {
+          for (std::uint32_t i = 0; i < kKeys; ++i) {
+            auto got = store.get_or_build(key_of(i),
+                                          static_cast<std::uint64_t>(t),
+                                          [&] { return bytes_of(i); });
+            if (got.payload->bytes() != bytes_of(i)) ++wrong;
+          }
+        }
+      });
+    }
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(store.hits() + store.misses(),
+            std::uint64_t{kKeys} * kThreads * kPasses);
+  EXPECT_EQ(store.unique_entries(), kKeys);
+  std::size_t payload_sum = 0;
+  for (std::uint32_t i = 0; i < kKeys; ++i) payload_sum += bytes_of(i).size();
+  EXPECT_EQ(store.bytes_resident(), payload_sum);
+  EXPECT_EQ(store.evictions(), 0u);
 }
 
 // -- replies in flight pin the store's entry ------------------------------
