@@ -66,6 +66,40 @@ void BM_SuffixArray(benchmark::State& state) {
 }
 BENCHMARK(BM_SuffixArray)->Unit(benchmark::kMillisecond);
 
+/// One stage of the BWT pipeline on the first 64 KiB block, fed the
+/// previous stage's output: 0 suffix array and transform (bwt_forward),
+/// 1 move-to-front, 2 zero-run coding, 3 Huffman.
+void BM_BwtStage(benchmark::State& state) {
+  using namespace codec::bwtdetail;
+  constexpr std::size_t kBlock = 64 * 1024;
+  codec::BytesView block = codec::BytesView(payload()).first(kBlock);
+  std::uint32_t primary = 0;
+  const codec::Bytes transformed = bwt_forward(block, primary);
+  const codec::Bytes mtf = mtf_encode(transformed);
+  const std::vector<std::uint16_t> symbols = rle0_encode(mtf);
+  std::vector<std::uint8_t> lengths;
+  for (auto _ : state) {
+    switch (state.range(0)) {
+      case 0:
+        benchmark::DoNotOptimize(bwt_forward(block, primary));
+        break;
+      case 1:
+        benchmark::DoNotOptimize(mtf_encode(transformed));
+        break;
+      case 2:
+        benchmark::DoNotOptimize(rle0_encode(mtf));
+        break;
+      default:
+        benchmark::DoNotOptimize(
+            huffman_encode_sym(symbols, kRle0Alphabet, lengths));
+        break;
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBlock));
+}
+BENCHMARK(BM_BwtStage)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <queue>
@@ -22,32 +23,84 @@ namespace {
 // `text` has `n` symbols in [0, alphabet) and ends with a unique smallest
 // sentinel; `sa` receives its n entries.  The reduced problem of one
 // recursion level lives inside `sa` itself (names in the upper half, the
-// reduced suffix array in the lower half), so the only other work memory
-// is a type byte per symbol and a bucket counter per alphabet symbol at
-// each level, allocated per call.  A reduced string is at most half its
-// parent, so that adds at most 6 bytes per input byte to the 4-byte array.
+// reduced suffix array in the lower half).  The other work memory, a type
+// byte per symbol (plus kPad) and two counters per alphabet symbol at each
+// level, is sliced from one Workspace that a compress() call reuses for
+// all of its blocks.  A reduced string is at most half its parent, and its
+// alphabet at most its length, so all levels together need under 2 type
+// bytes and 2 counters per input symbol, plus 2 x 257 counters at the top.
+//
+// The hot loops are branch-free.  On wavelet coefficients (small
+// little-endian i16 values, high bytes 0x00 or 0xFF) whether a suffix is
+// S or L, LMS or not, and whether an induced entry is taken flips almost
+// at random, so a branch on it mispredicts about half the time; at ~15
+// cycles each, those misses cost more than the loops' memory traffic.
+// Such a loop instead writes on every step: a rejected entry goes to a
+// trash slot local to the call (pick()), and a counter advances by the
+// 0/1 predicate.  The trash slot is not an entry of `sa`: in a recursion
+// sa[m] can be the first symbol of the parent's reduced string.
+
+/// Bytes readable past the end of the top-level text and of each level's
+/// type bytes: the naming loop loads 8 of each at a time.
+constexpr std::size_t kPad = 8;
 
 /// The top level: a byte block plus its implicit sentinel, with each byte
-/// shifted up by one so the sentinel is symbol 0.
+/// shifted up by one so the sentinel is symbol 0.  `data` has kPad
+/// readable bytes past `size`, the first of them zero.
 struct ShiftedBytes {
   const std::uint8_t* data;
   std::int32_t size;  // bytes, excluding the sentinel
   std::int32_t operator[](std::int32_t i) const {
-    return i < size ? std::int32_t{data[i]} + 1 : 0;
+    return std::int32_t{data[i]} + (i < size);
   }
+};
+
+/// Work memory of one BwtCodec::compress call, reused by each of its
+/// blocks instead of allocating per block and per recursion level.
+struct Workspace {
+  Bytes text;                          // the block, then kPad zeros
+  std::vector<std::uint32_t> sa;       // the block's suffix array
+  std::vector<std::uint8_t> types;     // SA-IS type bytes, every level
+  std::vector<std::int32_t> counters;  // SA-IS symbol counts and buckets
+  Bytes transformed;                   // the block's BWT
 };
 
 constexpr std::int32_t kEmpty = -1;
 
-template <typename Text>
-void bucket_bounds(const Text& text, std::int32_t n, std::int32_t alphabet,
-                   bool ends, std::vector<std::int32_t>& bucket) {
-  std::fill(bucket.begin(), bucket.end(), 0);
-  for (std::int32_t i = 0; i < n; ++i) ++bucket[text[i]];
+/// Type byte of one text position.
+constexpr std::uint8_t kSType = 1;  // suffix i is smaller than suffix i+1
+constexpr std::uint8_t kLms = 2;    // S-type after an L-type symbol
+
+/// `take ? yes : no` (take is 0 or 1) through a mask.  GCC compiles
+/// `*(take ? yes : no) = v` and `sa[take ? i : j] = v` into a jump.
+inline std::int32_t* pick(std::int32_t take, std::int32_t* yes,
+                          std::int32_t* no) {
+  const std::uintptr_t mask =
+      std::uintptr_t{0} - static_cast<std::uintptr_t>(take);
+  return reinterpret_cast<std::int32_t*>(
+      (reinterpret_cast<std::uintptr_t>(yes) & mask) |
+      (reinterpret_cast<std::uintptr_t>(no) & ~mask));
+}
+
+/// max(j, 0) for j >= -2: where an induce pass reads a rejected entry's
+/// type and symbol.
+inline std::int32_t clamp_index(std::int32_t j) { return j & ~(j >> 31); }
+
+void bucket_starts(const std::int32_t* counts, std::int32_t alphabet,
+                   std::int32_t* bucket) {
   std::int32_t sum = 0;
   for (std::int32_t c = 0; c < alphabet; ++c) {
-    sum += bucket[c];
-    bucket[c] = ends ? sum : sum - bucket[c];
+    bucket[c] = sum;
+    sum += counts[c];
+  }
+}
+
+void bucket_ends(const std::int32_t* counts, std::int32_t alphabet,
+                 std::int32_t* bucket) {
+  std::int32_t sum = 0;
+  for (std::int32_t c = 0; c < alphabet; ++c) {
+    sum += counts[c];
+    bucket[c] = sum;
   }
 }
 
@@ -55,138 +108,261 @@ void bucket_bounds(const Text& text, std::int32_t n, std::int32_t alphabet,
 /// S-type suffixes right to left.
 template <typename Text>
 void induce(const Text& text, std::int32_t n, std::int32_t alphabet,
-            const std::vector<std::uint8_t>& is_s,
-            std::vector<std::int32_t>& bucket, std::int32_t* sa) {
-  bucket_bounds(text, n, alphabet, false, bucket);
+            const std::uint8_t* type, const std::int32_t* counts,
+            std::int32_t* bucket, std::int32_t* sa) {
+  std::int32_t trash;
+  bucket_starts(counts, alphabet, bucket);
   for (std::int32_t i = 0; i < n; ++i) {
     std::int32_t j = sa[i] - 1;
-    if (j >= 0 && !is_s[j]) sa[bucket[text[j]]++] = j;
+    std::int32_t at = clamp_index(j);
+    std::int32_t take = (j >= 0) & (~type[at] & kSType);
+    std::int32_t c = text[at];
+    std::int32_t b = bucket[c];
+    *pick(take, sa + b, &trash) = j;
+    bucket[c] = b + take;
   }
-  bucket_bounds(text, n, alphabet, true, bucket);
+  bucket_ends(counts, alphabet, bucket);
   for (std::int32_t i = n; i-- > 0;) {
     std::int32_t j = sa[i] - 1;
-    if (j >= 0 && is_s[j]) sa[--bucket[text[j]]] = j;
+    std::int32_t at = clamp_index(j);
+    std::int32_t take = (j >= 0) & (type[at] & kSType);
+    std::int32_t c = text[at];
+    std::int32_t b = bucket[c] - take;
+    *pick(take, sa + b, &trash) = j;
+    bucket[c] = b;
   }
+}
+
+inline std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
+/// The bits of `word` (a load_u64) that hold its first `len` bytes in
+/// memory, 1 <= len <= 8.
+inline std::uint64_t first_bytes(std::uint64_t word, std::int32_t len) {
+  const int drop = 64 - 8 * len;
+  return kLittleEndian ? word << drop : word >> drop;
+}
+
+/// Memory index (0 to 7) of the first nonzero byte of a nonzero `word`.
+inline std::int32_t first_nonzero_byte(std::uint64_t word) {
+  return (kLittleEndian ? std::countr_zero(word) : std::countl_zero(word)) / 8;
+}
+
+/// Symbols from LMS position `pos` up to and including the next one.
+/// `type` has kPad readable bytes past the text, whose last position is
+/// LMS; `pos` is not the last.  LMS positions are at least two apart, and
+/// LMS substrings of wavelet blocks are almost all under 10 symbols, so
+/// one 8-byte load finds the next.
+inline std::int32_t lms_substring_length(const std::uint8_t* type,
+                                         std::int32_t pos) {
+  constexpr std::uint64_t kLmsBytes = 0x0101010101010101ULL * kLms;
+  const std::uint64_t marks = load_u64(type + pos + 1) & kLmsBytes;
+  if (marks != 0) return first_nonzero_byte(marks) + 2;
+  std::int32_t next = pos + 9;
+  while (!(type[next] & kLms)) ++next;
+  return next - pos + 1;
+}
+
+/// Whether the LMS substrings at `a` and `b`, both `len` symbols long, are
+/// equal; `candidate` is false when they are known to differ.  Equal
+/// symbols over the length imply equal types: each ends at an S-type LMS
+/// symbol, and a symbol's type follows from its successor's.
+bool same_substring(const ShiftedBytes& text, std::int32_t a, std::int32_t b,
+                    std::int32_t len, bool candidate) {
+  // A substring that reaches the unique sentinel equals no other, so only
+  // bytes of the block (plus the padding) are ever read.
+  const std::int32_t take =
+      candidate & (a + len <= text.size) & (b + len <= text.size);
+  std::int32_t rest = 1 + ((len - 1) & -take);  // take ? len : 1
+  const std::uint8_t* pa = text.data + a;
+  const std::uint8_t* pb = text.data + b;
+  for (; rest > 8; rest -= 8, pa += 8, pb += 8) {
+    if (load_u64(pa) != load_u64(pb)) return false;
+  }
+  return take & (first_bytes(load_u64(pa) ^ load_u64(pb), rest) == 0);
+}
+
+/// The recursion's reduced strings (at most half the block, and no padding
+/// to load past) compare symbol by symbol.
+bool same_substring(const std::int32_t* text, std::int32_t a, std::int32_t b,
+                    std::int32_t len, bool candidate) {
+  if (!candidate) return false;
+  for (std::int32_t d = 0; d < len; ++d) {
+    if (text[a + d] != text[b + d]) return false;
+  }
+  return true;
+}
+
+template <typename T>
+void grow(std::vector<T>& v, std::size_t size) {
+  if (v.size() < size) v.resize(size);
 }
 
 template <typename Text>
 void sais(const Text& text, std::int32_t n, std::int32_t alphabet,
-          std::int32_t* sa) {
+          std::int32_t* sa, Workspace& work, std::size_t types_at,
+          std::size_t counters_at) {
   if (n == 1) {
     sa[0] = 0;
     return;
   }
-  // is_s[i]: suffix i is smaller than suffix i+1.  The sentinel is S, the
-  // symbol before it L.
-  std::vector<std::uint8_t> is_s(static_cast<std::size_t>(n));
-  is_s[n - 1] = true;
-  for (std::int32_t i = n - 2; i-- > 0;) {
-    is_s[i] = text[i] < text[i + 1] ||
-              (text[i] == text[i + 1] && is_s[i + 1]);
+  grow(work.types, types_at + static_cast<std::size_t>(n) + kPad);
+  grow(work.counters, counters_at + 2 * static_cast<std::size_t>(alphabet));
+  std::uint8_t* type = work.types.data() + types_at;
+  std::int32_t* counts = work.counters.data() + counters_at;
+  std::int32_t* bucket = counts + alphabet;
+  std::int32_t trash;
+
+  // Types, right to left: position i + 1 is final once i's type is known.
+  // The sentinel is S and LMS, the symbol before it L; position 0 is never
+  // LMS.
+  // The same scan counts the symbols.
+  std::fill(counts, counts + alphabet, 0);
+  std::int32_t next_c = text[n - 1];
+  std::int32_t next_s = 1;
+  ++counts[next_c];
+  for (std::int32_t i = n - 1; i-- > 0;) {
+    std::int32_t c = text[i];
+    std::int32_t s = (c < next_c) | ((c == next_c) & next_s);
+    type[i + 1] = static_cast<std::uint8_t>(next_s | ((next_s & ~s) << 1));
+    ++counts[c];
+    next_c = c;
+    next_s = s;
   }
-  auto is_lms = [&](std::int32_t i) {
-    return i > 0 && is_s[i] && !is_s[i - 1];
-  };
-  std::vector<std::int32_t> bucket(static_cast<std::size_t>(alphabet));
+  type[0] = static_cast<std::uint8_t>(next_s);
+  auto is_lms = [&type](std::int32_t i) { return type[i] >> 1; };
 
   // Stage 1: sort the LMS substrings by seeding LMS positions at their
   // bucket ends and inducing.
   std::fill(sa, sa + n, kEmpty);
-  bucket_bounds(text, n, alphabet, true, bucket);
+  bucket_ends(counts, alphabet, bucket);
   for (std::int32_t i = 1; i < n; ++i) {
-    if (is_lms(i)) sa[--bucket[text[i]]] = i;
+    std::int32_t seed = is_lms(i);
+    std::int32_t c = text[i];
+    std::int32_t b = bucket[c] - seed;
+    *pick(seed, sa + b, &trash) = i;
+    bucket[c] = b;
   }
-  induce(text, n, alphabet, is_s, bucket, sa);
+  induce(text, n, alphabet, type, counts, bucket, sa);
 
-  // Compact the sorted LMS positions into sa[0, m) and name each LMS
-  // substring by rank; equal substrings share a name.  LMS positions are
-  // at least two apart, so position p keeps its name in its own slot,
-  // sa[m + p / 2].
+  // Compact the sorted LMS positions into sa[0, m); induced sorting has
+  // placed every suffix, so no entry is empty.
   std::int32_t m = 0;
   for (std::int32_t i = 0; i < n; ++i) {
-    if (is_lms(sa[i])) sa[m++] = sa[i];
+    std::int32_t p = sa[i];
+    sa[m] = p;
+    m += is_lms(p);
   }
+  // Name each LMS substring by rank; equal substrings share a name.
+  // Position p keeps its name in its own slot, sa[m + p / 2]: LMS
+  // positions are at least two apart.  The sentinel's substring, the
+  // only one of length 1, sorts first.
   std::fill(sa + m, sa + n, kEmpty);
-  std::int32_t names = 0;
-  std::int32_t prev = kEmpty;
-  for (std::int32_t i = 0; i < m; ++i) {
+  sa[m + (n - 1) / 2] = 0;
+  std::int32_t names = 1;
+  for (std::int32_t i = 1, prev = n - 1, prev_len = 1; i < m; ++i) {
     std::int32_t pos = sa[i];
-    bool differs = prev == kEmpty;
-    for (std::int32_t d = 0; !differs; ++d) {
-      // The unique sentinel ends every comparison before pos + d or
-      // prev + d can pass n - 1.
-      if (text[pos + d] != text[prev + d] ||
-          is_s[pos + d] != is_s[prev + d]) {
-        differs = true;
-      } else if (d > 0 && (is_lms(pos + d) || is_lms(prev + d))) {
-        break;
-      }
-    }
-    if (differs) {
-      ++names;
-      prev = pos;
-    }
+    std::int32_t len = lms_substring_length(type, pos);
+    names += !same_substring(text, pos, prev, len, len == prev_len);
     sa[m + pos / 2] = names - 1;
+    prev = pos;
+    prev_len = len;
   }
   // Gather the names, in text order, into the reduced string at sa[n-m, n).
+  // Every slot is copied to sa[j - 1], at or above i and so already read;
+  // only a name moves j down, so an empty copy is overwritten by the next.
   for (std::int32_t i = n, j = n; i-- > m;) {
-    if (sa[i] != kEmpty) sa[--j] = sa[i];
+    std::int32_t v = sa[i];
+    sa[j - 1] = v;
+    j -= v != kEmpty;
   }
 
   // Stage 2: suffix array of the reduced string into sa[0, m); recurse
   // only when two LMS substrings share a name.
   std::int32_t* reduced = sa + n - m;
   if (names < m) {
-    sais(reduced, m, names, sa);
+    sais(static_cast<const std::int32_t*>(reduced), m, names, sa, work,
+         types_at + static_cast<std::size_t>(n) + kPad,
+         counters_at + 2 * static_cast<std::size_t>(alphabet));
+    type = work.types.data() + types_at;
+    counts = work.counters.data() + counters_at;
+    bucket = counts + alphabet;
   } else {
     for (std::int32_t i = 0; i < m; ++i) sa[reduced[i]] = i;
   }
 
   // Stage 3: map reduced ranks back to LMS positions, seed them in sorted
-  // order at their bucket ends, and induce the full suffix array.
+  // order at their bucket ends, and induce the full suffix array.  The
+  // last position (the sentinel) is LMS, so the listing writes only
+  // reduced[0, m).
   for (std::int32_t i = 1, j = 0; i < n; ++i) {
-    if (is_lms(i)) reduced[j++] = i;
+    reduced[j] = i;
+    j += is_lms(i);
   }
   for (std::int32_t i = 0; i < m; ++i) sa[i] = reduced[sa[i]];
   std::fill(sa + m, sa + n, kEmpty);
-  bucket_bounds(text, n, alphabet, true, bucket);
+  bucket_ends(counts, alphabet, bucket);
   for (std::int32_t i = m; i-- > 0;) {
     std::int32_t j = sa[i];
     sa[i] = kEmpty;
     sa[--bucket[text[j]]] = j;
   }
-  induce(text, n, alphabet, is_s, bucket, sa);
+  induce(text, n, alphabet, type, counts, bucket, sa);
+}
+
+/// Suffix array of `data` into work.sa (data.size() + 1 entries).
+void sort_suffixes(BytesView data, Workspace& work) {
+  if (data.size() >= static_cast<std::size_t>(INT32_MAX)) {
+    throw std::length_error("suffix_array: input too long for int32 indices");
+  }
+  work.text.assign(data.begin(), data.end());
+  work.text.resize(data.size() + kPad);
+  work.sa.resize(data.size() + 1);
+  ShiftedBytes text{work.text.data(), static_cast<std::int32_t>(data.size())};
+  // Signed and unsigned variants of one integer type may alias, so SA-IS
+  // works in place on the unsigned array.
+  sais(text, static_cast<std::int32_t>(work.sa.size()), 257,
+       reinterpret_cast<std::int32_t*>(work.sa.data()), work, 0, 0);
+}
+
+/// BWT of `block` into work.transformed; returns the primary index.  Every
+/// row writes an output byte; the primary row's (suffix 0 has no
+/// predecessor) is overwritten by the next row's.
+std::uint32_t transform_block(BytesView block, Workspace& work) {
+  sort_suffixes(block, work);
+  const std::uint8_t* text = work.text.data();
+  work.transformed.resize(block.size() + 1);
+  std::uint8_t* out = work.transformed.data();
+  std::uint32_t primary = 0;
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < work.sa.size(); ++i) {
+    std::uint32_t p = work.sa[i];
+    std::uint32_t first = p == 0;
+    primary |= static_cast<std::uint32_t>(i) & (0u - first);
+    out[k] = text[p - 1 + first];
+    k += 1 - first;
+  }
+  work.transformed.resize(block.size());
+  return primary;
 }
 
 }  // namespace
 
 std::vector<std::uint32_t> suffix_array(BytesView data) {
-  if (data.size() >= static_cast<std::size_t>(INT32_MAX)) {
-    throw std::length_error("suffix_array: input too long for int32 indices");
-  }
-  // Signed and unsigned variants of one integer type may alias, so SA-IS
-  // works in place on the returned array.
-  std::vector<std::uint32_t> sa(data.size() + 1);
-  ShiftedBytes text{data.data(), static_cast<std::int32_t>(data.size())};
-  sais(text, static_cast<std::int32_t>(sa.size()), 257,
-       reinterpret_cast<std::int32_t*>(sa.data()));
-  return sa;
+  Workspace work;
+  sort_suffixes(data, work);
+  return std::move(work.sa);
 }
 
 Bytes bwt_forward(BytesView block, std::uint32_t& primary_index) {
-  std::vector<std::uint32_t> sa = suffix_array(block);
-  Bytes out;
-  out.reserve(block.size());
-  primary_index = 0;
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    std::uint32_t p = sa[i];
-    if (p == 0) {
-      primary_index = static_cast<std::uint32_t>(i);
-    } else {
-      out.push_back(block[p - 1]);
-    }
-  }
-  return out;
+  Workspace work;
+  primary_index = transform_block(block, work);
+  return std::move(work.transformed);
 }
 
 Bytes bwt_inverse(BytesView last_column, std::uint32_t primary_index) {
@@ -224,17 +400,72 @@ Bytes bwt_inverse(BytesView last_column, std::uint32_t primary_index) {
   return out;
 }
 
+namespace {
+
+// Move-to-front over the order held as 32 words of 8 entries, each word in
+// memory byte order.  BWT output of coefficient data has widely spread
+// ranks (about 30% are 8 or more), so a search byte by byte mispredicted
+// its exit on nearly every symbol; a word compares 8 entries at once and
+// shifts them with one blend, and the first word stays in a register.
+
+/// 0x80 in each byte of `x` that is zero, 0 elsewhere (exact: no carry
+/// crosses a byte).
+inline std::uint64_t zero_bytes(std::uint64_t x) {
+  constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
+  return ~(((x & kLow7) + kLow7) | x | kLow7);
+}
+
+/// `word` with every entry moved one place later in memory and `first`
+/// (a byte value) in place 0.
+inline std::uint64_t push_front(std::uint64_t word, std::uint64_t first) {
+  return kLittleEndian ? (word << 8) | first : (word >> 8) | (first << 56);
+}
+
+/// The entry in the last memory place of `word`.
+inline std::uint64_t last_entry(std::uint64_t word) {
+  return kLittleEndian ? word >> 56 : word & 0xFF;
+}
+
+/// push_front(word, first) in places 0..at, `word` after them: the move
+/// of an entry found at place `at`.
+inline std::uint64_t move_to_front(std::uint64_t word, std::uint64_t first,
+                                   std::int32_t at) {
+  const std::uint64_t keep = kLittleEndian ? (~0ULL << (8 * at)) << 8
+                                           : (~0ULL >> (8 * at)) >> 8;
+  return (word & keep) | (push_front(word, first) & ~keep);
+}
+
+}  // namespace
+
 Bytes mtf_encode(BytesView input) {
-  std::array<std::uint8_t, 256> order;
-  for (int i = 0; i < 256; ++i) order[i] = static_cast<std::uint8_t>(i);
-  Bytes out;
-  out.reserve(input.size());
-  for (std::uint8_t b : input) {
-    int pos = 0;
-    while (order[pos] != b) ++pos;
-    out.push_back(static_cast<std::uint8_t>(pos));
-    std::memmove(&order[1], &order[0], static_cast<std::size_t>(pos));
-    order[0] = b;
+  std::array<std::uint64_t, 32> order;
+  std::array<std::uint8_t, 256> identity;
+  for (int i = 0; i < 256; ++i) identity[i] = static_cast<std::uint8_t>(i);
+  std::memcpy(order.data(), identity.data(), sizeof(order));
+  std::uint64_t head = order[0];  // order[0] lives here
+  Bytes out(input.size());
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    const std::uint8_t b = input[i];
+    const std::uint64_t pattern = 0x0101010101010101ULL * b;
+    std::uint64_t hit = zero_bytes(head ^ pattern);
+    if (hit != 0) {
+      const std::int32_t at = first_nonzero_byte(hit);
+      out[i] = static_cast<std::uint8_t>(at);
+      head = move_to_front(head, b, at);
+      continue;
+    }
+    std::size_t w = 1;
+    while ((hit = zero_bytes(order[w] ^ pattern)) == 0) ++w;
+    const std::int32_t at = first_nonzero_byte(hit);
+    out[i] = static_cast<std::uint8_t>(8 * w + static_cast<std::size_t>(at));
+    std::uint64_t carry = last_entry(head);
+    head = push_front(head, b);
+    for (std::size_t k = 1; k < w; ++k) {
+      const std::uint64_t word = order[k];
+      order[k] = push_front(word, carry);
+      carry = last_entry(word);
+    }
+    order[w] = move_to_front(order[w], carry, at);
   }
   return out;
 }
@@ -490,6 +721,7 @@ BwtCodec::BwtCodec(std::size_t block_size) : block_size_(block_size) {
 
 Bytes BwtCodec::compress(BytesView input) const {
   using namespace bwtdetail;
+  Workspace work;
   Bytes out;
   util::put_u32(out, static_cast<std::uint32_t>(input.size()));
   std::size_t offset = 0;
@@ -498,9 +730,8 @@ Bytes BwtCodec::compress(BytesView input) const {
     BytesView block = input.subspan(offset, len);
     offset += len;
 
-    std::uint32_t primary = 0;
-    Bytes transformed = bwt_forward(block, primary);
-    Bytes mtf = mtf_encode(transformed);
+    std::uint32_t primary = transform_block(block, work);
+    Bytes mtf = mtf_encode(work.transformed);
     std::vector<std::uint16_t> symbols = rle0_encode(mtf);
     std::vector<std::uint8_t> lengths;
     Bytes packed = huffman_encode_sym(symbols, kRle0Alphabet, lengths);

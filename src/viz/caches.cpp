@@ -32,8 +32,7 @@ std::shared_ptr<const util::Blob> RegionEncodeCache::encode(
     h.update_u16(t.ty);
   }
   // Serialization happens outside any lock (inside the store's build
-  // callback): two threads may race to fill the same key, in which case
-  // both produce byte-identical payloads and the first insert wins.
+  // callback); a second caller of the same key waits for the first's.
   return get_or_build(h.finish(), origin_tag,
                       [&] { return encoder.serialize_tiles(tiles); });
 }

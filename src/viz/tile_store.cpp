@@ -4,20 +4,49 @@ namespace avf::viz {
 
 TileStore::TileStore(Options options) : options_(options) {}
 
-TileStore::BlobPtr TileStore::find(
-    const Key& key, std::uint64_t origin_tag) {
-  util::MutexLock lock(mutex_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
+TileStore::Claim TileStore::claim_or_wait(const Key& key,
+                                          std::uint64_t origin_tag) {
+  std::shared_future<BlobPtr> pending;
+  {
+    util::MutexLock lock(mutex_);
+    if (auto it = entries_.find(key); it != entries_.end()) {
+      Entry& entry = it->second;
+      entry.referenced = true;  // CLOCK second chance
+      ++hits_;
+      bytes_deduped_ += entry.payload->size();
+      if (entry.origin_tag != origin_tag) ++cross_origin_hits_;
+      return {entry.payload, std::nullopt};
+    }
+    auto it = in_flight_.find(key);
+    if (it == in_flight_.end()) {
+      ++misses_;
+      std::promise<BlobPtr> build;
+      in_flight_.emplace(key,
+                         InFlight{build.get_future().share(), origin_tag});
+      return {nullptr, std::move(build)};
+    }
+    ++hits_;
+    if (it->second.origin_tag != origin_tag) ++cross_origin_hits_;
+    pending = it->second.payload;
   }
-  Entry& entry = it->second;
-  entry.referenced = true;  // CLOCK second chance
-  ++hits_;
-  bytes_deduped_ += entry.payload->size();
-  if (entry.origin_tag != origin_tag) ++cross_origin_hits_;
-  return entry.payload;
+  BlobPtr payload = pending.get();
+  util::MutexLock lock(mutex_);
+  bytes_deduped_ += payload->size();
+  return {std::move(payload), std::nullopt};
+}
+
+void TileStore::settle(const Key& key, std::promise<BlobPtr>& build,
+                       BlobPtr payload, std::exception_ptr error) {
+  {
+    util::MutexLock lock(mutex_);
+    in_flight_.erase(key);
+  }
+  // Waiters hold their own shared_future, so the record can go first.
+  if (error) {
+    build.set_exception(std::move(error));
+  } else {
+    build.set_value(std::move(payload));
+  }
 }
 
 TileStore::BlobPtr TileStore::insert(const Key& key, std::uint64_t origin_tag,
@@ -27,8 +56,8 @@ TileStore::BlobPtr TileStore::insert(const Key& key, std::uint64_t origin_tag,
   util::MutexLock lock(mutex_);
   auto [it, inserted] =
       entries_.emplace(key, Entry{shared, origin_tag, true});
-  // Two threads may race to build the same content; both payloads are
-  // byte-identical (pure builders), the first insert wins.
+  // Only a direct insert() can find the key resident; the store's entry
+  // wins.
   if (!inserted) return it->second.payload;
   ring_.push_back(key);
   bytes_ += shared->size();

@@ -41,15 +41,26 @@
 //    an unordered map for lookup only (never iterated — the CLOCK ring is an
 //    ordered vector), so no host-side state leaks into traces.
 //
-// One util::Mutex guards the whole store: its map, its CLOCK ring and its
-// counters.  Builders run outside the lock, so the codec never serializes
-// callers; the lock covers a map probe, counter bumps and, on insert, the
-// eviction sweep.
+// One util::Mutex guards the whole store: its map, its CLOCK ring, its
+// builds in flight and its counters.  Builders run outside the lock, so
+// the codec never serializes callers; the lock covers a map probe, counter
+// bumps and, on insert, the eviction sweep.
+//
+// Each missing key is built once.  The first caller to miss a key records
+// a build in flight (a std::shared_future of its payload) before it
+// builds; a caller that finds the key in flight waits for that payload
+// and counts as a hit, and a builder's exception reaches every waiter.
+// So concurrent callers count exactly one miss per distinct key, as one
+// caller would.  A builder must not look up a key whose build waits on its
+// own (the layers never nest deeper than size -> chunk).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <future>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -88,29 +99,41 @@ class TileStore {
     bool collision = false;  ///< verify_on_hit caught a hash collision
   };
 
-  /// Hit path: return `key`'s payload (marking it recently used) or build,
-  /// insert, and return it.  `origin_tag` is an opaque caller label (the
-  /// viz server passes the image id) recorded at insertion; a hit whose
-  /// entry was inserted under a different tag counts as a cross-origin hit
-  /// — the counter that proves cross-image dedup happened.  `build` must
-  /// be a pure function of the content `key` was derived from.
+  /// Hit path: return `key`'s payload (marking it recently used), wait
+  /// for another caller's build of it, or build, insert, and return it.
+  /// `origin_tag` is an opaque caller label (the viz server passes the
+  /// image id) recorded at insertion; a hit whose entry was inserted (or
+  /// is being built) under a different tag counts as a cross-origin hit —
+  /// the counter that proves cross-image dedup happened.  `build` must be
+  /// a pure function of the content `key` was derived from; what it throws
+  /// propagates to this caller and to every caller waiting on the build.
   template <typename BuildFn>
   Lookup get_or_build(const Key& key, std::uint64_t origin_tag,
                       BuildFn&& build) {
-    if (BlobPtr found = find(key, origin_tag)) {
-      if (!verify_on_hit()) return {std::move(found), true, false};
-      Payload rebuilt = build();
-      if (found->bytes() == rebuilt) return {std::move(found), true, false};
-      return {replace_after_collision(key, origin_tag, std::move(rebuilt)),
-              true, true};
+    Claim claim = claim_or_wait(key, origin_tag);
+    if (claim.build) {
+      BlobPtr stored;
+      try {
+        stored = insert(key, origin_tag, build());
+      } catch (...) {
+        settle(key, *claim.build, nullptr, std::current_exception());
+        throw;
+      }
+      settle(key, *claim.build, stored, nullptr);
+      return {std::move(stored), false, false};
     }
-    return {insert(key, origin_tag, build()), false, false};
+    if (!verify_on_hit()) return {std::move(claim.payload), true, false};
+    Payload rebuilt = build();
+    if (claim.payload->bytes() == rebuilt) {
+      return {std::move(claim.payload), true, false};
+    }
+    return {replace_after_collision(key, origin_tag, std::move(rebuilt)),
+            true, true};
   }
 
-  /// Lookup half of get_or_build (counts a hit or a miss).
-  BlobPtr find(const Key& key, std::uint64_t origin_tag) AVF_EXCLUDES(mutex_);
-  /// Insert half: stores `payload` (unless an entry raced in first, which
-  /// wins) and evicts down to the byte budget.  Returns the stored pin.
+  /// Insert half of get_or_build: stores `payload` (unless an entry is
+  /// already resident, which wins) and evicts down to the byte budget.
+  /// Returns the stored pin.
   BlobPtr insert(const Key& key, std::uint64_t origin_tag, Payload&& payload)
       AVF_EXCLUDES(mutex_);
 
@@ -141,12 +164,32 @@ class TileStore {
     std::uint64_t origin_tag = 0;
     bool referenced = true;  // CLOCK second-chance bit, set on hit
   };
+  /// A build in flight: its payload once built, and the builder's tag.
+  struct InFlight {
+    std::shared_future<BlobPtr> payload;
+    std::uint64_t origin_tag = 0;
+  };
+  /// What claim_or_wait found: a payload (resident, or built by another
+  /// caller), or a miss this caller must build and settle.
+  struct Claim {
+    BlobPtr payload;
+    std::optional<std::promise<BlobPtr>> build;
+  };
   struct KeyHasher {
     std::size_t operator()(const Key& k) const {
       return static_cast<std::size_t>(k.lo);  // already avalanche-mixed
     }
   };
 
+  /// Counts a hit or a miss.  A miss records a build in flight and hands
+  /// its promise to the caller; a key already in flight blocks, outside
+  /// the lock, until its builder settles it (rethrowing its exception).
+  Claim claim_or_wait(const Key& key, std::uint64_t origin_tag)
+      AVF_EXCLUDES(mutex_);
+  /// Ends `key`'s build in flight and wakes its waiters with `payload`, or
+  /// with `error` when the build threw.
+  void settle(const Key& key, std::promise<BlobPtr>& build, BlobPtr payload,
+              std::exception_ptr error) AVF_EXCLUDES(mutex_);
   /// Installs a *fresh* Blob for the rebuilt bytes, so no memoized hash
   /// of the replaced entry carries over.
   BlobPtr replace_after_collision(const Key& key, std::uint64_t tag,
@@ -160,6 +203,9 @@ class TileStore {
   /// only structure ever iterated (ordered vector — the unordered map is
   /// lookup-only, per src.unordered-iteration).
   std::vector<Key> ring_ AVF_GUARDED_BY(mutex_);
+  /// Keys being built, lookup-only like entries_.
+  std::unordered_map<Key, InFlight, KeyHasher> in_flight_
+      AVF_GUARDED_BY(mutex_);
   std::size_t hand_ AVF_GUARDED_BY(mutex_) = 0;
   std::size_t bytes_ AVF_GUARDED_BY(mutex_) = 0;
   std::uint64_t hits_ AVF_GUARDED_BY(mutex_) = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -57,6 +58,34 @@ TEST(Mtf, KnownSequence) {
 TEST(Mtf, RoundTripRandom) {
   Bytes in = random_bytes(5000, 99);
   EXPECT_EQ(mtf_decode(mtf_encode(in)), in);
+}
+
+TEST(Mtf, MatchesByteAtATimeReference) {
+  // The encoder searches and shifts 8 entries at a time; every rank, in
+  // the first word and past it, must be the plain list's.
+  auto reference = [](const Bytes& in) {
+    Bytes order(256);
+    for (int i = 0; i < 256; ++i) order[i] = static_cast<std::uint8_t>(i);
+    Bytes out;
+    for (std::uint8_t b : in) {
+      auto at = std::find(order.begin(), order.end(), b);
+      out.push_back(static_cast<std::uint8_t>(at - order.begin()));
+      std::rotate(order.begin(), at, at + 1);
+    }
+    return out;
+  };
+  for (int alphabet : {2, 9, 16, 17, 64, 256}) {
+    Bytes in = random_bytes(6000, static_cast<std::uint64_t>(alphabet),
+                            alphabet);
+    EXPECT_EQ(mtf_encode(in), reference(in)) << "alphabet " << alphabet;
+  }
+  Bytes descending(256);
+  for (int i = 0; i < 256; ++i) {
+    descending[i] = static_cast<std::uint8_t>(255 - i);
+  }
+  EXPECT_EQ(mtf_encode(descending), reference(descending));
+  Bytes coefficients = testing::i16_coefficients(6001, 5, 200);
+  EXPECT_EQ(mtf_encode(coefficients), reference(coefficients));
 }
 
 TEST(Rle0, KnownSequence) {
@@ -150,6 +179,35 @@ TEST(BwtCodec, RoundTripText) {
   Bytes compressed = c.compress(in);
   EXPECT_LT(compressed.size(), in.size() / 5);
   EXPECT_EQ(c.decompress(compressed), in);
+}
+
+TEST(BwtCodec, RoundTripI16Coefficients) {
+  // The inputs of SuffixArray.MatchesOracleOnI16Coefficients.  The
+  // transform of each is also rebuilt from its suffix array row by row.
+  BwtCodec c;
+  for (std::size_t n : {1u, 2u, 3u, 255u, 256u, 4097u, 65535u, 65536u,
+                        65537u}) {
+    for (int magnitude : {1, 12, 200}) {
+      Bytes in = testing::i16_coefficients(n, n * 31 + magnitude, magnitude);
+      EXPECT_EQ(c.decompress(c.compress(in)), in)
+          << "magnitude " << magnitude << " n " << n;
+
+      std::uint32_t primary = 0;
+      Bytes last = bwt_forward(in, primary);
+      Bytes expected;
+      std::uint32_t expected_primary = 0;
+      std::vector<std::uint32_t> sa = suffix_array(in);
+      for (std::size_t i = 0; i < sa.size(); ++i) {
+        if (sa[i] == 0) {
+          expected_primary = static_cast<std::uint32_t>(i);
+        } else {
+          expected.push_back(in[sa[i] - 1]);
+        }
+      }
+      EXPECT_EQ(primary, expected_primary) << "n " << n;
+      EXPECT_TRUE(last == expected) << "n " << n;
+    }
+  }
 }
 
 TEST(BwtCodec, RoundTripAcrossBlockBoundaries) {

@@ -37,6 +37,23 @@ inline Bytes structured_input(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+/// `n` bytes of seeded little-endian i16 values in [-magnitude, magnitude]
+/// (magnitude < 256, so every high byte is 0x00 or 0xFF): the shape of
+/// wavelet coefficients, on which a suffix's type flips almost at random.
+/// An odd `n` ends with a low byte.
+inline Bytes i16_coefficients(std::size_t n, std::uint64_t seed,
+                              int magnitude) {
+  util::SplitMix64 rng(seed);
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; i += 2) {
+    const auto v = static_cast<std::uint16_t>(
+        static_cast<int>(rng.next_below(2 * magnitude + 1)) - magnitude);
+    out[i] = static_cast<std::uint8_t>(v);
+    if (i + 1 < n) out[i + 1] = static_cast<std::uint8_t>(v >> 8);
+  }
+  return out;
+}
+
 /// The progressive wavelet payload bench/micro_codec compresses: a 512x512
 /// image (seed 99), 4 levels, 16-pixel tiles, the full image at level 4.
 inline const Bytes& wavelet_payload() {

@@ -1,7 +1,7 @@
 // bwtdetail::suffix_array (SA-IS) against the prefix-doubling oracle on
 // short strings of every length, degenerate and periodic strings that
-// drive SA-IS through deep recursion, and the wavelet blocks the codec
-// actually compresses.
+// drive SA-IS through deep recursion, small i16 coefficient streams, and
+// the wavelet blocks the codec actually compresses.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -100,6 +100,20 @@ TEST(SuffixArray, MatchesOracleOnPeriodicStrings) {
   for (std::size_t len : {2u, 13u, 100u, 2000u, 20000u}) {
     expect_matches_oracle(fibonacci_word(len),
                           "fibonacci word >= " + std::to_string(len));
+  }
+}
+
+TEST(SuffixArray, MatchesOracleOnI16Coefficients) {
+  // Small-magnitude i16 streams, odd and even lengths, up to and across
+  // the codec's 64 KiB block.
+  for (std::size_t n : {1u, 2u, 3u, 255u, 256u, 4097u, 65535u, 65536u,
+                        65537u}) {
+    for (int magnitude : {1, 12, 200}) {
+      expect_matches_oracle(
+          testing::i16_coefficients(n, n * 31 + magnitude, magnitude),
+          "i16 magnitude " + std::to_string(magnitude) + " n " +
+              std::to_string(n));
+    }
   }
 }
 

@@ -135,11 +135,15 @@ TEST(Blob, SizeCacheFingerprintMatchesBlobContinuation) {
     EXPECT_EQ(blob.fnv1a64(kFnv1aOffset), expected);
     viz::CompressedSizeCache sizes;
     (void)sizes.compressed_size(codec::CodecId::kNone, blob, nullptr);
-    EXPECT_NE(sizes.store().find(
-                  viz::CompressedSizeCache::key(codec::CodecId::kNone, n,
-                                                expected),
-                  0),
-              nullptr);
+    EXPECT_TRUE(sizes.store()
+                    .get_or_build(viz::CompressedSizeCache::key(
+                                      codec::CodecId::kNone, n, expected),
+                                  0,
+                                  [] {
+                                    ADD_FAILURE() << "no entry under the key";
+                                    return viz::TileStore::Payload{};
+                                  })
+                    .hit);
   }
 }
 

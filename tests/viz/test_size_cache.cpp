@@ -70,11 +70,15 @@ TEST(SizeCache, CrossCodecFingerprintCollisionResolved) {
   const util::Blob payload = repetitive_payload();
   const std::size_t size = cache.compressed_size(CodecId::kLzw, payload,
                                                  nullptr);
-  TileStore::BlobPtr entry = cache.store().find(
+  TileStore::Lookup probe = cache.store().get_or_build(
       CompressedSizeCache::key(CodecId::kLzw, payload.size(),
                                payload.fnv1a64(util::kFnv1aOffset)),
-      0);
-  ASSERT_NE(entry, nullptr);
+      0, [] {
+        ADD_FAILURE() << "the size entry is not under its key";
+        return TileStore::Payload{};
+      });
+  ASSERT_TRUE(probe.hit);
+  const TileStore::BlobPtr& entry = probe.payload;
   ASSERT_EQ(entry->size(), 8u);
   std::uint64_t stored = 0;
   for (std::size_t i = 0; i < 8; ++i) {

@@ -1,6 +1,7 @@
 // The content-addressed TileStore: hit/miss/dedup counters, byte-budgeted
 // second-chance (CLOCK) eviction, eviction-under-pin safety, the
 // verify_on_hit collision guard, exact counters under concurrent callers,
+// one build per missing key (and its failure reaching every waiter),
 // and the pins a premeasured reply holds on the store's entry while it is
 // in flight.
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -65,7 +67,14 @@ TEST(TileStore, SecondChanceClockSparesTouchedEntries) {
   // *touches* C before inserting D; the other does not.  The touched C
   // spends its reference bit and survives the D sweep — the untouched C
   // is the victim.
-  auto run = [](bool touch_c) {
+  // A probe that hits changes only the entry's reference bit; one that
+  // misses inserts (and may evict), so each check below probes its
+  // survivor first.
+  auto resident = [](TileStore& store, std::uint32_t k) {
+    auto build = [k] { return payload_of(64, static_cast<std::uint8_t>(k)); };
+    return store.get_or_build(key_of(k), 0, build).hit;
+  };
+  auto run = [&](bool touch_c) {
     TileStore::Options opts;
     opts.byte_budget = 128;
     auto store = std::make_unique<TileStore>(opts);
@@ -75,7 +84,7 @@ TEST(TileStore, SecondChanceClockSparesTouchedEntries) {
     }
     EXPECT_EQ(store->evictions(), 1u);  // A (key 1) went FIFO
     if (touch_c) {
-      EXPECT_NE(store->find(key_of(3), 0), nullptr);
+      EXPECT_TRUE(resident(*store, 3));
     }
     (void)store->get_or_build(key_of(4), 0, [&] { return payload_of(64, 4); });
     EXPECT_EQ(store->evictions(), 2u);
@@ -85,12 +94,12 @@ TEST(TileStore, SecondChanceClockSparesTouchedEntries) {
   };
 
   auto touched = run(/*touch_c=*/true);
-  EXPECT_NE(touched->find(key_of(3), 0), nullptr);  // C survived
-  EXPECT_EQ(touched->find(key_of(2), 0), nullptr);  // B was the victim
+  EXPECT_TRUE(resident(*touched, 3));   // C survived
+  EXPECT_FALSE(resident(*touched, 2));  // B was the victim
 
   auto untouched = run(/*touch_c=*/false);
-  EXPECT_EQ(untouched->find(key_of(3), 0), nullptr);  // C was the victim
-  EXPECT_NE(untouched->find(key_of(2), 0), nullptr);  // B survived
+  EXPECT_TRUE(resident(*untouched, 2));   // B survived
+  EXPECT_FALSE(resident(*untouched, 3));  // C was the victim
 }
 
 TEST(TileStore, EvictionUnderPinKeepsPayloadAlive) {
@@ -233,8 +242,7 @@ TEST(TileStore, ZeroBudgetIsBuildPassThrough) {
 
 TEST(TileStore, ConcurrentGetOrBuildKeepsExactCounts) {
   // Four threads sweep one shared key set: every caller gets its builder's
-  // bytes, and every call counts as exactly one hit or one miss.  Two
-  // threads that both miss a key both build it; the first insert wins.
+  // bytes, and every call counts as exactly one hit or one miss.
   constexpr std::uint32_t kKeys = 256;
   constexpr int kThreads = 4;
   constexpr int kPasses = 8;
@@ -266,6 +274,103 @@ TEST(TileStore, ConcurrentGetOrBuildKeepsExactCounts) {
   for (std::uint32_t i = 0; i < kKeys; ++i) payload_sum += bytes_of(i).size();
   EXPECT_EQ(store.bytes_resident(), payload_sum);
   EXPECT_EQ(store.evictions(), 0u);
+}
+
+TEST(TileStore, ConcurrentMissesBuildEachKeyOnce) {
+  // Four threads released together sweep one shared key set with a
+  // builder of codec-like cost, so they meet on keys still being built.
+  // A caller that finds a key in flight waits for its payload: each key
+  // is built, and counted as a miss, exactly once.
+  constexpr std::uint32_t kKeys = 256;
+  constexpr int kThreads = 4;
+  constexpr int kPasses = 8;
+  auto bytes_of = [](std::uint32_t i) {
+    TileStore::Payload p(512);
+    std::uint32_t x = i * 2654435761u + 1;
+    for (int round = 0; round < 64; ++round) {
+      for (auto& b : p) {
+        x = x * 1664525u + 1013904223u;
+        b = static_cast<std::uint8_t>(b ^ (x >> 24));
+      }
+    }
+    return p;
+  };
+  std::vector<TileStore::Payload> expected;
+  for (std::uint32_t i = 0; i < kKeys; ++i) expected.push_back(bytes_of(i));
+  TileStore store;
+  std::atomic<int> builds{0};
+  std::atomic<int> wrong{0};
+  std::atomic<int> ready{0};
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ++ready;
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (int pass = 0; pass < kPasses; ++pass) {
+          for (std::uint32_t i = 0; i < kKeys; ++i) {
+            auto got = store.get_or_build(key_of(i),
+                                          static_cast<std::uint64_t>(t), [&] {
+                                            ++builds;
+                                            return bytes_of(i);
+                                          });
+            if (got.payload->bytes() != expected[i]) ++wrong;
+          }
+        }
+      });
+    }
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(store.misses(), kKeys);
+  EXPECT_EQ(builds.load(), static_cast<int>(kKeys));
+  EXPECT_EQ(store.hits(), std::uint64_t{kKeys} * (kThreads * kPasses - 1));
+  EXPECT_EQ(store.bytes_deduped(), store.hits() * 512);
+  EXPECT_EQ(store.unique_entries(), kKeys);
+}
+
+TEST(TileStore, BuildFailureReachesWaitersAndLeavesKeyBuildable) {
+  // The builder holds the key in flight until a second caller has joined
+  // (its hit is counted before it waits), then throws: both callers see
+  // the exception, nothing is stored, and the next lookup builds afresh.
+  TileStore store;
+  std::atomic<bool> building{false};
+  auto failing_build = [&]() -> TileStore::Payload {
+    building = true;
+    while (store.hits() == 0) std::this_thread::yield();
+    throw std::runtime_error("build failed");
+  };
+  std::atomic<int> caught{0};
+  {
+    std::jthread builder([&] {
+      try {
+        (void)store.get_or_build(key_of(5), 0, failing_build);
+      } catch (const std::runtime_error&) {
+        ++caught;
+      }
+    });
+    while (!building) std::this_thread::yield();
+    std::jthread waiter([&] {
+      try {
+        (void)store.get_or_build(key_of(5), 1, [] {
+          ADD_FAILURE() << "a waiter never builds";
+          return payload_of(8, 0);
+        });
+      } catch (const std::runtime_error&) {
+        ++caught;
+      }
+    });
+  }
+  EXPECT_EQ(caught.load(), 2);
+  EXPECT_EQ(store.misses(), 1u);
+  EXPECT_EQ(store.hits(), 1u);
+  EXPECT_EQ(store.cross_origin_hits(), 1u);
+  EXPECT_EQ(store.unique_entries(), 0u);
+
+  auto again =
+      store.get_or_build(key_of(5), 0, [] { return payload_of(8, 9); });
+  EXPECT_FALSE(again.hit);
+  EXPECT_EQ(again.payload->bytes(), payload_of(8, 9));
+  EXPECT_EQ(store.misses(), 2u);
 }
 
 // -- replies in flight pin the store's entry ------------------------------
