@@ -144,6 +144,38 @@ TEST(ImageGolden, NonSquareAndOddSizes) {
             "1:ce59ad494ef5d8646687e3c0d7f69180");
 }
 
+// -- differential sweep --------------------------------------------------
+//
+// Image::synthetic against the first, plain form of the generator
+// (oracle::synthetic: one serial noise stream, one exp per blob and
+// pixel), byte for byte, over sizes that cover one pixel, thin strips,
+// odd sizes and images of one and of many row bands.
+
+struct Size {
+  int width, height;
+};
+
+class ImageDifferential : public ::testing::TestWithParam<Size> {};
+
+TEST_P(ImageDifferential, MatchesOracleOverSeeds) {
+  const auto [width, height] = GetParam();
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    ASSERT_EQ(Image::synthetic(width, height, seed),
+              oracle::synthetic(width, height, seed))
+        << width << "x" << height << " seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, ImageDifferential,
+    ::testing::Values(Size{1, 1}, Size{3, 3}, Size{7, 100}, Size{100, 7},
+                      Size{33, 17}, Size{64, 64}, Size{256, 256},
+                      Size{512, 512}, Size{2048, 64}, Size{1024, 768}),
+    [](const ::testing::TestParamInfo<Size>& size) {
+      return std::to_string(size.param.width) + "x" +
+             std::to_string(size.param.height);
+    });
+
 // -- concurrent synthesis ------------------------------------------------
 //
 // Image::synthetic fans its rows out over a thread pool.  Callers may
