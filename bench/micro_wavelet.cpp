@@ -1,6 +1,7 @@
 // Micro-benchmarks: synthetic image generation, wavelet pyramid
-// construction, reconstruction, and progressive tile encoding and decoding
-// (full, partial-level, and into a reused decoder).
+// construction, the whole image ingest, reconstruction, and progressive
+// tile encoding and decoding (full, partial-level, and into a reused
+// decoder).
 #include <benchmark/benchmark.h>
 
 #define AVF_BENCH_HAS_GBENCH
@@ -37,6 +38,20 @@ void BM_PyramidDecompose(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * size * size);
 }
 BENCHMARK(BM_PyramidDecompose)->Arg(256)->Arg(1024);
+
+// The ingest a world pays once per catalog image before any session runs:
+// synthesize, decompose into 4 levels and take the content hash, fresh
+// every iteration.  Real time: the rows are synthesized on a pool.
+void BM_ImageIngest(benchmark::State& state) {
+  int size = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    wavelet::Pyramid pyr(wavelet::Image::synthetic(size, size, 7), 4);
+    util::Hash128 h = wavelet::pyramid_content_hash(pyr);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetItemsProcessed(state.iterations() * size * size);
+}
+BENCHMARK(BM_ImageIngest)->Arg(1024)->UseRealTime();
 
 void BM_PyramidReconstruct(benchmark::State& state) {
   int size = static_cast<int>(state.range(0));

@@ -42,8 +42,7 @@ namespace avf::adapt {
 
 /// One scheduler decision (paper §6.2): the chosen configuration, which
 /// preference it satisfied, and the predicted quality that justified it.
-/// Lives at namespace scope so the DecisionCache can store it; the
-/// historical spelling `ResourceScheduler::Decision` aliases this type.
+/// Lives at namespace scope so the DecisionCache can store it.
 struct Decision {
   tunable::ConfigPoint config;
   std::size_t preference_index = 0;  // which preference was satisfiable

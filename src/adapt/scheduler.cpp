@@ -77,7 +77,7 @@ const std::vector<ResourceScheduler::Candidate>& ResourceScheduler::evaluate(
   return scratch_;
 }
 
-std::optional<ResourceScheduler::Decision> ResourceScheduler::decide(
+std::optional<Decision> ResourceScheduler::decide(
     const std::vector<Candidate>& all) const {
   if (all.empty()) return std::nullopt;
 
@@ -112,21 +112,20 @@ std::optional<ResourceScheduler::Decision> ResourceScheduler::decide(
                   true};
 }
 
-std::optional<ResourceScheduler::Decision> ResourceScheduler::select(
+std::optional<Decision> ResourceScheduler::select(
     const perfdb::ResourcePoint& resources) const {
   if (options_.decision_cache) return select_cached(resources, nullptr);
   return select_uncached(resources, nullptr);
 }
 
-std::optional<ResourceScheduler::Decision>
-ResourceScheduler::select_with_incumbent(
+std::optional<Decision> ResourceScheduler::select_with_incumbent(
     const perfdb::ResourcePoint& resources,
     const ConfigPoint& incumbent) const {
   if (options_.decision_cache) return select_cached(resources, &incumbent);
   return select_uncached(resources, &incumbent);
 }
 
-std::optional<ResourceScheduler::Decision> ResourceScheduler::select_cached(
+std::optional<Decision> ResourceScheduler::select_cached(
     const perfdb::ResourcePoint& resources,
     const ConfigPoint* incumbent) const {
   DecisionCache& cache = *options_.decision_cache;
@@ -166,7 +165,7 @@ const ResourceScheduler::Candidate* ResourceScheduler::find_incumbent(
   return &c;
 }
 
-std::optional<ResourceScheduler::Decision> ResourceScheduler::select_uncached(
+std::optional<Decision> ResourceScheduler::select_uncached(
     const perfdb::ResourcePoint& resources,
     const ConfigPoint* incumbent_ptr) const {
   const std::vector<Candidate>& all = evaluate(resources);

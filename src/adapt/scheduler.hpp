@@ -49,10 +49,6 @@ class ResourceScheduler {
   ResourceScheduler(const perfdb::PerfDatabase& db, PreferenceList preferences,
                     Options options);
 
-  /// Historical spelling: the Decision type now lives at namespace scope
-  /// (adapt/decision_cache.hpp) so the cache can store it.
-  using Decision = adapt::Decision;
-
   /// Select the best configuration for the measured `resources`.  Returns
   /// nullopt when the database is empty or no configuration has data.
   /// When no preference's constraints are satisfiable, the last preference's

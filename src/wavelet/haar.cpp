@@ -1,7 +1,9 @@
 #include "wavelet/haar.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/fmt.hpp"
 
@@ -21,101 +23,90 @@ void check_geometry(int width, int height, int levels) {
   }
 }
 
-/// One forward 2-D Haar step on the top-left `w x h` region of `work`
-/// (stride `stride`); leaves LL in the top-left quadrant and the three
-/// detail quadrants beside/below it.
-///
-/// `scratch` must hold at least w*h values and is reused across levels (a
-/// single allocation per transform).  Both passes walk rows through
-/// pointers: the column lift reads the two *input rows* of each output row
-/// pair sequentially instead of striding down one column at a time, so the
-/// whole step is sequential in memory — no per-pixel y*stride+x
-/// re-multiplication anywhere.  The arithmetic is element-for-element that
-/// of the textbook loops, so coefficients are bit-identical.
-void forward_step(std::int32_t* work, int stride, int w, int h,
-                  std::int32_t* scratch) {
+/// One forward 2-D Haar step in one pass over row pairs.  `src` is the
+/// `w x h` input (row stride `w`, pixels or the previous level's LL).  The
+/// step's row lift (a = (x0+x1)>>1, d = x0-x1 along each row) and column
+/// lift (the same down each column of the row-lifted pair) are computed
+/// together for each 2x2 block, op for op as the two-pass form computes
+/// them, so every coefficient is that form's: LL = column average of the
+/// row averages, HL = column average of the row differences, LH = column
+/// difference of the row averages, HH = column difference of the row
+/// differences.  The detail bands are written directly; LL goes to `ll`
+/// (row stride w/2), which may be `src` itself: block (x, y)'s LL value
+/// lands at index y*w/2 + x, below every input index a later block reads.
+template <typename In>
+void forward_step(const In* src, int w, int h, std::int32_t* ll, Band& lh,
+                  Band& hl, Band& hh) {
   const int half_w = w / 2;
   const int half_h = h / 2;
-  // Rows: averages into the left half, differences into the right.
-  for (int y = 0; y < h; ++y) {
-    std::int32_t* base = work + static_cast<std::size_t>(y) * stride;
-    const std::int32_t* in = base;
-    for (int x = 0; x < half_w; ++x) {
-      std::int32_t x0 = in[0], x1 = in[1];
-      in += 2;
-      scratch[x] = (x0 + x1) >> 1;       // average
-      scratch[half_w + x] = x0 - x1;     // difference
-    }
-    std::copy(scratch, scratch + w, base);
+  for (Band* band : {&lh, &hl, &hh}) {
+    band->coeffs.resize(static_cast<std::size_t>(half_w) * half_h);
   }
-  // Columns, walked row-wise: row pair (2y, 2y+1) -> average row y and
-  // difference row half_h + y, assembled in scratch then copied back.
   for (int y = 0; y < half_h; ++y) {
-    const std::int32_t* r0 = work + static_cast<std::size_t>(2 * y) * stride;
-    const std::int32_t* r1 = r0 + stride;
-    std::int32_t* avg = scratch + static_cast<std::size_t>(y) * w;
-    std::int32_t* dif = scratch + static_cast<std::size_t>(half_h + y) * w;
-    for (int x = 0; x < w; ++x) {
-      avg[x] = (r0[x] + r1[x]) >> 1;
-      dif[x] = r0[x] - r1[x];
+    const In* r0 = src + static_cast<std::size_t>(2 * y) * w;
+    const In* r1 = r0 + w;
+    const std::size_t row = static_cast<std::size_t>(y) * half_w;
+    std::int32_t* ll_row = ll + row;
+    std::int16_t* lh_row = lh.coeffs.data() + row;
+    std::int16_t* hl_row = hl.coeffs.data() + row;
+    std::int16_t* hh_row = hh.coeffs.data() + row;
+    for (int x = 0; x < half_w; ++x) {
+      const std::int32_t p00 = r0[2 * x], p01 = r0[2 * x + 1];
+      const std::int32_t p10 = r1[2 * x], p11 = r1[2 * x + 1];
+      const std::int32_t a0 = (p00 + p01) >> 1, d0 = p00 - p01;
+      const std::int32_t a1 = (p10 + p11) >> 1, d1 = p10 - p11;
+      ll_row[x] = (a0 + a1) >> 1;
+      hl_row[x] = static_cast<std::int16_t>((d0 + d1) >> 1);
+      lh_row[x] = static_cast<std::int16_t>(a0 - a1);
+      hh_row[x] = static_cast<std::int16_t>(d0 - d1);
     }
-  }
-  for (int y = 0; y < h; ++y) {
-    const std::int32_t* src = scratch + static_cast<std::size_t>(y) * w;
-    std::copy(src, src + w, work + static_cast<std::size_t>(y) * stride);
   }
 }
 
-/// One inverse 2-D Haar step: quadrants -> interleaved image of `w x h`.
-/// Same contract as forward_step (scratch >= w*h, bit-identical results).
-void inverse_step(std::int32_t* work, int stride, int w, int h,
-                  std::int32_t* scratch) {
-  const int half_w = w / 2;
-  const int half_h = h / 2;
-  // Columns first (inverse of forward's column pass), walked row-wise:
-  // average row y + difference row half_h + y -> output rows 2y and 2y+1.
-  for (int y = 0; y < half_h; ++y) {
-    const std::int32_t* a_row = work + static_cast<std::size_t>(y) * stride;
-    const std::int32_t* d_row =
-        work + static_cast<std::size_t>(half_h + y) * stride;
-    std::int32_t* o0 = scratch + static_cast<std::size_t>(2 * y) * w;
-    std::int32_t* o1 = o0 + w;
+/// One inverse 2-D Haar step in one pass: the `w x h` LL `ll` and the
+/// level's three detail bands to the `2w x 2h` image `out`.  For each
+/// coefficient position the column lift (x0 = a + ((d+1)>>1), x1 = x0 - d)
+/// undoes LL/LH into a row-average pair and HL/HH into a row-difference
+/// pair, and the row lift undoes each pair into pixels of rows 2y and
+/// 2y+1 — the two-pass inverse's ops, in its order.  An unallocated band
+/// reads as zero through `zeros` (at least w values).  Out is int32 for
+/// the next level's LL, or uint8 (clamped to [0, 255]) for the image.
+template <typename Out>
+void inverse_step(const std::int32_t* ll, const Band& lh, const Band& hl,
+                  const Band& hh, int w, int h, const std::int16_t* zeros,
+                  Out* out) {
+  auto row_of = [&](const Band& band, int y) {
+    return band.coeffs.empty()
+               ? zeros
+               : band.coeffs.data() + static_cast<std::size_t>(y) * w;
+  };
+  auto emit = [](std::int32_t v) {
+    if constexpr (std::is_same_v<Out, std::uint8_t>) {
+      return static_cast<std::uint8_t>(std::clamp(v, 0, 255));
+    } else {
+      return v;
+    }
+  };
+  for (int y = 0; y < h; ++y) {
+    const std::int32_t* ll_row = ll + static_cast<std::size_t>(y) * w;
+    const std::int16_t* lh_row = row_of(lh, y);
+    const std::int16_t* hl_row = row_of(hl, y);
+    const std::int16_t* hh_row = row_of(hh, y);
+    Out* o0 = out + static_cast<std::size_t>(2 * y) * (2 * w);
+    Out* o1 = o0 + 2 * w;
     for (int x = 0; x < w; ++x) {
-      std::int32_t d = d_row[x];
-      std::int32_t x0 = a_row[x] + ((d + 1) >> 1);
-      o0[x] = x0;
-      o1[x] = x0 - d;
+      const std::int32_t lh_d = lh_row[x], hh_d = hh_row[x];
+      const std::int32_t a0 = ll_row[x] + ((lh_d + 1) >> 1);
+      const std::int32_t a1 = a0 - lh_d;
+      const std::int32_t d0 = hl_row[x] + ((hh_d + 1) >> 1);
+      const std::int32_t d1 = d0 - hh_d;
+      const std::int32_t p00 = a0 + ((d0 + 1) >> 1);
+      const std::int32_t p10 = a1 + ((d1 + 1) >> 1);
+      o0[2 * x] = emit(p00);
+      o0[2 * x + 1] = emit(p00 - d0);
+      o1[2 * x] = emit(p10);
+      o1[2 * x + 1] = emit(p10 - d1);
     }
-  }
-  for (int y = 0; y < h; ++y) {
-    const std::int32_t* src = scratch + static_cast<std::size_t>(y) * w;
-    std::copy(src, src + w, work + static_cast<std::size_t>(y) * stride);
-  }
-  // Rows (scratch's first row doubles as the per-row pair buffer).
-  for (int y = 0; y < h; ++y) {
-    std::int32_t* base = work + static_cast<std::size_t>(y) * stride;
-    for (int x = 0; x < half_w; ++x) {
-      std::int32_t d = base[half_w + x];
-      std::int32_t x0 = base[x] + ((d + 1) >> 1);
-      scratch[2 * x] = x0;
-      scratch[2 * x + 1] = x0 - d;
-    }
-    std::copy(scratch, scratch + w, base);
-  }
-}
-
-/// Copy `band` into `frame` (row stride `stride`) with its top-left
-/// coefficient at column `x0`, row `y0`.  An unallocated band reads as
-/// zero, and so does the frame there: reconstruction writes no band's
-/// window before it lays the band in, so the copy is skipped.
-void place(const Band& band, std::int32_t* frame, int stride, int x0,
-           int y0) {
-  if (band.coeffs.empty()) return;
-  for (int y = 0; y < band.height; ++y) {
-    const std::int16_t* src =
-        band.coeffs.data() + static_cast<std::size_t>(y) * band.width;
-    std::copy(src, src + band.width,
-              frame + static_cast<std::size_t>(y0 + y) * stride + x0);
   }
 }
 
@@ -137,53 +128,29 @@ Pyramid::Pyramid(int width, int height, int levels)
 
 Pyramid::Pyramid(const Image& image, int levels)
     : Pyramid(image.width(), image.height(), levels) {
-  // Full forward transform in an int32 working frame, then split quadrants
-  // into bands, each allocated once.  One scratch buffer serves every
-  // level's lifting step.
-  std::vector<std::int32_t> work(
-      static_cast<std::size_t>(width_) * height_);
-  std::vector<std::int32_t> scratch(work.size());
-  const std::uint8_t* pixels = image.pixels().data();
-  for (std::size_t i = 0; i < work.size(); ++i) work[i] = pixels[i];
+  // The first step reads the pixels; every step leaves its LL in one
+  // quarter-size buffer, which the next step reads and overwrites.
+  std::vector<std::int32_t> ll(static_cast<std::size_t>(width_ / 2) *
+                               (height_ / 2));
   int w = width_, h = height_;
   for (int step = 0; step < levels; ++step) {
-    forward_step(work.data(), width_, w, h, scratch.data());
-    // The detail quadrants produced by this step correspond to
-    // reconstruction level k = levels - step.
-    int k = levels_ - step;
-    Band& lh = details_[k - 1][static_cast<int>(Orientation::kLH)];
-    Band& hl = details_[k - 1][static_cast<int>(Orientation::kHL)];
-    Band& hh = details_[k - 1][static_cast<int>(Orientation::kHH)];
-    const int half_w = w / 2, half_h = h / 2;
-    for (Band* band : {&lh, &hl, &hh}) {
-      band->coeffs.resize(static_cast<std::size_t>(half_w) * half_h);
-    }
-    for (int y = 0; y < half_h; ++y) {
-      const std::int32_t* top =
-          work.data() + static_cast<std::size_t>(y) * width_;
-      const std::int32_t* bot =
-          work.data() + static_cast<std::size_t>(half_h + y) * width_;
-      std::int16_t* hl_row = hl.coeffs.data() +
-                             static_cast<std::size_t>(y) * half_w;
-      std::int16_t* lh_row = lh.coeffs.data() +
-                             static_cast<std::size_t>(y) * half_w;
-      std::int16_t* hh_row = hh.coeffs.data() +
-                             static_cast<std::size_t>(y) * half_w;
-      for (int x = 0; x < half_w; ++x) {
-        hl_row[x] = static_cast<std::int16_t>(top[half_w + x]);
-        lh_row[x] = static_cast<std::int16_t>(bot[x]);
-        hh_row[x] = static_cast<std::int16_t>(bot[half_w + x]);
-      }
+    // This step's detail bands belong to reconstruction level
+    // k = levels - step.
+    auto& bands = details_[levels - step - 1];
+    Band& lh = bands[static_cast<int>(Orientation::kLH)];
+    Band& hl = bands[static_cast<int>(Orientation::kHL)];
+    Band& hh = bands[static_cast<int>(Orientation::kHH)];
+    if (step == 0) {
+      forward_step(image.pixels().data(), w, h, ll.data(), lh, hl, hh);
+    } else {
+      forward_step(ll.data(), w, h, ll.data(), lh, hl, hh);
     }
     w /= 2;
     h /= 2;
   }
   ll_.coeffs.resize(static_cast<std::size_t>(w) * h);
-  for (int y = 0; y < h; ++y) {
-    const std::int32_t* src =
-        work.data() + static_cast<std::size_t>(y) * width_;
-    std::int16_t* dst = ll_.coeffs.data() + static_cast<std::size_t>(y) * w;
-    for (int x = 0; x < w; ++x) dst[x] = static_cast<std::int16_t>(src[x]);
+  for (std::size_t i = 0; i < ll_.coeffs.size(); ++i) {
+    ll_.coeffs[i] = static_cast<std::int16_t>(ll[i]);
   }
 }
 
@@ -200,27 +167,34 @@ Image Pyramid::reconstruct(int level) const {
     throw std::out_of_range(
         util::format("level {} not in [0,{}]", level, levels_));
   }
-  int out_w = width_at(level);
-  int out_h = height_at(level);
-  std::vector<std::int32_t> work(static_cast<std::size_t>(out_w) * out_h);
-  std::vector<std::int32_t> scratch(work.size());
-  place(ll_, work.data(), out_w, 0, 0);
+  // Every level's size is a positive multiple of the LL's, so the image
+  // is never empty and its pixels are one row-major block from at(0, 0).
+  Image img(width_at(level), height_at(level));
+  std::uint8_t* pixels = &img.at(0, 0);
+  // An unallocated LL reads as zero, as every unallocated band does.
+  std::vector<std::int32_t> ll(ll_.coeffs.begin(), ll_.coeffs.end());
+  ll.resize(static_cast<std::size_t>(ll_.width) * ll_.height);
+  if (level == 0) {
+    for (std::size_t i = 0; i < ll.size(); ++i) {
+      pixels[i] = static_cast<std::uint8_t>(std::clamp(ll[i], 0, 255));
+    }
+    return img;
+  }
+  const std::vector<std::int16_t> zeros(
+      static_cast<std::size_t>(width_at(level - 1)), 0);
+  std::vector<std::int32_t> next;
   for (int k = 1; k <= level; ++k) {
     const Band& lh = detail(k, Orientation::kLH);
-    // Lay detail quadrants next to the current LL region in the frame.
-    const int half_w = lh.width, half_h = lh.height;
-    place(detail(k, Orientation::kHL), work.data(), out_w, half_w, 0);
-    place(lh, work.data(), out_w, 0, half_h);
-    place(detail(k, Orientation::kHH), work.data(), out_w, half_w, half_h);
-    inverse_step(work.data(), out_w, 2 * half_w, 2 * half_h, scratch.data());
-  }
-  Image img(out_w, out_h);
-  for (int y = 0; y < out_h; ++y) {
-    const std::int32_t* src =
-        work.data() + static_cast<std::size_t>(y) * out_w;
-    for (int x = 0; x < out_w; ++x) {
-      img.at(x, y) =
-          static_cast<std::uint8_t>(std::clamp(src[x], 0, 255));
+    const Band& hl = detail(k, Orientation::kHL);
+    const Band& hh = detail(k, Orientation::kHH);
+    if (k == level) {
+      inverse_step(ll.data(), lh, hl, hh, lh.width, lh.height, zeros.data(),
+                   pixels);
+    } else {
+      next.resize(4 * ll.size());
+      inverse_step(ll.data(), lh, hl, hh, lh.width, lh.height, zeros.data(),
+                   next.data());
+      ll.swap(next);
     }
   }
   return img;

@@ -13,8 +13,10 @@
 // one draw per pixel.  SplitMix64 reaches any draw in O(1) (skip), so
 // synthetic() fills bands of rows on a thread pool, each band from its
 // own generator, and the bytes do not depend on the thread count or on
-// how the bands interleave.  The per-pixel sum keeps one operand order
-// and uses no fused or reordered arithmetic.
+// how the bands interleave.  Each pixel is the byte of one per-pixel sum
+// in one operand order; synthetic() computes the blob terms in factored
+// form and recomputes that exact sum wherever rounding could move the
+// byte (detail::truncation_decided).
 #pragma once
 
 #include <cstdint>
@@ -56,5 +58,15 @@ class Image {
   int height_ = 0;
   std::vector<std::uint8_t> pixels_;
 };
+
+namespace detail {
+
+/// True when every value within synthetic()'s rounding slack (1e-9) of
+/// `v` becomes the same byte (clamp to [0, 255], then truncate): a value
+/// computed in a differently rounded form then gives the byte of the exact
+/// form.  False near an integer in [1, 255].
+bool truncation_decided(double v);
+
+}  // namespace detail
 
 }  // namespace avf::wavelet

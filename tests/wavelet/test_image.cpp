@@ -5,6 +5,7 @@
 #include <climits>
 #include <cstdint>
 #include <stdexcept>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -144,6 +145,42 @@ TEST(ImageGolden, NonSquareAndOddSizes) {
             "1:ce59ad494ef5d8646687e3c0d7f69180");
 }
 
+// -- the exact-fallback rule --------------------------------------------
+//
+// synthetic() keeps a factored pixel value only where every value within
+// its rounding slack truncates to the same byte; elsewhere it recomputes
+// the exact sum.  No catalog pixel has yet needed the recomputation to
+// change, so the goldens cannot see the rule: these points pin it.
+
+TEST(ImageTruncation, UndecidedJustAroundAnInteger) {
+  EXPECT_FALSE(detail::truncation_decided(110.0 - 1e-12));
+  EXPECT_FALSE(detail::truncation_decided(110.0 + 1e-12));
+  EXPECT_FALSE(detail::truncation_decided(110.0));
+  EXPECT_FALSE(detail::truncation_decided(1.0 - 1e-12));
+  EXPECT_FALSE(detail::truncation_decided(1.0 + 1e-12));
+}
+
+TEST(ImageTruncation, DecidedBeyondTheSlack) {
+  EXPECT_TRUE(detail::truncation_decided(110.0 - 1e-6));
+  EXPECT_TRUE(detail::truncation_decided(110.0 + 1e-6));
+  EXPECT_TRUE(detail::truncation_decided(110.5));
+  EXPECT_TRUE(detail::truncation_decided(0.5));
+  EXPECT_TRUE(detail::truncation_decided(254.5));
+}
+
+TEST(ImageTruncation, ClampEdges) {
+  // Around 0 both sides clamp or truncate to byte 0.
+  EXPECT_TRUE(detail::truncation_decided(-1e-12));
+  EXPECT_TRUE(detail::truncation_decided(1e-12));
+  EXPECT_TRUE(detail::truncation_decided(-30.0));
+  // 255 is reached only by the clamp: just below it truncates to 254.
+  EXPECT_FALSE(detail::truncation_decided(255.0 - 1e-12));
+  EXPECT_FALSE(detail::truncation_decided(255.0 + 1e-12));
+  EXPECT_TRUE(detail::truncation_decided(255.0 + 1e-6));
+  EXPECT_TRUE(detail::truncation_decided(256.0 - 1e-12));
+  EXPECT_TRUE(detail::truncation_decided(400.0));
+}
+
 // -- differential sweep --------------------------------------------------
 //
 // Image::synthetic against the first, plain form of the generator
@@ -154,6 +191,11 @@ TEST(ImageGolden, NonSquareAndOddSizes) {
 struct Size {
   int width, height;
 };
+
+// Names each case by its size (ctest shows the printed parameter).
+void PrintTo(const Size& size, std::ostream* os) {
+  *os << size.width << "x" << size.height;
+}
 
 class ImageDifferential : public ::testing::TestWithParam<Size> {};
 
@@ -170,11 +212,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sizes, ImageDifferential,
     ::testing::Values(Size{1, 1}, Size{3, 3}, Size{7, 100}, Size{100, 7},
                       Size{33, 17}, Size{64, 64}, Size{256, 256},
-                      Size{512, 512}, Size{2048, 64}, Size{1024, 768}),
-    [](const ::testing::TestParamInfo<Size>& size) {
-      return std::to_string(size.param.width) + "x" +
-             std::to_string(size.param.height);
-    });
+                      Size{512, 512}, Size{2048, 64}, Size{1024, 768}));
 
 // -- concurrent synthesis ------------------------------------------------
 //
