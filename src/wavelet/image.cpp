@@ -19,10 +19,11 @@ std::uint8_t to_pixel(double v) {
 // How far synthetic()'s factored pixel value may stray from the exact
 // one.  Both add the same terms in the same order; only the blob terms are
 // formed differently (the exp of a sum against a product of two exps).
-// With u = 2^-53, exp within 1 ulp and z a blob term's exponent, each form
-// lies within |amplitude| * u * (3z + 6) * e^-z of the true term, so the
-// two differ by at most 90 * u * (5/e + 9) < 1.1e-13 per blob, 1.2e-12
-// over 11 blobs.  The 19 or fewer running sums stay below
+// With u = 2^-53, exp within 1 ulp and z a blob term's exponent, the
+// exact form lies within |amplitude| * u * (3z + 3) * e^-z of the true
+// term and the factored form within |amplitude| * u * (2z + 6) * e^-z, so
+// the two differ by at most 90 * u * (5/e + 9) < 1.1e-13 per blob,
+// 1.2e-12 over 11 blobs.  The 19 or fewer running sums stay below
 // 110 + 60 + 60 + 11*90 + 6*60 + 6 + 20 = 1606 in magnitude, so their
 // roundings on the two sides add at most 2 * 19 * 1606 * u < 6.8e-12.
 // Hence |approx - exact| < 1e-11, and the slack is 100x that; the largest

@@ -82,7 +82,8 @@ inline Image synthetic(int width, int height, std::uint64_t seed) {
   std::vector<Rect> rects;
   int n_rects = 3 + static_cast<int>(rng.next_below(4));
   for (int i = 0; i < n_rects; ++i) {
-    int x0 = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(width)));
+    int x0 =
+        static_cast<int>(rng.next_below(static_cast<std::uint64_t>(width)));
     int y0 =
         static_cast<int>(rng.next_below(static_cast<std::uint64_t>(height)));
     int w = 8 + static_cast<int>(rng.next_below(
