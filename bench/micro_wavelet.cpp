@@ -1,8 +1,10 @@
 // Micro-benchmarks: synthetic image generation, wavelet pyramid
 // construction, the whole image ingest, reconstruction, and progressive
 // tile encoding and decoding (full, partial-level, and into a reused
-// decoder).
+// decoder; each a receive plus assemble()), and the receive alone.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #define AVF_BENCH_HAS_GBENCH
 #include "bench/common.hpp"
@@ -76,47 +78,75 @@ void BM_ProgressiveEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_ProgressiveEncode)->Arg(256)->Arg(1024);
 
+// The payloads a client receives: one shared Blob, as the server's store
+// hands it over.
+std::shared_ptr<const util::Blob> region_payload(const wavelet::Pyramid& pyr,
+                                                 int size, int level) {
+  wavelet::ProgressiveEncoder enc(pyr, 16);
+  return std::make_shared<const util::Blob>(
+      enc.encode_region({size / 2, size / 2, size}, level));
+}
+
+// A full decode: index the payload, then assemble the pyramid from it.
 void BM_ProgressiveDecode(benchmark::State& state) {
   int size = static_cast<int>(state.range(0));
   wavelet::Pyramid pyr(viz::cached_image(size, 7), 4);
-  wavelet::ProgressiveEncoder enc(pyr, 16);
-  wavelet::Bytes payload = enc.encode_region({size / 2, size / 2, size}, 4);
+  auto payload = region_payload(pyr, size, 4);
   for (auto _ : state) {
     wavelet::ProgressiveDecoder dec(size, size, 4, 16);
     auto result = dec.apply(payload);
+    wavelet::Pyramid got = dec.assemble();
     benchmark::DoNotOptimize(result.coefficients);
+    benchmark::DoNotOptimize(got.ll().coeffs.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_ProgressiveDecode)->Arg(256)->Arg(1024);
 
-// The common client case: a region that stops below the top level.  Only
-// the bands up to level 2 of the 4-level 1024² pyramid are allocated.
-void BM_ProgressiveDecodePartial(benchmark::State& state) {
-  wavelet::Pyramid pyr(viz::cached_image(1024, 7), 4);
-  wavelet::ProgressiveEncoder enc(pyr, 16);
-  wavelet::Bytes payload = enc.encode_region({512, 512, 1024}, 2);
-  for (auto _ : state) {
-    wavelet::ProgressiveDecoder dec(1024, 1024, 4, 16);
-    auto result = dec.apply(payload);
-    benchmark::DoNotOptimize(result.coefficients);
-    benchmark::DoNotOptimize(dec.pyramid().ll().coeffs.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_ProgressiveDecodePartial);
-
-// One decoder per client: reset() between images keeps the bands' capacity.
-void BM_ProgressiveDecodeReused(benchmark::State& state) {
+// The receive alone, which is all a client does per reply: validate every
+// tile header and index the payload in place.
+void BM_ProgressiveApply(benchmark::State& state) {
   int size = static_cast<int>(state.range(0));
   wavelet::Pyramid pyr(viz::cached_image(size, 7), 4);
-  wavelet::ProgressiveEncoder enc(pyr, 16);
-  wavelet::Bytes payload = enc.encode_region({size / 2, size / 2, size}, 4);
+  auto payload = region_payload(pyr, size, 4);
   wavelet::ProgressiveDecoder dec(size, size, 4, 16);
   for (auto _ : state) {
     dec.reset();
     auto result = dec.apply(payload);
     benchmark::DoNotOptimize(result.coefficients);
-    benchmark::DoNotOptimize(dec.pyramid().ll().coeffs.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ProgressiveApply)->Arg(256)->Arg(1024);
+
+// The common client case: a region that stops below the top level.  Only
+// the bands up to level 2 of the 4-level 1024² pyramid are assembled.
+void BM_ProgressiveDecodePartial(benchmark::State& state) {
+  wavelet::Pyramid pyr(viz::cached_image(1024, 7), 4);
+  auto payload = region_payload(pyr, 1024, 2);
+  for (auto _ : state) {
+    wavelet::ProgressiveDecoder dec(1024, 1024, 4, 16);
+    auto result = dec.apply(payload);
+    wavelet::Pyramid got = dec.assemble();
+    benchmark::DoNotOptimize(result.coefficients);
+    benchmark::DoNotOptimize(got.ll().coeffs.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ProgressiveDecodePartial);
+
+// One decoder per client: reset() between images keeps the index.
+void BM_ProgressiveDecodeReused(benchmark::State& state) {
+  int size = static_cast<int>(state.range(0));
+  wavelet::Pyramid pyr(viz::cached_image(size, 7), 4);
+  auto payload = region_payload(pyr, size, 4);
+  wavelet::ProgressiveDecoder dec(size, size, 4, 16);
+  for (auto _ : state) {
+    dec.reset();
+    auto result = dec.apply(payload);
+    wavelet::Pyramid got = dec.assemble();
+    benchmark::DoNotOptimize(result.coefficients);
+    benchmark::DoNotOptimize(got.ll().coeffs.data());
     benchmark::ClobberMemory();
   }
 }

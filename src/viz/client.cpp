@@ -1,6 +1,7 @@
 #include "viz/client.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "util/fmt.hpp"
@@ -79,9 +80,8 @@ sim::Task<VizClient::ImageStats> VizClient::fetch_image(
         options_.session_id));
   }
 
-  if (decoder_ && decoder_->pyramid().full_width() == ack.width &&
-      decoder_->pyramid().full_height() == ack.height &&
-      decoder_->pyramid().levels() == ack.levels) {
+  if (decoder_ && decoder_->width() == ack.width &&
+      decoder_->height() == ack.height && decoder_->levels() == ack.levels) {
     decoder_->reset();
   } else {
     decoder_.emplace(ack.width, ack.height, ack.levels, options_.tile_size);
@@ -142,19 +142,18 @@ sim::Task<VizClient::ImageStats> VizClient::fetch_image(
     co_await box_.compute(codec.decompress_ops(reply.raw_len));
     // payload_hash chains FNV-1a over every round's raw bytes, restarting
     // from the offset basis whenever the running value is 0.  A premeasured
-    // body is the server's shared Blob: hashed in O(1) from its memo and
-    // decoded in place.  Only freshly decompressed bytes are hashed in full.
+    // body is the server's shared Blob: hashed in O(1) from its memo.  Only
+    // freshly decompressed bytes are hashed in full.  Either way the
+    // decoder indexes the raw Blob in place and holds it.
     const std::uint64_t chain =
         stats.payload_hash == 0 ? util::kFnv1aOffset : stats.payload_hash;
-    wavelet::ProgressiveDecoder::ApplyResult applied;
-    if (reply.premeasured) {
-      stats.payload_hash = reply.body->fnv1a64(chain);
-      applied = decoder.apply(*reply.body);
-    } else {
-      wavelet::Bytes raw = codec.decompress(*reply.body);
-      stats.payload_hash = util::fnv1a64(raw.data(), raw.size(), chain);
-      applied = decoder.apply(raw);
-    }
+    std::shared_ptr<const util::Blob> raw =
+        reply.premeasured
+            ? reply.body
+            : std::make_shared<const util::Blob>(codec.decompress(*reply.body));
+    stats.payload_hash = raw->fnv1a64(chain);
+    wavelet::ProgressiveDecoder::ApplyResult applied =
+        decoder.apply(std::move(raw));
     double scale = static_cast<double>(1 << (ack.levels - level));
     double shown_w =
         std::min<double>(2.0 * half, ack.width) / scale;

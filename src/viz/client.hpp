@@ -93,8 +93,9 @@ class VizClient {
   /// Currently active configuration (steered or fixed).
   const tunable::ConfigPoint& config() const;
 
-  /// The decoder of the last image fetched, holding what it received;
-  /// throws std::bad_optional_access before the first image.
+  /// The decoder of the last image fetched, indexing what it received; it
+  /// holds that image's payloads until the next image opens or the client
+  /// is destroyed.  Throws std::bad_optional_access before the first image.
   const wavelet::ProgressiveDecoder& decoder() const {
     return decoder_.value();
   }
@@ -111,8 +112,9 @@ class VizClient {
   Options options_;
   tunable::ConfigPoint fixed_config_;
   std::vector<ImageStats> history_;
-  // One decoder for every image: reset between images of one geometry, so
-  // the bands keep the capacity the last image allocated.
+  // One decoder for every image: reset between images of one geometry,
+  // which releases the last image's payloads and keeps the index; a new
+  // geometry builds a new decoder.
   std::optional<wavelet::ProgressiveDecoder> decoder_;
 };
 

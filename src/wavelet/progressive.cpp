@@ -196,68 +196,63 @@ bool ProgressiveEncoder::fully_sent(int level) const {
 
 ProgressiveDecoder::ProgressiveDecoder(int width, int height, int levels,
                                        int tile_size)
-    : pyramid_(width, height, levels), tile_(tile_size) {
+    : geometry_(width, height, levels), tile_(tile_size) {
   if (tile_size < 1 || tile_size > 255) {
     throw std::invalid_argument("tile size must be in [1, 255]");
   }
   int bands = band_count(levels);
-  received_.assign(static_cast<std::size_t>(bands), {});
+  first_cell_.assign(static_cast<std::size_t>(bands) + 1, 0);
   for (int b = 0; b < bands; ++b) {
-    const Band& band = band_by_id(pyramid_, b);
-    received_[b].assign(
+    const Band& band = band_by_id(geometry_, b);
+    first_cell_[b + 1] =
+        first_cell_[b] +
         static_cast<std::size_t>(tiles_across(band.width, tile_)) *
-            tiles_across(band.height, tile_),
-        false);
+            tiles_across(band.height, tile_);
   }
+  cells_.assign(first_cell_.back(), nullptr);
 }
 
 void ProgressiveDecoder::reset() {
-  for (int b = 0; b < band_count(pyramid_.levels()); ++b) {
-    band_by_id(pyramid_, b).coeffs.clear();  // keeps the capacity
-    std::fill(received_[b].begin(), received_[b].end(), false);
-  }
+  std::fill(cells_.begin(), cells_.end(), nullptr);
+  held_.clear();
   coefficients_ = 0;
 }
 
 ProgressiveDecoder::ApplyResult ProgressiveDecoder::apply(
-    std::span<const std::uint8_t> payload) {
+    std::shared_ptr<const util::Blob> payload) {
   ApplyResult result;
-  if (payload.empty()) return result;
-  util::ByteReader in(payload, "progressive");
+  if (payload == nullptr || payload->empty()) return result;
+  util::ByteReader in(*payload, "progressive");
   std::uint32_t count = in.u16();
   for (std::uint32_t t = 0; t < count; ++t) {
     int b = in.u8();
-    if (b >= band_count(pyramid_.levels())) {
+    if (b >= band_count(levels())) {
       throw std::runtime_error("progressive: bad band id");
     }
     int tx = in.u16();
     int ty = in.u16();
     int w = in.u8();
     int h = in.u8();
-    Band& band = band_by_id(pyramid_, b);
+    const Band& band = band_by_id(geometry_, b);
     int x0 = tx * tile_;
     int y0 = ty * tile_;
     // A tile is exactly its grid cell, cut at the band edge: the sizes
-    // the encoder writes.  A larger one would overwrite the cells beside
-    // it while marking only its own received, and a cell at or past the
-    // edge has no slot in the received-tile map.
+    // the encoder writes.  A larger one would cover the cells beside it
+    // while indexing only its own, and a cell at or past the edge has no
+    // slot in the index.
     if (x0 >= band.width || y0 >= band.height ||
         w != std::min(tile_, band.width - x0) ||
         h != std::min(tile_, band.height - y0)) {
       throw std::runtime_error("progressive: tile is not a grid cell");
     }
-    // One bounds check for the whole tile, then rows of i16 LSB-first.
+    // One bounds check for the whole tile; its bytes stay in the payload.
     const std::uint8_t* src = in.take(std::size_t{2} * w * h).data();
-    // A band is allocated when its first tile lands (the band invariant:
-    // until then it reads as all zero).
-    if (band.coeffs.empty()) {
-      band.coeffs.resize(static_cast<std::size_t>(band.width) * band.height);
-    }
-    for (int y = 0; y < h; ++y, src += 2 * w) {
-      util::load_i16s(&band.at(x0, y0 + y), src, static_cast<std::size_t>(w));
-    }
+    // Held before its first tile is indexed, so no index entry ever
+    // points into a payload the decoder does not own.
+    if (result.tiles == 0) held_.push_back(payload);
     int tiles_x = tiles_across(band.width, tile_);
-    received_[b][static_cast<std::size_t>(ty) * tiles_x + tx] = true;
+    cells_[first_cell_[b] + static_cast<std::size_t>(ty) * tiles_x + tx] =
+        src;
     ++result.tiles;
     result.coefficients += static_cast<std::size_t>(w) * h;
   }
@@ -266,12 +261,44 @@ ProgressiveDecoder::ApplyResult ProgressiveDecoder::apply(
   return result;
 }
 
+Pyramid ProgressiveDecoder::assemble() const {
+  Pyramid out = geometry_;
+  for (int b = 0; b < band_count(levels()); ++b) {
+    Band& band = band_by_id(out, b);
+    int tiles_x = tiles_across(band.width, tile_);
+    int tiles_y = tiles_across(band.height, tile_);
+    const std::uint8_t* const* cell = &cells_[first_cell_[b]];
+    for (int ty = 0; ty < tiles_y; ++ty) {
+      for (int tx = 0; tx < tiles_x; ++tx, ++cell) {
+        const std::uint8_t* src = *cell;
+        if (src == nullptr) continue;
+        // A band is allocated when its first received cell is laid in
+        // (the band invariant: until then it reads as all zero).
+        if (band.coeffs.empty()) {
+          band.coeffs.resize(static_cast<std::size_t>(band.width) *
+                             band.height);
+        }
+        int x0 = tx * tile_, y0 = ty * tile_;
+        int w = std::min(tile_, band.width - x0);
+        int h = std::min(tile_, band.height - y0);
+        for (int y = 0; y < h; ++y, src += 2 * w) {
+          util::load_i16s(&band.at(x0, y0 + y), src,
+                          static_cast<std::size_t>(w));
+        }
+      }
+    }
+  }
+  return out;
+}
+
 double ProgressiveDecoder::coverage(int level) const {
   std::size_t have = 0, total = 0;
-  for (int b = 0; b < band_count(pyramid_.levels()); ++b) {
+  for (int b = 0; b < band_count(levels()); ++b) {
     if (!band_in_level(b, level)) continue;
-    total += received_[b].size();
-    for (bool r : received_[b]) have += r ? 1 : 0;
+    total += first_cell_[b + 1] - first_cell_[b];
+    for (std::size_t c = first_cell_[b]; c < first_cell_[b + 1]; ++c) {
+      have += cells_[c] != nullptr ? 1 : 0;
+    }
   }
   return total == 0 ? 0.0 : static_cast<double>(have) / total;
 }

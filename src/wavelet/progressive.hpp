@@ -6,10 +6,13 @@
 // Each band is divided into fixed-size coefficient tiles; the encoder keeps
 // per-session sent-state and serializes only the tiles that (a) intersect
 // the requested foveal square mapped into band coordinates and (b) have not
-// been sent yet.  The decoder accumulates tiles into an empty pyramid,
-// whose bands hold no coefficients and read as all zero until their first
-// tile lands (the band invariant, haar.hpp), so a client pays only for the
-// bands it receives.  It can reconstruct a best-effort image at any time.
+// been sent yet.  The decoder copies no coefficient on receipt: it co-owns
+// each payload it is given and indexes it, one pointer per cell of every
+// band's tile grid to that tile's first coefficient byte (null = not
+// received).  assemble() builds a Pyramid from the index on demand, with
+// unreceived cells, and bands with no received cell, reading as zero (the
+// band invariant, haar.hpp).  It can reconstruct a best-effort image at any
+// time.
 //
 // Payload format (little-endian, read and written through util/bytes.hpp):
 //   u16 tile_count
@@ -24,9 +27,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "util/blob.hpp"
 #include "util/hash.hpp"
 #include "wavelet/haar.hpp"
 
@@ -108,22 +113,32 @@ class ProgressiveDecoder {
     std::size_t coefficients = 0;
   };
 
-  /// Integrate a payload produced by ProgressiveEncoder::encode_region,
-  /// allocating each band when its first tile lands.  Throws
-  /// std::runtime_error on malformed input (truncated, trailing bytes, a
-  /// bad band id or a tile that is not a cell of its band's grid); tiles
-  /// before the malformed one stay applied.
-  ApplyResult apply(std::span<const std::uint8_t> payload);
+  /// Integrate a payload produced by ProgressiveEncoder::encode_region:
+  /// validate every tile header and index the tile's coefficient bytes in
+  /// place, holding `payload` until reset() or destruction.  A later tile
+  /// for the same cell replaces the earlier one.  Throws std::runtime_error
+  /// on malformed input (truncated, trailing bytes, a bad band id or a tile
+  /// that is not a cell of its band's grid); tiles before the malformed one
+  /// stay applied.  A null or empty payload applies nothing.
+  ApplyResult apply(std::shared_ptr<const util::Blob> payload);
 
-  /// Forget every received tile, as a fresh decoder of the same geometry
-  /// would, but keep each band's capacity for the next image.
+  /// Forget every received tile and release every held payload, as a fresh
+  /// decoder of the same geometry would.
   void reset();
 
-  const Pyramid& pyramid() const { return pyramid_; }
+  int width() const { return geometry_.full_width(); }
+  int height() const { return geometry_.full_height(); }
+  int levels() const { return geometry_.levels(); }
+
+  /// The pyramid received so far, built from the index: a band with at
+  /// least one received cell holds all its coefficients, with unreceived
+  /// cells zero; a band with none holds no coefficients.  O(received
+  /// coefficients) per call.
+  Pyramid assemble() const;
 
   /// Best-effort reconstruction with whatever has arrived (missing
   /// coefficients read as zero).
-  Image reconstruct(int level) const { return pyramid_.reconstruct(level); }
+  Image reconstruct(int level) const { return assemble().reconstruct(level); }
 
   /// Fraction of tiles received among the bands used by `level`.
   double coverage(int level) const;
@@ -131,9 +146,13 @@ class ProgressiveDecoder {
   std::size_t coefficients_received() const { return coefficients_; }
 
  private:
-  Pyramid pyramid_;
+  Pyramid geometry_;  // geometry only: its bands hold no coefficients
   int tile_;
-  std::vector<std::vector<bool>> received_;
+  // cells_[first_cell_[b] + ty * tiles_x + tx]: the first coefficient byte
+  // of band b's tile (tx, ty) inside a held payload, or null.
+  std::vector<std::size_t> first_cell_;
+  std::vector<const std::uint8_t*> cells_;
+  std::vector<std::shared_ptr<const util::Blob>> held_;
   std::size_t coefficients_ = 0;
 };
 

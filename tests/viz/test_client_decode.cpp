@@ -71,7 +71,7 @@ TEST_P(ClientDecode, FinalPyramidEqualsTheServersUpToTheResolution) {
   EXPECT_EQ(result.images.back().resolution, 3);
   PyramidEntry last = cached_pyramid_entry(
       setup.image_size, setup.image_seed + 1, setup.levels);
-  expect_decoded(world.client().decoder().pyramid(), *last.pyramid, 3);
+  expect_decoded(world.client().decoder().assemble(), *last.pyramid, 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(CodecsAndModes, ClientDecode,
@@ -83,7 +83,7 @@ sim::Task<> fetch_each(VizClient* client, std::vector<std::uint32_t> ids,
                        std::vector<Pyramid>* decoded) {
   for (std::uint32_t id : ids) {
     (void)co_await client->fetch_image(id);
-    decoded->push_back(client->decoder().pyramid());
+    decoded->push_back(client->decoder().assemble());
   }
   co_await client->shutdown_server();
 }

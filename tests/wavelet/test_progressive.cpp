@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,9 +12,15 @@
 #include "golden_digest.hpp"
 #include "util/rng.hpp"
 #include "wavelet/image_oracles.hpp"
+#include "wavelet/progressive_oracle.hpp"
 
 namespace avf::wavelet {
 namespace {
+
+/// `bytes` as a payload the decoder can hold.
+std::shared_ptr<const util::Blob> blob(Bytes bytes) {
+  return std::make_shared<const util::Blob>(std::move(bytes));
+}
 
 struct Rig {
   Image img = Image::synthetic(128, 128, 17);
@@ -31,7 +38,7 @@ TEST(Progressive, FullRegionFullLevelIsLossless) {
   Rig rig;
   Bytes payload = rig.enc.encode_region(full_region(rig.img), 3);
   ASSERT_FALSE(payload.empty());
-  rig.dec.apply(payload);
+  rig.dec.apply(blob(payload));
   EXPECT_EQ(rig.dec.reconstruct(3), rig.img);
   EXPECT_TRUE(rig.enc.fully_sent(3));
   EXPECT_DOUBLE_EQ(rig.dec.coverage(3), 1.0);
@@ -52,7 +59,7 @@ TEST(Progressive, GrowingFoveaSendsIncrements) {
   for (int half = 16; half <= 128; half += 16) {
     Bytes payload = rig.enc.encode_region(Region{64, 64, half}, 3);
     if (!payload.empty()) {
-      auto result = rig.dec.apply(payload);
+      auto result = rig.dec.apply(blob(payload));
       cumulative += result.coefficients;
     }
   }
@@ -80,7 +87,7 @@ TEST(Progressive, PartialCoverageReconstructsApproximately) {
   Rig rig;
   // Send only the LL + level-1 data for the center region.
   Bytes payload = rig.enc.encode_region(Region{64, 64, 32}, 1);
-  rig.dec.apply(payload);
+  rig.dec.apply(blob(payload));
   EXPECT_GT(rig.dec.coverage(1), 0.0);
   EXPECT_LT(rig.dec.coverage(3), 1.0);
   // The reconstruction is not exact but the received center should be
@@ -94,7 +101,7 @@ TEST(Progressive, PartialCoverageReconstructsApproximately) {
 TEST(Progressive, LevelUpgradeAfterFullCoarseSend) {
   Rig rig;
   Bytes coarse = rig.enc.encode_region(full_region(rig.img), 2);
-  rig.dec.apply(coarse);
+  rig.dec.apply(blob(coarse));
   EXPECT_TRUE(rig.enc.fully_sent(2));
   EXPECT_FALSE(rig.enc.fully_sent(3));
   // Level-2 image is exact now.
@@ -102,7 +109,7 @@ TEST(Progressive, LevelUpgradeAfterFullCoarseSend) {
   EXPECT_EQ(rig.dec.reconstruct(2), ref.reconstruct(2));
   // Upgrading to level 3 sends only the level-3 detail bands.
   Bytes fine = rig.enc.encode_region(full_region(rig.img), 3);
-  rig.dec.apply(fine);
+  rig.dec.apply(blob(fine));
   EXPECT_EQ(rig.dec.reconstruct(3), rig.img);
 }
 
@@ -128,12 +135,12 @@ TEST(Progressive, MalformedPayloadThrows) {
   Bytes payload = rig.enc.encode_region(Region{64, 64, 16}, 1);
   ASSERT_GT(payload.size(), 4u);
   Bytes truncated(payload.begin(), payload.begin() + payload.size() / 2);
-  EXPECT_THROW(rig.dec.apply(truncated), std::runtime_error);
+  EXPECT_THROW(rig.dec.apply(blob(truncated)), std::runtime_error);
 
   Bytes bad_band = payload;
   bad_band[2] = 0xFF;  // first tile's band id
   ProgressiveDecoder fresh(128, 128, 3, 8);
-  EXPECT_THROW(fresh.apply(bad_band), std::runtime_error);
+  EXPECT_THROW(fresh.apply(blob(bad_band)), std::runtime_error);
 }
 
 TEST(Progressive, EmptyTilePastBandEdgeThrows) {
@@ -147,7 +154,7 @@ TEST(Progressive, EmptyTilePastBandEdgeThrows) {
                      static_cast<std::uint8_t>(ty), 0,
                      0, 0};  // w = h = 0
     ProgressiveDecoder dec(128, 128, 3, 8);
-    EXPECT_THROW(dec.apply(payload), std::runtime_error);
+    EXPECT_THROW(dec.apply(blob(payload)), std::runtime_error);
   }
 }
 
@@ -162,7 +169,8 @@ TEST(Progressive, TileThatIsNotItsGridCellThrows) {
                      static_cast<std::uint8_t>(h)};
     payload.resize(payload.size() + std::size_t{2} * w * h, 1);
     ProgressiveDecoder dec(64, 64, 2, 8);
-    EXPECT_THROW(dec.apply(payload), std::runtime_error) << w << "x" << h;
+    EXPECT_THROW(dec.apply(blob(payload)), std::runtime_error)
+        << w << "x" << h;
     EXPECT_EQ(dec.coverage(0), 0.0);
     EXPECT_EQ(dec.coefficients_received(), 0u);
   }
@@ -197,7 +205,7 @@ TEST(Progressive, MutatedPayloadsApplyOrThrow) {
       }
       ProgressiveDecoder dec(128, 128, 3, 8);
       try {
-        dec.apply(m);
+        dec.apply(blob(m));
         ++applied;
       } catch (const std::runtime_error&) {
       }
@@ -219,7 +227,7 @@ TEST_P(ProgressiveTileSizes, LosslessAtAnyTileSize) {
   Pyramid pyr(img, 2);
   ProgressiveEncoder enc(pyr, GetParam());
   ProgressiveDecoder dec(64, 64, 2, GetParam());
-  dec.apply(enc.encode_region(Region{32, 32, 64}, 2));
+  dec.apply(blob(enc.encode_region(Region{32, 32, 64}, 2)));
   EXPECT_EQ(dec.reconstruct(2), img);
 }
 
@@ -269,27 +277,28 @@ TEST(Progressive, TakeRegionTilesMarksSent) {
 // -- lazy bands and decoder reuse ----------------------------------------
 
 /// Band b's coefficients, or nullptr while it is unallocated.
-const std::int16_t* band_data(const ProgressiveDecoder& dec, int b) {
-  const Band& band = progdetail::band_by_id(dec.pyramid(), b);
+const std::int16_t* band_data(const Pyramid& pyramid, int b) {
+  const Band& band = progdetail::band_by_id(pyramid, b);
   return band.coeffs.empty() ? nullptr : band.coeffs.data();
 }
 
 TEST(ProgressiveLazy, FreshDecoderIsGeometryOnlyAndReadsZero) {
   ProgressiveDecoder dec(120, 88, 3, 8);
+  Pyramid got = dec.assemble();
   for (int b = 0; b < progdetail::band_count(3); ++b) {
-    const Band& band = progdetail::band_by_id(dec.pyramid(), b);
+    const Band& band = progdetail::band_by_id(got, b);
     EXPECT_GT(band.width * band.height, 0);
-    EXPECT_EQ(band_data(dec, b), nullptr) << "band " << b;
+    EXPECT_EQ(band_data(got, b), nullptr) << "band " << b;
   }
   for (int level = 0; level <= 3; ++level) {
-    Image zero(dec.pyramid().width_at(level), dec.pyramid().height_at(level));
+    Image zero(got.width_at(level), got.height_at(level));
     EXPECT_EQ(dec.reconstruct(level), zero) << "level " << level;
   }
   // The digest folds an unallocated band's zeros: it equals an allocated
   // all-zero pyramid's, and the value pinned before bands were lazy.
-  EXPECT_EQ(pyramid_content_hash(dec.pyramid()),
+  EXPECT_EQ(pyramid_content_hash(dec.assemble()),
             pyramid_content_hash(Pyramid(Image(120, 88), 3)));
-  util::Hash128 h = pyramid_content_hash(dec.pyramid());
+  util::Hash128 h = pyramid_content_hash(dec.assemble());
   EXPECT_EQ(h.hi, 0x02e36a442ae518cdULL);
   EXPECT_EQ(h.lo, 0x597ccaa2e70c31a9ULL);
 }
@@ -297,16 +306,17 @@ TEST(ProgressiveLazy, FreshDecoderIsGeometryOnlyAndReadsZero) {
 TEST(ProgressiveLazy, ZeroWidthTileAllocatesNothing) {
   Bytes payload = {1, 0, 0, 0, 0, 0, 0, 0, 0};  // band 0, cell (0, 0), 0x0
   ProgressiveDecoder dec(64, 64, 2, 8);
-  EXPECT_THROW(dec.apply(payload), std::runtime_error);
-  EXPECT_EQ(band_data(dec, 0), nullptr);
+  EXPECT_THROW(dec.apply(blob(payload)), std::runtime_error);
+  EXPECT_EQ(band_data(dec.assemble(), 0), nullptr);
   EXPECT_EQ(dec.coverage(0), 0.0);
 }
 
 TEST(ProgressiveLazy, OnlyBandsThatReceiveTilesAreAllocated) {
   Rig rig;
-  rig.dec.apply(rig.enc.encode_region(Region{64, 64, 16}, 1));
+  rig.dec.apply(blob(rig.enc.encode_region(Region{64, 64, 16}, 1)));
+  Pyramid got = rig.dec.assemble();
   for (int b = 0; b < progdetail::band_count(3); ++b) {
-    EXPECT_EQ(band_data(rig.dec, b) != nullptr,
+    EXPECT_EQ(band_data(got, b) != nullptr,
               progdetail::band_in_level(b, 1))
         << "band " << b;
   }
@@ -328,8 +338,8 @@ TEST(ProgressiveLazy, ResetDecoderMatchesAFreshOnePerImage) {
     ProgressiveEncoder enc(*images[i].first, 8);
     for (auto [region, level] : images[i].second) {
       Bytes payload = enc.encode_region(region, level);
-      ProgressiveDecoder::ApplyResult r1 = reused.apply(payload);
-      ProgressiveDecoder::ApplyResult r2 = fresh.apply(payload);
+      ProgressiveDecoder::ApplyResult r1 = reused.apply(blob(payload));
+      ProgressiveDecoder::ApplyResult r2 = fresh.apply(blob(payload));
       EXPECT_EQ(r1.tiles, r2.tiles);
       EXPECT_EQ(r1.coefficients, r2.coefficients);
     }
@@ -339,13 +349,188 @@ TEST(ProgressiveLazy, ResetDecoderMatchesAFreshOnePerImage) {
       EXPECT_EQ(reused.coverage(level), fresh.coverage(level));
     }
     EXPECT_EQ(reused.coefficients_received(), fresh.coefficients_received());
-    EXPECT_EQ(pyramid_content_hash(reused.pyramid()),
-              pyramid_content_hash(fresh.pyramid()));
+    EXPECT_EQ(pyramid_content_hash(reused.assemble()),
+              pyramid_content_hash(fresh.assemble()));
   }
   // B reached level 2 only: its level-3 bands, which A filled, are empty.
+  Pyramid got = reused.assemble();
   for (int band = progdetail::band_count(2); band < progdetail::band_count(3);
        ++band) {
-    EXPECT_EQ(band_data(reused, band), nullptr) << "band " << band;
+    EXPECT_EQ(band_data(got, band), nullptr) << "band " << band;
+  }
+}
+
+// -- zero-copy receive: the decoder indexes the payloads it holds --------
+
+/// Every band of `got` equals `want`'s: same geometry, and the same
+/// coefficients or the same absence of them.
+void expect_same_pyramid(const Pyramid& got, const Pyramid& want) {
+  ASSERT_EQ(got.full_width(), want.full_width());
+  ASSERT_EQ(got.full_height(), want.full_height());
+  ASSERT_EQ(got.levels(), want.levels());
+  for (int b = 0; b < progdetail::band_count(want.levels()); ++b) {
+    const Band& g = progdetail::band_by_id(got, b);
+    const Band& w = progdetail::band_by_id(want, b);
+    EXPECT_EQ(g.width, w.width) << "band " << b;
+    EXPECT_EQ(g.height, w.height) << "band " << b;
+    EXPECT_TRUE(g.coeffs == w.coeffs) << "band " << b;
+  }
+}
+
+/// The decoder agrees with the eager oracle on everything it reports.
+void expect_matches_oracle(const ProgressiveDecoder& dec,
+                           const oracle::EagerDecoder& eager) {
+  expect_same_pyramid(dec.assemble(), eager.pyramid());
+  EXPECT_EQ(dec.coefficients_received(), eager.coefficients_received());
+  for (int level = 0; level <= dec.levels(); ++level) {
+    EXPECT_EQ(dec.coverage(level), eager.coverage(level)) << level;
+  }
+}
+
+TEST(ProgressiveZeroCopy, CallerDropsItsLastReference) {
+  // The decoder's index points into the payloads: once the caller lets go,
+  // only the decoder's own reference keeps the bytes alive (the ASan job
+  // reads freed memory here if it does not hold them).
+  Rig rig;
+  oracle::EagerDecoder eager(128, 128, 3, 8);
+  for (int half = 16; half <= 64; half += 24) {
+    auto payload = blob(rig.enc.encode_region(Region{50, 70, half}, 2));
+    eager.apply(*payload);
+    rig.dec.apply(std::move(payload));
+  }
+  // Churn the allocator so freed payload memory would be reused.
+  std::vector<Bytes> churn;
+  for (int i = 0; i < 64; ++i) churn.emplace_back(4096, 0xA5);
+  expect_matches_oracle(rig.dec, eager);
+  EXPECT_EQ(rig.dec.reconstruct(2), eager.pyramid().reconstruct(2));
+}
+
+TEST(ProgressiveZeroCopy, ResetAndDestructionReleaseEveryPayload) {
+  Rig rig;
+  auto first = blob(rig.enc.encode_region(Region{64, 64, 16}, 1));
+  auto second = blob(rig.enc.encode_region(Region{64, 64, 48}, 3));
+  rig.dec.apply(first);
+  rig.dec.apply(second);
+  EXPECT_EQ(first.use_count(), 2);
+  EXPECT_EQ(second.use_count(), 2);
+  rig.dec.reset();
+  EXPECT_EQ(first.use_count(), 1);
+  EXPECT_EQ(second.use_count(), 1);
+  expect_matches_oracle(rig.dec, oracle::EagerDecoder(128, 128, 3, 8));
+  {
+    ProgressiveDecoder dec(128, 128, 3, 8);
+    dec.apply(first);
+    dec.apply(second);
+    EXPECT_EQ(first.use_count(), 2);
+  }
+  EXPECT_EQ(first.use_count(), 1);
+  EXPECT_EQ(second.use_count(), 1);
+}
+
+TEST(ProgressiveZeroCopy, LaterPayloadWinsForAResentCell) {
+  // Two images of one geometry: the second one's overlapping region
+  // replaces cells the first one filled, as the eager copy overwrote them.
+  Image a = Image::synthetic(128, 128, 51);
+  Image b = Image::synthetic(128, 128, 52);
+  Pyramid pa(a, 3), pb(b, 3);
+  ProgressiveEncoder ea(pa, 8), eb(pb, 8);
+  ProgressiveDecoder dec(128, 128, 3, 8);
+  oracle::EagerDecoder eager(128, 128, 3, 8);
+  for (Bytes payload : {ea.encode_region({40, 40, 48}, 3),
+                        eb.encode_region({72, 72, 40}, 2)}) {
+    eager.apply(payload);
+    dec.apply(blob(std::move(payload)));
+  }
+  expect_matches_oracle(dec, eager);
+  // Both regions cover all four cells of the 16x16 LL band, so it reads
+  // as b's.
+  ASSERT_FALSE(pa.ll().coeffs == pb.ll().coeffs);
+  EXPECT_TRUE(dec.assemble().ll().coeffs == pb.ll().coeffs);
+  // The full region of `a` again: every cell is a's once more.
+  ProgressiveEncoder again(pa, 8);
+  dec.apply(blob(again.encode_region({64, 64, 128}, 3)));
+  EXPECT_EQ(dec.reconstruct(3), a);
+}
+
+TEST(ProgressiveZeroCopy, MalformedPayloadKeepsItsEarlierTiles) {
+  Rig rig;
+  Bytes full = rig.enc.encode_region(full_region(rig.img), 1);
+  // Cut inside the third tile: LL is 2x2 cells of 8x8, 7 + 128 bytes each.
+  Bytes cut(full.begin(), full.begin() + 2 + 2 * (7 + 128) + 20);
+  oracle::EagerDecoder eager(128, 128, 3, 8);
+  EXPECT_THROW(eager.apply(cut), std::runtime_error);
+  auto payload = blob(cut);
+  EXPECT_THROW(rig.dec.apply(payload), std::runtime_error);
+  EXPECT_EQ(payload.use_count(), 2);  // two of its tiles are indexed
+  payload.reset();
+  expect_matches_oracle(rig.dec, eager);
+  EXPECT_EQ(rig.dec.coverage(0), 0.5);
+  // A payload whose first tile is malformed indexes nothing and is not
+  // held.
+  Bytes bad = full;
+  bad[2] = 0xFF;  // first tile's band id
+  auto rejected = blob(bad);
+  EXPECT_THROW(rig.dec.apply(rejected), std::runtime_error);
+  EXPECT_EQ(rejected.use_count(), 1);
+}
+
+TEST(ProgressiveZeroCopy, MatchesTheEagerDecoderOnSeededSequences) {
+  // Seeded sequences of partial regions, level changes, re-sends from a
+  // reset encoder, re-sends of another image's content, truncated
+  // payloads and decoder resets, over geometries with short edge cells.
+  struct Geometry {
+    int width, height, levels, tile;
+  };
+  const Geometry geometries[] = {
+      {128, 128, 3, 8}, {120, 88, 3, 8}, {64, 64, 2, 3}, {96, 64, 1, 16}};
+  util::SplitMix64 rng(0x7a65726fULL);  // "zero"
+  for (const Geometry& g : geometries) {
+    SCOPED_TRACE(testing::Message() << g.width << "x" << g.height << "/"
+                                    << g.levels << "/" << g.tile);
+    Pyramid p0(Image::synthetic(g.width, g.height, 61), g.levels);
+    Pyramid p1(Image::synthetic(g.width, g.height, 62), g.levels);
+    ProgressiveEncoder encoders[] = {ProgressiveEncoder(p0, g.tile),
+                                     ProgressiveEncoder(p1, g.tile)};
+    ProgressiveDecoder dec(g.width, g.height, g.levels, g.tile);
+    oracle::EagerDecoder eager(g.width, g.height, g.levels, g.tile);
+    for (int step = 0; step < 60; ++step) {
+      SCOPED_TRACE(step);
+      switch (rng.next_below(8)) {
+        case 0:
+          dec.reset();
+          eager = oracle::EagerDecoder(g.width, g.height, g.levels, g.tile);
+          break;
+        case 1:
+          encoders[rng.next_below(2)].reset();  // its next region re-sends
+          break;
+        default: {
+          ProgressiveEncoder& enc = encoders[rng.next_below(2)];
+          Region r{static_cast<int>(rng.next_below(g.width)),
+                   static_cast<int>(rng.next_below(g.height)),
+                   1 + static_cast<int>(rng.next_below(g.width))};
+          Bytes payload = enc.encode_region(
+              r, static_cast<int>(rng.next_below(g.levels + 1)));
+          if (rng.next_below(6) == 0) {
+            payload.resize(rng.next_below(payload.size() + 1));
+          }
+          bool eager_threw = false, threw = false;
+          try {
+            eager.apply(payload);
+          } catch (const std::runtime_error&) {
+            eager_threw = true;
+          }
+          try {
+            dec.apply(blob(std::move(payload)));
+          } catch (const std::runtime_error&) {
+            threw = true;
+          }
+          EXPECT_EQ(threw, eager_threw);
+          break;
+        }
+      }
+      expect_matches_oracle(dec, eager);
+      if (HasFailure()) return;
+    }
   }
 }
 
