@@ -47,8 +47,8 @@ class Pyramid {
 
   /// An empty pyramid: geometry only.  Every band records its width and
   /// height and holds no coefficients, so it reads as all zero (the band
-  /// invariant) — the client-side receive buffer for progressive decoding,
-  /// which allocates a band when its first tile lands.
+  /// invariant) — the geometry of a progressive decoder, whose assemble()
+  /// allocates only the bands with a received tile.
   Pyramid(int width, int height, int levels);
 
   int levels() const { return levels_; }

@@ -115,11 +115,12 @@ class ProgressiveDecoder {
 
   /// Integrate a payload produced by ProgressiveEncoder::encode_region:
   /// validate every tile header and index the tile's coefficient bytes in
-  /// place, holding `payload` until reset() or destruction.  A later tile
-  /// for the same cell replaces the earlier one.  Throws std::runtime_error
-  /// on malformed input (truncated, trailing bytes, a bad band id or a tile
-  /// that is not a cell of its band's grid); tiles before the malformed one
-  /// stay applied.  A null or empty payload applies nothing.
+  /// place.  Once one of its tiles is indexed, `payload` is held until
+  /// reset() or destruction.  A later tile for the same cell replaces the
+  /// earlier one.  Throws std::runtime_error on malformed input (truncated,
+  /// trailing bytes, a bad band id or a tile that is not a cell of its
+  /// band's grid); tiles before the malformed one stay applied.  A null or
+  /// empty payload applies nothing.
   ApplyResult apply(std::shared_ptr<const util::Blob> payload);
 
   /// Forget every received tile and release every held payload, as a fresh
