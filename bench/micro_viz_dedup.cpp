@@ -43,6 +43,7 @@
 #include "viz/caches.hpp"
 #include "viz/tile_store.hpp"
 #include "viz/world.hpp"
+#include "wavelet/image.hpp"
 
 namespace {
 
@@ -90,9 +91,11 @@ util::Hash128 identity_key(std::uint32_t id) {
 }
 
 /// Re-register every image id of `world` with the content of the
-/// setup's first image, each as its own freshly decomposed Pyramid:
-/// pointer identity cannot dedup this catalog, content addressing can.
-void add_duplicate_catalog(VizWorld& world, Keying keying) {
+/// setup's first image, `image`, each as its own freshly decomposed
+/// Pyramid: pointer identity cannot dedup this catalog, content addressing
+/// can.
+void add_duplicate_catalog(VizWorld& world, const wavelet::Image& image,
+                           Keying keying) {
   const WorldSetup& setup = world.setup();
   const viz::PyramidEntry entry = viz::cached_pyramid_entry(
       setup.image_size, setup.image_seed, setup.levels);
@@ -100,22 +103,22 @@ void add_duplicate_catalog(VizWorld& world, Keying keying) {
     const auto id = static_cast<std::uint32_t>(i);
     world.server().add_image(
         id,
-        std::make_shared<const wavelet::Pyramid>(
-            viz::cached_image(setup.image_size, setup.image_seed),
-            setup.levels),
+        std::make_shared<const wavelet::Pyramid>(image, setup.levels),
         keying == Keying::kContent ? entry.content_hash : identity_key(id));
   }
 }
 
 /// One fixed-configuration run of every client in a caller-owned world
-/// over the duplicate catalog, so the simulator's event count can be read
-/// afterwards.
-RunStats run_case(const WorldSetup& setup, const tunable::ConfigPoint& cfg,
+/// over the duplicate catalog of `image` (the setup's first image, built
+/// once outside the timed runs), so the simulator's event count can be
+/// read afterwards.
+RunStats run_case(const WorldSetup& setup, const wavelet::Image& image,
+                  const tunable::ConfigPoint& cfg,
                   Keying keying = Keying::kContent) {
   auto start = std::chrono::steady_clock::now();
 
   VizWorld world(setup);
-  add_duplicate_catalog(world, keying);
+  add_duplicate_catalog(world, image, keying);
   for (int i = 0; i < setup.client_count; ++i) {
     world.make_client_at(static_cast<std::size_t>(i), cfg);
   }
@@ -165,6 +168,9 @@ bench::JsonBenchCase make_case(const std::string& label, int sessions,
 
 int main() {
   const tunable::ConfigPoint cfg = bench::viz_config(160, 1, 3);
+  const WorldSetup base = dedup_setup(1);
+  const wavelet::Image image = wavelet::Image::synthetic(
+      base.image_size, base.image_size, base.image_seed);
   bool ok = true;
   std::vector<bench::JsonBenchCase> cases;
 
@@ -186,7 +192,7 @@ int main() {
   content_caches.attach(content_setup);
   const TileStore& content_store = content_caches.store;
 
-  RunStats content = run_case(content_setup, cfg);
+  RunStats content = run_case(content_setup, image, cfg);
   std::uint64_t content_fp = viz::result_fingerprint(content.result);
   std::size_t content_resident = content_store.bytes_resident();
   std::uint64_t cross_hits = content_store.cross_origin_hits();
@@ -206,7 +212,7 @@ int main() {
     WorldSetup setup = dedup_setup(kSessions);
     caches.attach(setup);
     const TileStore& store = caches.store;
-    RunStats replay = run_case(setup, cfg);
+    RunStats replay = run_case(setup, image, cfg);
     bool deterministic = viz::result_fingerprint(replay.result) == content_fp;
     report("replay", replay, store);
     bench::JsonBenchCase c = make_case("replay", kSessions, replay, store);
@@ -225,7 +231,7 @@ int main() {
     WorldSetup setup = dedup_setup(kSessions);
     caches.attach(setup);
     const TileStore& store = caches.store;
-    RunStats identity = run_case(setup, cfg, Keying::kIdentity);
+    RunStats identity = run_case(setup, image, cfg, Keying::kIdentity);
     identity_resident = store.bytes_resident();
     report("identity", identity, store);
     bool same_trace = viz::result_fingerprint(identity.result) == content_fp;
@@ -252,7 +258,7 @@ int main() {
     setup.server_options.size_cache = &sizes;
     setup.server_options.region_cache = &regions;
     setup.server_options.chunk_cache = &chunks;
-    RunStats verified = run_case(setup, cfg);
+    RunStats verified = run_case(setup, image, cfg);
     report("verified", verified, store);
     bool same_trace = viz::result_fingerprint(verified.result) == content_fp;
     bench::JsonBenchCase c = make_case("verified", kSessions, verified, store);
@@ -274,7 +280,7 @@ int main() {
   // -- no-cache baseline: byte-identical payloads -------------------------
   {
     WorldSetup naive = dedup_setup(kSessions);  // no caches attached
-    RunStats nocache = run_case(naive, cfg);
+    RunStats nocache = run_case(naive, image, cfg);
     std::printf("%-18s %12.2f %12" PRIu64 "\n", "nocache", nocache.wall_ms,
                 nocache.events);
     bench::JsonBenchCase c;
@@ -301,7 +307,7 @@ int main() {
     setup.image_count = 1;
     caches.attach(setup);
     const TileStore& store = caches.store;
-    RunStats reference = run_case(setup, cfg);
+    RunStats reference = run_case(setup, image, cfg);
     reference_resident = store.bytes_resident();
     report("reference-1x1", reference, store);
     cases.push_back(make_case("reference-1x1", 1, reference, store));

@@ -8,7 +8,6 @@
 
 #define AVF_BENCH_HAS_GBENCH
 #include "bench/common.hpp"
-#include "viz/world.hpp"
 #include "wavelet/haar.hpp"
 #include "wavelet/image.hpp"
 #include "wavelet/progressive.hpp"
@@ -17,8 +16,8 @@ namespace {
 
 using namespace avf;
 
-// Calls the generator itself, not the viz image memo, so every iteration
-// synthesizes the image.  Real time: the rows are built on a pool.
+// Every iteration synthesizes the image.  Real time: the rows are built on
+// a pool.
 void BM_ImageSynthetic(benchmark::State& state) {
   int size = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -32,7 +31,7 @@ BENCHMARK(BM_ImageSynthetic)->Arg(256)->Arg(1024)->UseRealTime();
 
 void BM_PyramidDecompose(benchmark::State& state) {
   int size = static_cast<int>(state.range(0));
-  const wavelet::Image& img = viz::cached_image(size, 7);
+  const wavelet::Image img = wavelet::Image::synthetic(size, size, 7);
   for (auto _ : state) {
     wavelet::Pyramid pyr(img, 4);
     benchmark::DoNotOptimize(pyr.ll().coeffs.data());
@@ -57,7 +56,7 @@ BENCHMARK(BM_ImageIngest)->Arg(1024)->UseRealTime();
 
 void BM_PyramidReconstruct(benchmark::State& state) {
   int size = static_cast<int>(state.range(0));
-  wavelet::Pyramid pyr(viz::cached_image(size, 7), 4);
+  wavelet::Pyramid pyr(wavelet::Image::synthetic(size, size, 7), 4);
   for (auto _ : state) {
     wavelet::Image img = pyr.reconstruct(4);
     benchmark::DoNotOptimize(img.pixels().data());
@@ -68,7 +67,7 @@ BENCHMARK(BM_PyramidReconstruct)->Arg(256)->Arg(1024);
 
 void BM_ProgressiveEncode(benchmark::State& state) {
   int size = static_cast<int>(state.range(0));
-  wavelet::Pyramid pyr(viz::cached_image(size, 7), 4);
+  wavelet::Pyramid pyr(wavelet::Image::synthetic(size, size, 7), 4);
   for (auto _ : state) {
     wavelet::ProgressiveEncoder enc(pyr, 16);
     wavelet::Bytes out =
@@ -90,7 +89,7 @@ std::shared_ptr<const util::Blob> region_payload(const wavelet::Pyramid& pyr,
 // A full decode: index the payload, then assemble the pyramid from it.
 void BM_ProgressiveDecode(benchmark::State& state) {
   int size = static_cast<int>(state.range(0));
-  wavelet::Pyramid pyr(viz::cached_image(size, 7), 4);
+  wavelet::Pyramid pyr(wavelet::Image::synthetic(size, size, 7), 4);
   auto payload = region_payload(pyr, size, 4);
   for (auto _ : state) {
     wavelet::ProgressiveDecoder dec(size, size, 4, 16);
@@ -107,7 +106,7 @@ BENCHMARK(BM_ProgressiveDecode)->Arg(256)->Arg(1024);
 // tile header and index the payload in place.
 void BM_ProgressiveApply(benchmark::State& state) {
   int size = static_cast<int>(state.range(0));
-  wavelet::Pyramid pyr(viz::cached_image(size, 7), 4);
+  wavelet::Pyramid pyr(wavelet::Image::synthetic(size, size, 7), 4);
   auto payload = region_payload(pyr, size, 4);
   wavelet::ProgressiveDecoder dec(size, size, 4, 16);
   for (auto _ : state) {
@@ -122,7 +121,7 @@ BENCHMARK(BM_ProgressiveApply)->Arg(256)->Arg(1024);
 // The common client case: a region that stops below the top level.  Only
 // the bands up to level 2 of the 4-level 1024² pyramid are assembled.
 void BM_ProgressiveDecodePartial(benchmark::State& state) {
-  wavelet::Pyramid pyr(viz::cached_image(1024, 7), 4);
+  wavelet::Pyramid pyr(wavelet::Image::synthetic(1024, 1024, 7), 4);
   auto payload = region_payload(pyr, 1024, 2);
   for (auto _ : state) {
     wavelet::ProgressiveDecoder dec(1024, 1024, 4, 16);
@@ -138,7 +137,7 @@ BENCHMARK(BM_ProgressiveDecodePartial);
 // One decoder per client: reset() between images keeps the index.
 void BM_ProgressiveDecodeReused(benchmark::State& state) {
   int size = static_cast<int>(state.range(0));
-  wavelet::Pyramid pyr(viz::cached_image(size, 7), 4);
+  wavelet::Pyramid pyr(wavelet::Image::synthetic(size, size, 7), 4);
   auto payload = region_payload(pyr, size, 4);
   wavelet::ProgressiveDecoder dec(size, size, 4, 16);
   for (auto _ : state) {

@@ -69,6 +69,8 @@ struct PipelineWorld {
                                     nullptr) {
     double latency_sum = 0.0;
     int batches = 0;
+    const std::size_t uplink_axis =
+        monitor != nullptr ? monitor->axis_id("uplink_bps") : 0;
     auto body = [&, records]() -> sim::Task<> {
       int sent = 0;
       while (sent < records) {
@@ -94,7 +96,7 @@ struct PipelineWorld {
         if (monitor != nullptr) {
           double wire = batch * (filter ? kFilteredBytes : kRecordBytes) +
                         sim::kMessageHeaderBytes;
-          monitor->observe("uplink_bps", wire / dt);
+          monitor->observe(uplink_axis, wire / dt);
         }
         if (steering != nullptr) steering->apply_pending();
       }

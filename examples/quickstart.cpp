@@ -92,6 +92,7 @@ int main() {
   // the controller's periodic check, configured for a 90% CPU share.
   adapt::AdaptationStack stack(sim, spec, db, preferences, {0.9}, {});
   adapt::MonitoringAgent& monitor = stack.monitor;
+  const std::size_t cpu_axis = monitor.axis_id("cpu_share");
   adapt::SteeringAgent& steering = stack.steering;
   const tunable::ConfigPoint& initial = stack.initial_config;
 
@@ -103,7 +104,7 @@ int main() {
       co_await box.compute(kOpsPerQuality * quality);
       double dt = sim.now() - t0;
       // The app's own instrumentation feeds the monitoring agent.
-      monitor.observe("cpu_share",
+      monitor.observe(cpu_axis,
                       kOpsPerQuality * quality / (kSpeed * dt));
       table.add_row({util::TextTable::num(frame, 0),
                      util::TextTable::num(sim.now(), 2),

@@ -101,10 +101,6 @@ class DecisionCache {
     util::MutexLock lock(mutex_);
     return stats_;
   }
-  void reset_stats() AVF_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    stats_ = Stats{};
-  }
 
  private:
   struct Entry {

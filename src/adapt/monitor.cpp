@@ -1,5 +1,6 @@
 #include "adapt/monitor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -18,42 +19,32 @@ MonitoringAgent::MonitoringAgent(sim::Simulator& sim,
   if (axes_.empty()) {
     throw std::invalid_argument("monitoring agent needs at least one axis");
   }
-  axis_ids_.reserve(axes_.size());
-  for (std::size_t i = 0; i < axes_.size(); ++i) axis_ids_.emplace(axes_[i], i);
   windows_.assign(axes_.size(), util::TimeWindow(options_.window));
   baseline_.assign(axes_.size(), 0.0);
   check_state_.assign(axes_.size(), AxisCheckState{});
 }
 
-std::size_t MonitoringAgent::axis_index(const std::string& axis) const {
-  auto it = axis_ids_.find(axis);
-  if (it == axis_ids_.end()) {
+std::size_t MonitoringAgent::axis_id(const std::string& axis) const {
+  auto it = std::find(axes_.begin(), axes_.end(), axis);
+  if (it == axes_.end()) {
     throw std::out_of_range(util::format("no such monitored axis: {}", axis));
   }
-  return it->second;
-}
-
-void MonitoringAgent::observe(const std::string& axis, double value) {
-  observe(axis_index(axis), value);
+  return static_cast<std::size_t>(it - axes_.begin());
 }
 
 void MonitoringAgent::observe(std::size_t axis_id, double value) {
   windows_[axis_id].add(sim_.now(), value);
-  ++samples_total_;
   ++revision_;
 }
 
-std::optional<double> MonitoringAgent::estimate(const std::string& axis) const {
-  return estimate(axis_index(axis));
-}
-
 std::optional<double> MonitoringAgent::estimate(std::size_t axis_id) const {
-  const util::TimeWindow& w = windows_[axis_id];
   // Average only the samples inside [now - window, now].  The window deque
   // evicts relative to its newest *sample*, so after a reporting gap it can
   // still hold a burst of stale samples behind one fresh observation; those
   // must not skew the estimate.
-  return w.mean_since(sim_.now() - options_.window);
+  auto s = windows_[axis_id].stats_since(sim_.now() - options_.window);
+  if (!s) return std::nullopt;
+  return s->mean;
 }
 
 void MonitoringAgent::estimates_into(std::vector<double>& out) const {

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -36,22 +35,16 @@ class MonitoringAgent {
   const std::vector<std::string>& axes() const { return axes_; }
 
   /// Stable numeric id of `axis` (its index in axes()); throws
-  /// std::out_of_range for unknown names.  Hot per-sample reporters resolve
-  /// the id once and use the id-based overloads below, skipping the
-  /// name-table lookup entirely.
-  std::size_t axis_id(const std::string& axis) const {
-    return axis_index(axis);
-  }
+  /// std::out_of_range for unknown names.  Reporters resolve the id once
+  /// and pass it to observe() and estimate().
+  std::size_t axis_id(const std::string& axis) const;
 
-  /// Report an observed availability sample for `axis` (units = axis units,
-  /// e.g. CPU share fraction or bytes/s), timestamped with simulated now().
-  void observe(const std::string& axis, double value);
-  /// Id-based fast path (see axis_id).
+  /// Report an observed availability sample for axis `axis_id` (units =
+  /// axis units, e.g. CPU share fraction or bytes/s), timestamped with
+  /// simulated now().
   void observe(std::size_t axis_id, double value);
 
   /// Windowed estimate; nullopt when the axis has no samples in-window.
-  std::optional<double> estimate(const std::string& axis) const;
-  /// Id-based fast path (see axis_id).
   std::optional<double> estimate(std::size_t axis_id) const;
 
   /// Estimates for all axes into a caller-owned vector (periodic callers,
@@ -80,24 +73,18 @@ class MonitoringAgent {
   /// nothing either way.
   bool check_would_noop() const;
 
-  std::size_t samples_total() const { return samples_total_; }
   std::size_t triggers() const { return triggers_; }
-  /// Bumped on every observe() and set_baseline(); lets periodic callers
-  /// detect "no new information since I last looked".
-  std::uint64_t revision() const { return revision_; }
 
  private:
-  std::size_t axis_index(const std::string& axis) const;
-
   sim::Simulator& sim_;
   std::vector<std::string> axes_;
   Options options_;
-  std::unordered_map<std::string, std::size_t> axis_ids_;  // name -> index
   std::vector<util::TimeWindow> windows_;
   std::vector<double> baseline_;
   int consecutive_out_ = 0;
-  std::size_t samples_total_ = 0;
   std::size_t triggers_ = 0;
+  // Bumped on every observe() and set_baseline(), so check_would_noop()
+  // can tell "no new information since the last check".
   std::uint64_t revision_ = 0;
 
   // Snapshot of the last check_triggered() call, for check_would_noop():

@@ -144,25 +144,10 @@ std::optional<Decision> ResourceScheduler::select_cached(
 
 const ResourceScheduler::Candidate* ResourceScheduler::find_incumbent(
     const ConfigPoint& incumbent, const std::vector<Candidate>& all) const {
-  // The candidate vector is the stored configuration set in database
-  // iteration order whenever the database is non-trivial (a stored config
-  // always yields *some* prediction), so one slot index serves every query
-  // point until the database mutates.  The size guard catches the edge
-  // where that assumption could drift.
-  if (!slots_valid_ || slots_epoch_ != db_.mutation_epoch() ||
-      slot_of_.size() != all.size()) {
-    slot_of_.clear();
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      slot_of_.emplace(all[i].config->key(), i);
-    }
-    slots_epoch_ = db_.mutation_epoch();
-    slots_valid_ = true;
+  for (const Candidate& c : all) {
+    if (*c.config == incumbent) return &c;
   }
-  auto it = slot_of_.find(incumbent.key());
-  if (it == slot_of_.end() || it->second >= all.size()) return nullptr;
-  const Candidate& c = all[it->second];
-  if (*c.config != incumbent) return nullptr;
-  return &c;
+  return nullptr;
 }
 
 std::optional<Decision> ResourceScheduler::select_uncached(

@@ -21,8 +21,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "adapt/decision_cache.hpp"
@@ -98,14 +96,6 @@ class ResourceScheduler {
   // Reused across decisions so the hot adaptation loop does not reallocate
   // (single-threaded, like the rest of the simulation).
   mutable std::vector<Candidate> scratch_;
-  // Candidate slot by config key, so select_with_incumbent finds the
-  // incumbent's prediction O(1) instead of rescanning the candidate vector.
-  // Valid while the database's mutation epoch and the candidate count are
-  // unchanged (the candidate set is the stored config set, in iteration
-  // order, independent of the query point).
-  mutable std::unordered_map<std::string, std::size_t> slot_of_;
-  mutable std::uint64_t slots_epoch_ = 0;
-  mutable bool slots_valid_ = false;
 };
 
 }  // namespace avf::adapt

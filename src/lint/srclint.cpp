@@ -420,9 +420,9 @@ void scan_float_accum(std::string_view code, const LineMap& lines,
         findings.push_back(
             {rules::kSrcFloatAccum, lines.line_of(i),
              util::format("'{} {}' accumulates floating point in a loop: "
-                          "the result depends on summation order; use the "
-                          "Neumaier CompensatedSum helper or justify why "
-                          "the order is pinned",
+                          "the result depends on summation order; use "
+                          "util::CompensatedSum (util/stats.hpp) or justify "
+                          "why the order is pinned",
                           target, op)});
       }
       ++i;  // skip '='

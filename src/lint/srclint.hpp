@@ -28,8 +28,8 @@
 //   src.float-accum          `double x; ... x += e;` inside a loop in
 //                            src/sim/ — floating accumulation whose result
 //                            depends on summation order; use the Neumaier
-//                            CompensatedSum helper or justify why the order
-//                            is pinned
+//                            util::CompensatedSum (util/stats.hpp) or
+//                            justify why the order is pinned
 //   src.mutable-static       a `static` variable that is neither const nor
 //                            constexpr in a trace-affecting module — state
 //                            every world of a process shares; caches and

@@ -27,13 +27,12 @@
 // pass survives only as the test oracle in tests/sim/.  The virtual clock
 // restarts at zero whenever the population drains.
 //
-// Served-unit accounting uses Neumaier-compensated accumulation so the
+// Served-unit accounting uses util::CompensatedSum (Neumaier) so the
 // per-reschedule credit deltas of long churny runs (10k+ flows) do not
 // drift: total_served() stays within ulp-scale error of the sum of
 // served(owner) over all owners.
 #pragma once
 
-#include <cmath>
 #include <coroutine>
 #include <cstdint>
 #include <list>
@@ -45,6 +44,7 @@
 
 #include "sim/simulator.hpp"
 #include "sim/types.hpp"
+#include "util/stats.hpp"
 
 namespace avf::sim {
 
@@ -141,28 +141,6 @@ class FluidResource {
   std::uint64_t noop_slot_reallocs() const { return noop_slot_reallocs_; }
 
  private:
-  /// Neumaier-compensated accumulator: add() folds the rounding error of
-  /// each += into a running compensation term, value() returns sum + comp.
-  struct CompensatedSum {
-    double sum = 0.0;
-    double comp = 0.0;
-    void add(double x) {
-      double t = sum + x;
-      if (std::abs(sum) >= std::abs(x)) {
-        comp += (sum - t) + x;
-      } else {
-        comp += (x - t) + sum;
-      }
-      sum = t;
-    }
-    void sub(double x) { add(-x); }
-    double value() const { return sum + comp; }
-    void reset() {
-      sum = 0.0;
-      comp = 0.0;
-    }
-  };
-
   struct Request {
     double remaining;
     double rate = 0.0;        // current allocation, units/s (0 while fair)
@@ -255,11 +233,11 @@ class FluidResource {
   double capacity_;
   std::list<Request> requests_;
 
-  double vtime_ = 0.0;          // GPS virtual time, dV/dt = mu * capacity
-  SimTime v_updated_at_ = 0.0;  // real time vtime_ was advanced to
-  double mu_ = 0.0;             // current normalized water level
-  CompensatedSum s_ncap_;       // sum of ncap over capped flows
-  CompensatedSum w_fair_;       // sum of weight over fair flows
+  double vtime_ = 0.0;            // GPS virtual time, dV/dt = mu * capacity
+  SimTime v_updated_at_ = 0.0;    // real time vtime_ was advanced to
+  double mu_ = 0.0;               // current normalized water level
+  util::CompensatedSum s_ncap_;   // sum of ncap over capped flows
+  util::CompensatedSum w_fair_;   // sum of weight over fair flows
   std::size_t capped_count_ = 0;
   std::size_t fair_count_ = 0;
   std::set<FlowKey> capped_by_ratio_;
@@ -274,8 +252,8 @@ class FluidResource {
   std::unordered_map<OwnerId, std::vector<const Request*>> owner_index_;
   std::unordered_map<const ShareSlot*, std::size_t> slot_uses_;
 
-  mutable std::unordered_map<OwnerId, CompensatedSum> served_;
-  CompensatedSum total_served_;
+  mutable std::unordered_map<OwnerId, util::CompensatedSum> served_;
+  util::CompensatedSum total_served_;
 
   std::uint64_t full_reallocs_ = 0;
   std::uint64_t fast_reallocs_ = 0;

@@ -142,7 +142,7 @@ void MonitorAccuracyChecker::check_axis(const std::string& axis, double truth,
   if (gated_on_mailbox && injector_.mailbox_disturbed_in(now - guard, now)) {
     return;
   }
-  auto estimate = monitor_.estimate(axis);
+  auto estimate = monitor_.estimate(monitor_.axis_id(axis));
   if (!estimate) return;  // no samples in-window: nothing to hold to account
   const double tolerance =
       options_.tolerance + injector_.max_noise_in(now - guard, now);

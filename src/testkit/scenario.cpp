@@ -177,7 +177,7 @@ sim::Task<> probe_proc(Ctx& ctx) {
   while (ctx.sim.now() < ctx.opt.duration) {
     co_await ctx.sim.delay(interval);
     auto fmt_est = [&](const char* axis) {
-      auto e = ctx.stack.monitor.estimate(axis);
+      auto e = ctx.stack.monitor.estimate(ctx.stack.monitor.axis_id(axis));
       return e ? bits(*e) : std::string("-");
     };
     ctx.trace.record(ctx.sim.now(), "probe",

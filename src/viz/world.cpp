@@ -52,54 +52,30 @@ const tunable::AppSpec& viz_app_spec() {
 
 namespace {
 
-// The process-wide image/pyramid memos are shared by every world a
-// parallel profiling sweep builds, so all map access is annotated against
-// the memo mutex and checked by clang thread-safety analysis.  Returned
-// references stay valid after the lock is dropped (std::map nodes are
-// stable and entries are never erased).
+// The process-wide pyramid memo is shared by every world a parallel
+// profiling sweep builds, so all map access is annotated against the memo
+// mutex and checked by clang thread-safety analysis.  On a miss the image
+// is synthesized, decomposed and dropped: only the pyramid and its content
+// hash are kept.
 //
-// Construction happens *outside* the lock: synthesizing a 1024x1024 image
-// or decomposing a pyramid is the expensive part, and holding the memo
-// mutex across it serialized every worker of a parallel sweep behind one
-// builder (an annotation-audit finding).  Two workers racing on the same
-// key both build byte-identical values (deterministic constructors); the
-// first emplace wins and the loser's copy is discarded.
-class ImageMemo {
- public:
-  const wavelet::Image& get(int size, std::uint64_t seed)
-      AVF_EXCLUDES(mutex_) {
-    auto key = std::make_pair(size, seed);
-    {
-      util::MutexLock lock(mutex_);
-      auto it = cache_.find(key);
-      if (it != cache_.end()) return it->second;
-    }
-    wavelet::Image built = wavelet::Image::synthetic(size, size, seed);
-    util::MutexLock lock(mutex_);
-    return cache_.emplace(key, std::move(built)).first->second;
-  }
-
- private:
-  util::Mutex mutex_;
-  std::map<std::pair<int, std::uint64_t>, wavelet::Image> cache_
-      AVF_GUARDED_BY(mutex_);
-};
-
+// Construction happens *outside* the lock, so the workers of a parallel
+// sweep do not wait behind one another's 1024x1024 synthesis and
+// decomposition.  Two workers racing on the same key both build
+// byte-identical values (deterministic constructors); the first emplace
+// wins and the loser's copy is discarded.
 class PyramidMemo {
  public:
-  PyramidEntry get(const wavelet::Image& image, int size, std::uint64_t seed,
-                   int levels) AVF_EXCLUDES(mutex_) {
+  PyramidEntry get(int size, std::uint64_t seed, int levels)
+      AVF_EXCLUDES(mutex_) {
     auto key = std::make_tuple(size, seed, levels);
     {
       util::MutexLock lock(mutex_);
       auto it = cache_.find(key);
       if (it != cache_.end()) return it->second;
     }
-    // Hash alongside the decomposition, outside the lock: the content hash
-    // is as deterministic as the pyramid, so a racing loser's copy is
-    // byte-identical and safely discarded.
     PyramidEntry built;
-    built.pyramid = std::make_shared<const wavelet::Pyramid>(image, levels);
+    built.pyramid = std::make_shared<const wavelet::Pyramid>(
+        wavelet::Image::synthetic(size, size, seed), levels);
     built.content_hash = wavelet::pyramid_content_hash(*built.pyramid);
     util::MutexLock lock(mutex_);
     return cache_.emplace(key, std::move(built)).first->second;
@@ -113,19 +89,10 @@ class PyramidMemo {
 
 }  // namespace
 
-const wavelet::Image& cached_image(int size, std::uint64_t seed) {
-  // avf-srclint: allow(src.mutable-static memoizes a pure function of (size, seed) under a lock, so no trace can tell; every benchmark world shares it)
-  static ImageMemo memo;
-  return memo.get(size, seed);
-}
-
 PyramidEntry cached_pyramid_entry(int size, std::uint64_t seed, int levels) {
   // avf-srclint: allow(src.mutable-static memoizes a pure function of (size, seed, levels) under a lock, so no trace can tell; every benchmark world shares it)
   static PyramidMemo memo;
-  // The image memo is consulted before the pyramid lock is taken, so the
-  // two memo mutexes are never held together (no lock-order edge).
-  const wavelet::Image& image = cached_image(size, seed);
-  return memo.get(image, size, seed, levels);
+  return memo.get(size, seed, levels);
 }
 
 VizWorld::VizWorld(const WorldSetup& setup) : setup_(setup) {

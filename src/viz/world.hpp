@@ -32,14 +32,12 @@ namespace avf::viz {
 /// and the notify-server-compression transition.
 const tunable::AppSpec& viz_app_spec();
 
-/// Deterministic synthetic image, memoized process-wide (the "images
-/// stored in the server").
-const wavelet::Image& cached_image(int size, std::uint64_t seed);
-
-/// A memoized pyramid together with its content hash (the tile-store key
-/// prefix).  The hash is computed once per (size, seed, levels) and cached
-/// alongside the pyramid, so profiling sweeps building thousands of worlds
-/// never rehash the same coefficients.
+/// The pyramid of the deterministic synthetic image (size, seed) -- one of
+/// the "images stored in the server" -- together with its content hash
+/// (the tile-store key prefix), memoized process-wide.  Both are computed
+/// once per (size, seed, levels), so profiling sweeps building thousands of
+/// worlds never redecompose or rehash the same image; the image itself is
+/// not kept.
 struct PyramidEntry {
   std::shared_ptr<const wavelet::Pyramid> pyramid;
   util::Hash128 content_hash;

@@ -13,6 +13,9 @@ using tunable::Direction;
 using tunable::MetricSchema;
 using tunable::QosVector;
 
+// The id of "bw", the one axis of every monitor here.
+constexpr std::size_t kBw = 0;
+
 struct Rig {
   sim::Simulator sim;
   tunable::AppSpec spec = make_spec();
@@ -82,7 +85,7 @@ TEST(Controller, AdaptsWhenMonitorDetectsChange) {
   controller.start();
   // Bandwidth collapses at t=2.
   rig.sim.schedule(2.0, [&] {
-    for (int i = 0; i < 10; ++i) rig.monitor.observe("bw", 100.0);
+    for (int i = 0; i < 10; ++i) rig.monitor.observe(kBw, 100.0);
   });
   rig.sim.schedule(5.0, [&] { controller.stop(); });
   rig.sim.run();
@@ -107,7 +110,7 @@ TEST(Controller, NoAdaptationWithoutResourceChange) {
   controller.configure({1000.0});
   controller.start();
   rig.sim.schedule(1.0, [&] {
-    for (int i = 0; i < 5; ++i) rig.monitor.observe("bw", 980.0);
+    for (int i = 0; i < 5; ++i) rig.monitor.observe(kBw, 980.0);
   });
   rig.sim.schedule(4.0, [&] { controller.stop(); });
   rig.sim.run();
@@ -124,7 +127,7 @@ TEST(Controller, BaselineReanchorsAfterTrigger) {
   controller.configure({1000.0});
   controller.start();
   rig.sim.schedule(1.0, [&] {
-    for (int i = 0; i < 10; ++i) rig.monitor.observe("bw", 100.0);
+    for (int i = 0; i < 10; ++i) rig.monitor.observe(kBw, 100.0);
   });
   rig.sim.schedule(6.0, [&] { controller.stop(); });
   rig.sim.run();
@@ -185,12 +188,12 @@ TEST(Controller, StaleStagedRequestWithdrawnWhenDecisionReaffirmsActive) {
   controller.start();
   // Collapse: the 1.5s check stages mode 1 (never applied by the app).
   rig.sim.schedule(1.2, [&] {
-    for (int i = 0; i < 5; ++i) monitor.observe("bw", 100.0);
+    for (int i = 0; i < 5; ++i) monitor.observe(kBw, 100.0);
   });
   // Full recovery before the 2.0s check: its decision is the still-active
   // mode 0, which must also cancel the staged mode 1.
   rig.sim.schedule(1.7, [&] {
-    for (int i = 0; i < 5; ++i) monitor.observe("bw", 1000.0);
+    for (int i = 0; i < 5; ++i) monitor.observe(kBw, 1000.0);
   });
   rig.sim.schedule(2.2, [&] { controller.stop(); });
   rig.sim.run();
@@ -307,11 +310,11 @@ TEST(Controller, ChangeDrivenTicksSkipQuietChecksIdentically) {
     // information in between; a collapse at t=4 forces an adaptation.
     for (int i = 0; i < 3; ++i) {
       rig.sim.schedule(0.4 + 1.25 * i, [&rig] {
-        rig.monitor.observe("bw", 1000.0);
+        rig.monitor.observe(kBw, 1000.0);
       });
     }
     rig.sim.schedule(4.0, [&rig] {
-      for (int i = 0; i < 10; ++i) rig.monitor.observe("bw", 100.0);
+      for (int i = 0; i < 10; ++i) rig.monitor.observe(kBw, 100.0);
     });
     rig.sim.schedule(6.0, [&controller] { controller.stop(); });
     rig.sim.run();

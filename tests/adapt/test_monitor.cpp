@@ -16,13 +16,16 @@ MonitoringAgent::Options opts(double window = 2.0, double threshold = 0.25,
   return o;
 }
 
+// The id of "cpu_share", the first axis of every agent that lists it.
+constexpr std::size_t kCpu = 0;
+
 TEST(Monitor, EstimateIsWindowMean) {
   sim::Simulator sim;
   MonitoringAgent agent(sim, {"cpu_share"}, opts());
-  sim.schedule(0.1, [&] { agent.observe("cpu_share", 0.4); });
-  sim.schedule(0.2, [&] { agent.observe("cpu_share", 0.6); });
+  sim.schedule(0.1, [&] { agent.observe(kCpu, 0.4); });
+  sim.schedule(0.2, [&] { agent.observe(kCpu, 0.6); });
   sim.run();
-  auto e = agent.estimate("cpu_share");
+  auto e = agent.estimate(kCpu);
   ASSERT_TRUE(e);
   EXPECT_DOUBLE_EQ(*e, 0.5);
 }
@@ -30,19 +33,20 @@ TEST(Monitor, EstimateIsWindowMean) {
 TEST(Monitor, NoSamplesMeansNoEstimate) {
   sim::Simulator sim;
   MonitoringAgent agent(sim, {"cpu_share"});
-  EXPECT_FALSE(agent.estimate("cpu_share").has_value());
-  EXPECT_THROW((void)agent.estimate("bogus"), std::out_of_range);
+  EXPECT_FALSE(agent.estimate(kCpu).has_value());
+  EXPECT_EQ(agent.axis_id("cpu_share"), kCpu);
+  EXPECT_THROW((void)agent.axis_id("bogus"), std::out_of_range);
 }
 
 TEST(Monitor, StaleSamplesExpire) {
   sim::Simulator sim;
   MonitoringAgent agent(sim, {"cpu_share"}, opts(1.0));
-  sim.schedule(0.1, [&] { agent.observe("cpu_share", 0.5); });
+  sim.schedule(0.1, [&] { agent.observe(kCpu, 0.5); });
   sim.run();
-  EXPECT_TRUE(agent.estimate("cpu_share").has_value());
+  EXPECT_TRUE(agent.estimate(kCpu).has_value());
   sim.schedule(5.0, [] {});
   sim.run();
-  EXPECT_FALSE(agent.estimate("cpu_share").has_value());
+  EXPECT_FALSE(agent.estimate(kCpu).has_value());
 }
 
 TEST(Monitor, StaleBurstDoesNotSkewEstimate) {
@@ -53,14 +57,14 @@ TEST(Monitor, StaleBurstDoesNotSkewEstimate) {
   sim::Simulator sim;
   MonitoringAgent agent(sim, {"cpu_share"}, opts(2.0));
   sim.schedule(0.1, [&] {
-    for (int i = 0; i < 10; ++i) agent.observe("cpu_share", 10.0);
+    for (int i = 0; i < 10; ++i) agent.observe(kCpu, 10.0);
   });
-  sim.schedule(1.0, [&] { agent.observe("cpu_share", 1.0); });
+  sim.schedule(1.0, [&] { agent.observe(kCpu, 1.0); });
   // Advance to t=2.5: the burst (age 2.4) is stale, the fresh sample (age
   // 1.5) is in-window.  All 11 samples are still in the deque.
   sim.schedule(2.5, [] {});
   sim.run();
-  auto e = agent.estimate("cpu_share");
+  auto e = agent.estimate(kCpu);
   ASSERT_TRUE(e);
   EXPECT_DOUBLE_EQ(*e, 1.0);
 }
@@ -69,19 +73,19 @@ TEST(Monitor, AllSamplesStaleMeansNoEstimate) {
   sim::Simulator sim;
   MonitoringAgent agent(sim, {"cpu_share"}, opts(1.0));
   sim.schedule(0.1, [&] {
-    agent.observe("cpu_share", 0.5);
-    agent.observe("cpu_share", 0.7);
+    agent.observe(kCpu, 0.5);
+    agent.observe(kCpu, 0.7);
   });
   sim.schedule(3.0, [] {});
   sim.run();
-  EXPECT_FALSE(agent.estimate("cpu_share").has_value());
+  EXPECT_FALSE(agent.estimate(kCpu).has_value());
 }
 
 TEST(Monitor, EstimatesFallBackToBaseline) {
   sim::Simulator sim;
   MonitoringAgent agent(sim, {"cpu_share", "net_bps"});
   agent.set_baseline({0.9, 500e3});
-  sim.schedule(0.1, [&] { agent.observe("cpu_share", 0.4); });
+  sim.schedule(0.1, [&] { agent.observe(kCpu, 0.4); });
   sim.run();
   std::vector<double> estimates;
   agent.estimates_into(estimates);
@@ -93,7 +97,7 @@ TEST(Monitor, TriggersAfterConsecutiveDeviations) {
   sim::Simulator sim;
   MonitoringAgent agent(sim, {"cpu_share"}, opts(2.0, 0.25, 2));
   agent.set_baseline({0.9});
-  sim.schedule(0.1, [&] { agent.observe("cpu_share", 0.4); });
+  sim.schedule(0.1, [&] { agent.observe(kCpu, 0.4); });
   sim.run();
   EXPECT_FALSE(agent.check_triggered());  // first out-of-range check
   EXPECT_TRUE(agent.check_triggered());   // second consecutive -> trigger
@@ -106,12 +110,12 @@ TEST(Monitor, InRangeResetsHysteresisCounter) {
   sim::Simulator sim;
   MonitoringAgent agent(sim, {"cpu_share"}, opts(10.0, 0.25, 2));
   agent.set_baseline({0.9});
-  sim.schedule(0.1, [&] { agent.observe("cpu_share", 0.4); });
+  sim.schedule(0.1, [&] { agent.observe(kCpu, 0.4); });
   sim.run();
   EXPECT_FALSE(agent.check_triggered());
   // Recovery: estimate returns to baseline (fresh samples dominate mean).
   sim.schedule(0.1, [&] {
-    for (int i = 0; i < 50; ++i) agent.observe("cpu_share", 0.9);
+    for (int i = 0; i < 50; ++i) agent.observe(kCpu, 0.9);
   });
   sim.run();
   EXPECT_FALSE(agent.check_triggered());
@@ -123,7 +127,7 @@ TEST(Monitor, SmallDeviationsNeverTrigger) {
   sim::Simulator sim;
   MonitoringAgent agent(sim, {"cpu_share"}, opts(2.0, 0.25, 1));
   agent.set_baseline({0.5});
-  sim.schedule(0.1, [&] { agent.observe("cpu_share", 0.55); });
+  sim.schedule(0.1, [&] { agent.observe(kCpu, 0.55); });
   sim.run();
   EXPECT_FALSE(agent.check_triggered());
 }
@@ -141,12 +145,13 @@ TEST_P(MonitorThresholds, TriggerOnlyBeyondThreshold) {
   double threshold = GetParam();
   sim::Simulator sim;
   MonitoringAgent agent(sim, {"x"}, opts(2.0, threshold, 1));
+  const std::size_t x = agent.axis_id("x");
   agent.set_baseline({1.0});
-  sim.schedule(0.1, [&] { agent.observe("x", 1.0 + threshold * 0.9); });
+  sim.schedule(0.1, [&] { agent.observe(x, 1.0 + threshold * 0.9); });
   sim.run();
   EXPECT_FALSE(agent.check_triggered());
   sim.schedule(0.1, [&] {
-    for (int i = 0; i < 50; ++i) agent.observe("x", 1.0 + threshold * 1.5);
+    for (int i = 0; i < 50; ++i) agent.observe(x, 1.0 + threshold * 1.5);
   });
   sim.run();
   EXPECT_TRUE(agent.check_triggered());
@@ -164,7 +169,7 @@ TEST(Monitor, CheckWouldNoopAfterQuietInRangeCheck) {
   agent.set_baseline({0.5});
   // Never true before any check: there is no outcome to repeat.
   EXPECT_FALSE(agent.check_would_noop());
-  sim.schedule(0.1, [&] { agent.observe("cpu_share", 0.5); });
+  sim.schedule(0.1, [&] { agent.observe(kCpu, 0.5); });
   sim.run();
   EXPECT_FALSE(agent.check_would_noop());  // observation since (no check yet)
   EXPECT_FALSE(agent.check_triggered());   // in range
@@ -179,12 +184,12 @@ TEST(Monitor, CheckWouldNoopFalseAfterObserveOrBaseline) {
   sim::Simulator sim;
   MonitoringAgent agent(sim, {"cpu_share"}, opts(2.0, 0.25, 2));
   agent.set_baseline({0.5});
-  sim.schedule(0.1, [&] { agent.observe("cpu_share", 0.5); });
+  sim.schedule(0.1, [&] { agent.observe(kCpu, 0.5); });
   sim.run();
   EXPECT_FALSE(agent.check_triggered());
   ASSERT_TRUE(agent.check_would_noop());
   // A new observation is new information: the proof no longer holds.
-  sim.schedule(0.1, [&] { agent.observe("cpu_share", 0.5); });
+  sim.schedule(0.1, [&] { agent.observe(kCpu, 0.5); });
   sim.run();
   EXPECT_FALSE(agent.check_would_noop());
   EXPECT_FALSE(agent.check_triggered());
@@ -200,7 +205,7 @@ TEST(Monitor, CheckWouldNoopFalseAfterOutOfRangeCheck) {
   sim::Simulator sim;
   MonitoringAgent agent(sim, {"cpu_share"}, opts(2.0, 0.25, 3));
   agent.set_baseline({0.9});
-  sim.schedule(0.1, [&] { agent.observe("cpu_share", 0.4); });
+  sim.schedule(0.1, [&] { agent.observe(kCpu, 0.4); });
   sim.run();
   EXPECT_FALSE(agent.check_triggered());  // out of range, counter at 1
   EXPECT_FALSE(agent.check_would_noop());
@@ -215,8 +220,8 @@ TEST(Monitor, CheckWouldNoopFalseWhenSuffixAgesOut) {
   // changes even though nothing new was observed.
   sim::Simulator sim;
   MonitoringAgent agent(sim, {"cpu_share"}, opts(1.0, 0.25, 2));
-  sim.schedule(0.1, [&] { agent.observe("cpu_share", 0.2); });
-  sim.schedule(0.5, [&] { agent.observe("cpu_share", 0.8); });
+  sim.schedule(0.1, [&] { agent.observe(kCpu, 0.2); });
+  sim.schedule(0.5, [&] { agent.observe(kCpu, 0.8); });
   sim.schedule(0.6, [] {});
   sim.run();
   agent.set_baseline({0.5});

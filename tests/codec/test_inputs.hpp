@@ -6,7 +6,7 @@
 
 #include "codec/codec.hpp"
 #include "util/rng.hpp"
-#include "viz/world.hpp"
+#include "wavelet/image.hpp"
 #include "wavelet/progressive.hpp"
 
 namespace avf::codec::testing {
@@ -58,7 +58,7 @@ inline Bytes i16_coefficients(std::size_t n, std::uint64_t seed,
 /// image (seed 99), 4 levels, 16-pixel tiles, the full image at level 4.
 inline const Bytes& wavelet_payload() {
   static const Bytes data = [] {
-    wavelet::Pyramid pyr(viz::cached_image(512, 99), 4);
+    wavelet::Pyramid pyr(wavelet::Image::synthetic(512, 512, 99), 4);
     wavelet::ProgressiveEncoder enc(pyr, 16);
     return enc.encode_region({256, 256, 512}, 4);
   }();

@@ -168,8 +168,8 @@ struct AccuracyRig {
       {.tolerance = 0.10, .window = 1.0, .settle = 0.5}};
 
   void observe_both(double cpu, double bw) {
-    monitor.observe("cpu_share", cpu);
-    monitor.observe("net_bps", bw);
+    monitor.observe(monitor.axis_id("cpu_share"), cpu);
+    monitor.observe(monitor.axis_id("net_bps"), bw);
   }
 };
 
