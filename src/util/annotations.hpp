@@ -3,7 +3,7 @@
 // The repo's determinism guarantee (byte-identical traces and fingerprints
 // at any thread count) leans on a small set of mutex-guarded shared
 // structures: the thread pool's loop state, the process-wide viz caches, the
-// logger sink, the viz image/pyramid memos, and the prediction cache.
+// logger sink, the viz pyramid memo, and the prediction cache.
 // Until now the lock discipline around them was enforced only dynamically
 // (the TSan CI tier); these macros move the contract to compile time.
 //

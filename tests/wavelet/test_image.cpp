@@ -217,7 +217,7 @@ INSTANTIATE_TEST_SUITE_P(
 // -- concurrent synthesis ------------------------------------------------
 //
 // Image::synthetic fans its rows out over a thread pool.  Callers may
-// themselves be threads, or tasks of another pool (the viz image memo
+// themselves be threads, or tasks of another pool (the viz pyramid memo
 // missing on a profiling worker); every result must still be the bytes a
 // lone call produces.
 
